@@ -153,7 +153,12 @@ def _cmd_sweep(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("RUMORWALKS_JOBS", "0")) or None
+        env_jobs = os.environ.get("RUMORWALKS_JOBS", "0")
+        try:
+            jobs = int(env_jobs) or None
+        except ValueError:
+            raise ConfigError(f"RUMORWALKS_JOBS must be an integer, "
+                              f"got {env_jobs!r}") from None
     if jobs is not None:
         cfg = dataclasses.replace(cfg, jobs=jobs)
     log.info("sweep: family=%s sizes=%s protocols=%s trials=%d seed=%d jobs=%d",
@@ -206,7 +211,7 @@ def _cmd_verify(args) -> int:
     report = verify_transcript(tr)
     _emit({"ok": report.ok, "incomplete": report.incomplete,
            "checks": report.checks,
-           "violations": [list(v) for v in report.violations[:20]]})
+           "violations": report.violations[:20]})
     if report.ok:
         return 0
     return 3

@@ -4,13 +4,17 @@ aggregation, growth-model fitting, and CSV/config round-tripping.
 Every trial derives its own seed from the master seed and the trial identity
 (family, size, protocol, index), so results are reproducible run-to-run and
 independent of execution order or worker count.  Random graph families draw
-a fresh graph per trial; deterministic families share one immutable graph.
+a fresh graph per (size, trial), whose seed leaves out the protocol, so it is
+built once and shared by every protocol of the trial; with ``jobs > 1`` one
+process pool runs all trials of the sweep.  Deterministic families share one
+immutable graph per size and run serially.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +113,10 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.round_cap is not None and self.round_cap < 1:
+            raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}")
+        if self.bootstrap < 1:
+            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}")
         if not (self.source in SOURCE_RULES or _is_int(self.source)):
             raise ConfigError(f"source must be an id or one of {SOURCE_RULES}, "
                               f"got {self.source!r}")
@@ -116,6 +124,9 @@ class ExperimentConfig:
             raise ConfigError("t-visit-exchange requires gamma")
         if self.family in ("regular", "clique-path") and self.d is None:
             raise ConfigError(f"family {self.family!r} requires d")
+        if self.d is not None and not _is_degree_spec(self.d):
+            raise ConfigError(f"d must be an integer >= 1 or 'log2ceil', "
+                              f"got {self.d!r}")
 
 
 def _is_int(s: str) -> bool:
@@ -126,7 +137,14 @@ def _is_int(s: str) -> bool:
         return False
 
 
+def _is_degree_spec(d_spec) -> bool:
+    return d_spec == "log2ceil" or (_is_int(d_spec) and int(d_spec) >= 1)
+
+
 def _resolve_d(d_spec: str | None, size: int) -> int:
+    if not _is_degree_spec(d_spec):
+        raise InvalidParameterError(
+            f"d must be an integer >= 1 or 'log2ceil', got {d_spec!r}")
     if d_spec == "log2ceil":
         return max(1, math.ceil(math.log2(max(size, 2))))
     return int(d_spec)
@@ -202,22 +220,54 @@ def _trial_graph(cfg: ExperimentConfig, size: int, trial: int,
     return build_graph(cfg.family, size, cfg.d, gseed)
 
 
-def _execute_trial(cfg: ExperimentConfig, size: int, protocol: str,
-                   trial: int, shared: Graph | None):
-    """Returns (vertex_count, broadcast_time_or_None)."""
-    graph = _trial_graph(cfg, size, trial, shared)
-    rng = SimRng(derive_seed(cfg.seed, "run", cfg.family, size, protocol, trial))
-    source = resolve_source(cfg.source, graph, rng.stream("source"))
-    res = _run_protocol(protocol, graph, source, cfg, rng)
-    return graph.n, res.broadcast_time
+def _run_trial(cfg: ExperimentConfig, size: int, trial: int,
+               shared: Graph | None = None):
+    """One trial: build the trial's graph, or take the shared one, and run
+    every protocol of the config on it, each from its own seed.
 
-
-def _pool_trial(payload):
-    cfg, size, protocol, trial = payload
+    Returns ``(vertex_count, times)`` with one broadcast time (None when
+    incomplete) per protocol; a failed generation gives a None count.
+    """
     try:
-        return _execute_trial(cfg, size, protocol, trial, None)
+        graph = _trial_graph(cfg, size, trial, shared)
     except GenerationFailureError:
-        return None, None
+        return None, [None] * len(cfg.protocols)
+    times = []
+    for protocol in cfg.protocols:
+        rng = SimRng(derive_seed(cfg.seed, "run", cfg.family, size, protocol,
+                                 trial))
+        source = resolve_source(cfg.source, graph, rng.stream("source"))
+        times.append(_run_protocol(protocol, graph, source, cfg,
+                                   rng).broadcast_time)
+    return graph.n, times
+
+
+def _sweep_outcomes(config: ExperimentConfig):
+    """Yield ``(size, outcomes)`` in sweep order, one ``_run_trial`` outcome
+    per trial in trial order.
+
+    Deterministic families build one graph per size and run serially.  A
+    random family builds each graph once per (size, trial); with ``jobs > 1``
+    one process pool serves every trial of the sweep.
+    """
+    if config.family not in RANDOM_FAMILIES:
+        for size in config.sweep:
+            shared = build_graph(config.family, size, config.d,
+                                 derive_seed(config.seed, "graph",
+                                             config.family, size, 0))
+            yield size, [_run_trial(config, size, i, shared)
+                         for i in range(config.trials)]
+        return
+    sizes = [size for size in config.sweep for _ in range(config.trials)]
+    trials = [i for _ in config.sweep for i in range(config.trials)]
+    if config.jobs > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            outcomes = list(pool.map(_run_trial, repeat(config), sizes,
+                                     trials))
+    else:
+        outcomes = list(map(_run_trial, repeat(config), sizes, trials))
+    for k, size in enumerate(config.sweep):
+        yield size, outcomes[k * config.trials:(k + 1) * config.trials]
 
 
 @dataclass(frozen=True)
@@ -285,42 +335,17 @@ def run_trials(config: ExperimentConfig) -> ExperimentResult:
     """Run the full sweep.  Trials are seeded by identity, so the result is
     byte-identical regardless of ``jobs``."""
     rows = []
-    for size in config.sweep:
-        shared = None
-        if config.family not in RANDOM_FAMILIES:
-            shared = build_graph(config.family, size, config.d,
-                                 derive_seed(config.seed, "graph",
-                                             config.family, size, 0))
-        for protocol in config.protocols:
-            values: list = []
-            incomplete = 0
-            n_seen = shared.n if shared is not None else None
-            if config.jobs > 1 and shared is None:
-                payloads = [(config, size, protocol, i)
-                            for i in range(config.trials)]
-                with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                    outcomes = list(pool.map(_pool_trial, payloads, chunksize=4))
-            else:
-                outcomes = []
-                for i in range(config.trials):
-                    try:
-                        outcomes.append(_execute_trial(config, size, protocol,
-                                                       i, shared))
-                    except GenerationFailureError:
-                        outcomes.append((None, None))
-            for n_i, bt in outcomes:
-                if n_i is not None:
-                    n_seen = n_i
-                if bt is None:
-                    incomplete += 1
-                else:
-                    values.append(int(bt))
-            if n_seen is None:
-                raise GenerationFailureError(
-                    f"all {config.trials} generations failed for "
-                    f"{config.family} size {size}")
-            rows.append(_make_row(config, n_seen, size, protocol,
-                                  values, incomplete))
+    for size, outcomes in _sweep_outcomes(config):
+        built = [n for n, _ in outcomes if n is not None]
+        if not built:
+            raise GenerationFailureError(
+                f"all {config.trials} generations failed for "
+                f"{config.family} size {size}")
+        for j, protocol in enumerate(config.protocols):
+            values = [int(times[j]) for _, times in outcomes
+                      if times[j] is not None]
+            rows.append(_make_row(config, built[-1], size, protocol, values,
+                                  len(outcomes) - len(values)))
     return ExperimentResult(config=config, rows=rows)
 
 

@@ -33,6 +33,18 @@ __all__ = [
 ]
 
 
+def _csr_arrays(n: int, u: np.ndarray, v: np.ndarray):
+    """CSR ``(indptr, indices)`` of the undirected edges ``(u[i], v[i])``,
+    plus the sorted directed keys ``src * n + dst`` both are read from.
+
+    One sort of the keys orders every row and its neighbors at once; the
+    caller checks the keys for duplicates when the edges are untrusted.
+    """
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, keys % n, keys
+
+
 class Graph:
     """Undirected simple connected graph in compressed sparse row form.
 
@@ -80,25 +92,12 @@ class Graph:
                     f"edge endpoint out of range for n={n}")
             if (e[:, 0] == e[:, 1]).any():
                 raise InvalidParameterError("self-loops are not allowed")
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            keys = lo * n + hi
-            if np.unique(keys).shape[0] != m:
-                raise InvalidParameterError("duplicate edges are not allowed")
+        indptr, indices, keys = _csr_arrays(n, e[:, 0], e[:, 1])
+        # a duplicate in either orientation repeats a directed key
+        if (keys[1:] == keys[:-1]).any():
+            raise InvalidParameterError("duplicate edges are not allowed")
         if n > 1 and m == 0:
             raise InvalidParameterError("graph with n > 1 vertices has no edges")
-
-        if m == 0:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices = np.zeros(0, dtype=np.int64)
-        else:
-            u2 = np.concatenate([e[:, 0], e[:, 1]])
-            v2 = np.concatenate([e[:, 1], e[:, 0]])
-            order = np.lexsort((v2, u2))
-            indices = v2[order]
-            counts = np.bincount(u2, minlength=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
 
         g = cls(n, indptr, indices, family_tag)
         if not g.is_connected():
@@ -307,50 +306,56 @@ def generate_clique_path(k: int, d: int) -> Graph:
 
 # -- random regular graphs ---------------------------------------------------
 
-def _suitable(stubs: np.ndarray, edge_keys: set, n: int) -> bool:
+def _known(edge_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of ``keys`` in the sorted ``edge_keys``, whose last entry
+    is a sentinel above every edge key, so no search runs off the end."""
+    return edge_keys[np.searchsorted(edge_keys, keys)] == keys
+
+
+def _suitable(stubs: np.ndarray, edge_keys: np.ndarray, n: int) -> bool:
     """True if the leftover stub multiset can still be paired into new,
     non-loop edges.  Mirrors the standard stub-matching feasibility test.
     """
     if stubs.size == 0:
         return True
-    vals, counts = np.unique(stubs, return_counts=True)
-    vals = vals.tolist()
-    for i, u in enumerate(vals):
-        for v in vals[i + 1:]:
-            if u * n + v not in edge_keys:
-                return True
-    return False
+    vals = np.unique(stubs)
+    a, b = np.triu_indices(vals.shape[0], k=1)
+    return not _known(edge_keys, vals[a] * n + vals[b]).all()
 
 
 def _pairing_attempt(n: int, d: int, gen: np.random.Generator):
     """One stub-matching pass: repeatedly shuffle unmatched stubs, keep the
     pairings that form new simple edges, and re-queue the rest.  Returns the
-    edge array, or None when no valid completion exists for this pass.
+    sorted edge keys ``lo * n + hi`` (lo < hi), or None when no valid
+    completion exists for this pass.
     """
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    edge_keys: set = set()
-    parts = []
+    edge_keys = np.array([n * n], dtype=np.int64)  # sentinel: see _known
     while stubs.size:
         gen.shuffle(stubs)
         a = stubs[0::2]
         b = stubs[1::2]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        keys = lo * n + hi
-        ok = lo != hi
-        first = np.zeros(keys.shape[0], dtype=bool)
-        first[np.unique(keys, return_index=True)[1]] = True
-        fresh = np.fromiter((k not in edge_keys for k in keys.tolist()),
-                            dtype=bool, count=keys.shape[0])
-        good = ok & first & fresh
-        if good.any():
-            parts.append(np.column_stack([lo[good], hi[good]]))
-            edge_keys.update(keys[good].tolist())
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        # In key order, a pair is kept when it is no self-loop, is the first
+        # pair with its key in stub order (the sort is stable), and its edge
+        # is not yet taken.
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        keep = np.empty(sk.shape[0], dtype=bool)
+        keep[0] = True
+        np.not_equal(sk[1:], sk[:-1], out=keep[1:])
+        keep &= (a != b)[order]
+        keep &= ~_known(edge_keys, sk)
+        if keep.any():
+            new = sk[keep]
+            edge_keys = np.insert(edge_keys, np.searchsorted(edge_keys, new),
+                                  new)
+            good = np.empty_like(keep)
+            good[order] = keep
             stubs = np.concatenate([a[~good], b[~good]])
-        else:
-            if not _suitable(stubs, edge_keys, n):
-                return None
-    return np.concatenate(parts) if parts else np.zeros((0, 2), dtype=np.int64)
+        elif not _suitable(stubs, edge_keys, n):
+            return None
+    return edge_keys[:-1]
 
 
 def generate_random_regular(n: int, d: int, seed: int,
@@ -371,13 +376,15 @@ def generate_random_regular(n: int, d: int, seed: int,
     gen = np.random.Generator(np.random.PCG64(seed))
     tag = f"regular(n={n},d={d})"
     for _ in range(max_restarts):
-        e = _pairing_attempt(n, d, gen)
-        if e is None:
+        keys = _pairing_attempt(n, d, gen)
+        if keys is None:
             continue
-        try:
-            return Graph.from_edges(n, e, tag)
-        except InvalidParameterError:
-            continue  # disconnected: restart from scratch
+        # simple by construction, so only connectivity is left to check
+        indptr, indices, _ = _csr_arrays(n, keys // n, keys % n)
+        g = Graph(n, indptr, indices, tag)
+        if g.is_connected():
+            return g
+        # disconnected: restart from scratch
     raise GenerationFailureError(
         f"no connected {d}-regular graph on {n} vertices after "
         f"{max_restarts} restarts")

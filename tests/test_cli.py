@@ -91,6 +91,13 @@ class TestRun:
                                    "--protocol", "push", "--seed", "4")
         assert code == 0 and payload["n"] == 5
 
+    def test_bad_degree_exit_one(self, capsys):
+        code, payload, err = run_cli(capsys, "run", "--family", "regular",
+                                     "--size", "16", "--d", "foo",
+                                     "--protocol", "push", "--seed", "1")
+        assert code == 1 and payload is None
+        assert "d must be" in err
+
     def test_missing_graph_args(self, capsys):
         code, _, err = run_cli(capsys, "run", "--protocol", "push",
                                "--seed", "1")
@@ -151,6 +158,26 @@ seed = 11
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("extra,fragment", [
+        ("d = foo\n", "d must be"),
+        ("round_cap = -5\n", "round_cap must be >= 1"),
+        ("bootstrap = 0\n", "bootstrap must be >= 1"),
+    ])
+    def test_bad_value_exit_one(self, tmp_path, capsys, extra, fragment):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG + extra)
+        code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1 and payload is None
+        assert fragment in err
+
+    def test_bad_jobs_env_exit_one(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CFG)
+        monkeypatch.setenv("RUMORWALKS_JOBS", "abc")
+        code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1 and payload is None
+        assert "RUMORWALKS_JOBS" in err
+
 
 class TestCoupleVerify:
     def couple(self, tmp_path, capsys, *extra):
@@ -177,6 +204,11 @@ class TestCoupleVerify:
         code, payload, _ = run_cli(capsys, "verify", "--transcript", str(out))
         assert code == 3
         assert payload["ok"] is False
+        # each violation is reported as one message naming its check
+        assert payload["violations"]
+        for v in payload["violations"]:
+            assert isinstance(v, str)
+            assert v.split(":", 1)[0] in payload["checks"]
 
     def test_verify_unparseable_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"

@@ -1,11 +1,13 @@
 """Config round-tripping, trial aggregation, CSV stability, ratios, fits,
 and the parallel path."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rumorwalks as rw
+from rumorwalks import experiments
 from rumorwalks import ConfigError, ExperimentConfig, FitError
 from rumorwalks.experiments import CSV_HEADER, GROWTH_MODELS, build_graph
 
@@ -79,6 +81,21 @@ source = center
         with pytest.raises(ConfigError):
             small_config(family="regular")  # d missing
 
+    # the CLI tests cover d = foo, round_cap = -5 and bootstrap = 0
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("d", "0", "d must be"),
+        ("d", "2.5", "d must be"),
+        ("round_cap", "0", "round_cap must be >= 1"),
+    ])
+    def test_bad_values_rejected(self, key, value, fragment):
+        text = ("family = regular\nprotocols = push\nsweep = 16\n"
+                "trials = 2\nseed = 1\n")
+        if key != "d":
+            text += "d = 3\n"
+        with pytest.raises(ConfigError) as err:
+            rw.parse_config(text + f"{key} = {value}\n")
+        assert fragment in str(err.value)
+
     def test_parse_config_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(self.GOOD)
@@ -142,13 +159,29 @@ class TestRunTrials:
         assert res.rows[0].max <= 2
 
     def test_jobs_parity(self):
-        cfg = small_config(family="regular", d="3", sweep=(16,), trials=6,
-                           protocols=("push", "visit-exchange"))
+        cfg = small_config(family="regular", d="3", sweep=(16, 32), trials=6,
+                           protocols=("push", "visit-exchange",
+                                      "meet-exchange"), lazy=True)
         seq = rw.run_trials(cfg)
-        par = rw.run_trials(ExperimentConfig(**{**cfg.__dict__, "jobs": 2}))
+        par = rw.run_trials(replace(cfg, jobs=2))
         assert [r.values for r in seq.rows] == [r.values for r in par.rows]
-        assert rw.result_to_csv(seq).replace(",1000\n", "\n") \
-            == rw.result_to_csv(par).replace(",1000\n", "\n")
+        assert rw.result_to_csv(seq) == rw.result_to_csv(par)
+
+    def test_random_graph_built_once_per_trial(self, monkeypatch):
+        calls = []
+        real = experiments.generate_random_regular
+
+        def counting(n, d, seed):
+            calls.append((n, d, seed))
+            return real(n, d, seed)
+
+        monkeypatch.setattr(experiments, "generate_random_regular", counting)
+        cfg = small_config(family="regular", d="log2ceil", sweep=(16, 32),
+                           trials=3, protocols=("push", "visit-exchange"))
+        res = rw.run_trials(cfg)
+        assert len(calls) == len(cfg.sweep) * cfg.trials
+        assert len(set(calls)) == len(calls)
+        assert all(r.incomplete == 0 and len(r.values) == 3 for r in res.rows)
 
 
 class TestCsv:

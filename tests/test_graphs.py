@@ -1,4 +1,6 @@
 """Generator post-conditions, structural invariants, and edge-list I/O."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,12 +223,63 @@ class TestRandomRegular:
         check_invariants(g)
 
 
+def regular_digest(n, d, seeds):
+    """SHA-256 over the CSR arrays of generate_random_regular(n, d, s) for
+    each seed s in order."""
+    h = hashlib.sha256()
+    for s in seeds:
+        g = rw.generate_random_regular(n, d, seed=s)
+        h.update(g.indptr.astype("<i8").tobytes())
+        h.update(g.indices.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestRandomRegularStream:
+    """Pins the generator's output: any change to its random draws or to
+    how it pairs stubs changes a digest.  The small dense pairs reach the
+    feasibility test and restarts (12, 2 restarts on disconnection); the
+    large ones use the d = ceil(log2 n) sweep degrees."""
+
+    GOLDEN = [
+        (6, 3, 40,
+         "e7343a2164f0a8d5e6ac0ba56f5fe39ceb6e014e134cef62085add9a7eb94213"),
+        (12, 2, 30,
+         "8e515d2c40663056ce1201acf52501f2f9236530b5ebd343c7296a715f523681"),
+        (12, 11, 20,
+         "5dfad874f170b53674f4ecda911e4233bbc29d643d643bfe00dfe4f95b8a092d"),
+        (14, 12, 20,
+         "da367323784f5ffa13ef03063f06218c3853c444a4ab10c2c1a139307e9f7298"),
+        (20, 17, 10,
+         "88bd93be695478fe2d2bda3da62ceb99b749f3e4543b91f6f5179d234f4ab086"),
+        (30, 29, 20,
+         "e638325112674997f08a41db62348a2c7d158e318386c9084a5a00e5979c0456"),
+        (64, 8, 60,
+         "03ce61e69bba76ed038ed8d05dc07c5aca761c53df76ead1672331f22503097e"),
+        (512, 9, 30,
+         "f3f3513c7b4cf90e1e7c38aa8a6b67dc2850cac5f7e9fc59d33742f1579a27ff"),
+        (1024, 10, 3,
+         "bb6af32d3fc932bcfdaee32002793eb5a6a92387ac1ce84f7536bf0e7b44ca68"),
+        (4096, 12, 2,
+         "4edefbe343ef3a86e0b80eb5a742a6b526edbfb30ee6cedfcce4c3463a92e942"),
+        (16384, 14, 2,
+         "31ba6c6f405bec4d34cca52030ace21a3765621d6aa086b9dac59ad6543e38c7"),
+    ]
+
+    @pytest.mark.parametrize("n,d,seeds,digest", GOLDEN)
+    def test_golden_digest(self, n, d, seeds, digest):
+        assert regular_digest(n, d, range(seeds)) == digest
+
+
 class TestGraphType:
     def test_from_edges_rejects_garbage(self):
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(3, [(0, 0)])
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(3, [(0, 1), (1, 0)])  # duplicate
+        with pytest.raises(InvalidParameterError):
+            Graph.from_edges(3, [(0, 1), (1, 2), (1, 2)])  # same orientation
+        with pytest.raises(InvalidParameterError):
+            Graph.from_edges(3, [(0, 1), (-1, 2)])  # negative id
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(3, [(0, 3)])  # out of range
         with pytest.raises(InvalidParameterError):
@@ -253,6 +306,26 @@ class TestGraphType:
         assert (e[:, 0] < e[:, 1]).all()
         keys = [tuple(row) for row in e.tolist()]
         assert keys == sorted(keys)
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_from_edges_matches_adjacency_lists(self, seed):
+        # reference: per-vertex sorted neighbor lists built in plain Python,
+        # from edges in shuffled order and orientation
+        gen = np.random.Generator(np.random.PCG64(seed))
+        n = 30
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [(u, v) for u in range(n) for v in range(u + 2, n)
+                  if gen.random() < 0.2]
+        gen.shuffle(edges)
+        edges = [(v, u) if gen.random() < 0.5 else (u, v) for u, v in edges]
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        g = Graph.from_edges(n, edges)
+        assert [g.neighbors(u).tolist() for u in range(n)] == \
+            [sorted(x) for x in nbrs]
 
 
 class TestEdgeListIO:
