@@ -10,12 +10,12 @@ from .coupling import (CanonicalWalk, CouplingTranscript, VerifyReport,
 from .errors import (ConfigError, FitError, GenerationFailureError,
                      InvalidParameterError, LoadError, RumorWalksError,
                      TranscriptCorruptError)
-from .experiments import (ComparisonPoint, DominationRow, ExperimentConfig,
-                          ExperimentResult, GrowthFit, ModelFit, RatioPoint,
-                          TrialRow, build_graph, compare_visitx_meetx,
-                          empirical_min, fit_growth, fit_growth_points,
-                          format_config, parse_config, parse_config_file,
-                          resolve_source, result_to_csv, run_trials,
+from .experiments import (DominationRow, ExperimentConfig, ExperimentResult,
+                          GrowthFit, ModelFit, RatioPoint, TrialRow,
+                          agent_config, build_graph, empirical_min,
+                          fit_growth, fit_growth_points, format_config,
+                          parse_config, parse_config_file, resolve_source,
+                          result_to_csv, run_protocol, run_trials,
                           shared_walk_domination, sweep_ratio)
 from .graphs import (Graph, generate_clique_path, generate_complete,
                      generate_cycle, generate_cycle_stars_cliques,
@@ -27,9 +27,7 @@ from .protocols import (AgentConfig, BroadcastResult, ProtocolTrace,
                         run_meet_exchange, run_push, run_push_pull,
                         run_r_visit_exchange, run_shared_visit_meet,
                         run_t_visit_exchange, run_visit_exchange, trace_events)
-from .rng import (ChoiceOracle, SimRng, derive_seed, next_neighbor_choice,
-                  place_stationary, sample_stationary_vertex, step_walk,
-                  trial_seed)
+from .rng import ChoiceOracle, SimRng, derive_seed, place_stationary
 
 __version__ = "0.1.0"
 
@@ -45,9 +43,7 @@ __all__ = [
     "generate_clique_path", "generate_random_regular",
     "save_edge_list", "load_edge_list",
     # rng
-    "derive_seed", "trial_seed", "SimRng", "ChoiceOracle",
-    "next_neighbor_choice", "sample_stationary_vertex", "place_stationary",
-    "step_walk",
+    "derive_seed", "SimRng", "ChoiceOracle", "place_stationary",
     # protocols
     "AgentConfig", "ProtocolTrace", "BroadcastResult", "SharedWalkResult",
     "default_round_cap", "place_agents", "run_push", "run_push_pull",
@@ -61,9 +57,9 @@ __all__ = [
     "transcript_dumps", "verify_transcript",
     # experiments
     "ExperimentConfig", "TrialRow", "ExperimentResult", "RatioPoint",
-    "ComparisonPoint", "DominationRow", "GrowthFit", "ModelFit",
-    "build_graph", "resolve_source", "run_trials", "result_to_csv",
-    "sweep_ratio", "fit_growth", "fit_growth_points", "empirical_min",
-    "compare_visitx_meetx", "shared_walk_domination",
+    "DominationRow", "GrowthFit", "ModelFit",
+    "build_graph", "resolve_source", "agent_config", "run_protocol",
+    "run_trials", "result_to_csv", "sweep_ratio", "fit_growth",
+    "fit_growth_points", "empirical_min", "shared_walk_domination",
     "parse_config", "parse_config_file", "format_config",
 ]

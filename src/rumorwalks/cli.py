@@ -27,23 +27,14 @@ from .coupling import (run_coupled_even, run_coupled_odd, transcript_dumps,
 from .errors import (ConfigError, FitError, GenerationFailureError,
                      InvalidParameterError, LoadError, RumorWalksError,
                      TranscriptCorruptError)
-from .experiments import (build_graph, parse_config_file, resolve_source,
-                          result_to_csv, run_trials)
+from .experiments import (FAMILIES, PROTOCOLS, agent_config, build_graph,
+                          parse_config_file, resolve_source, result_to_csv,
+                          run_protocol, run_trials)
 from .graphs import load_edge_list, save_edge_list
-from .protocols import (AgentConfig, run_meet_exchange, run_push,
-                        run_push_pull, run_r_visit_exchange,
-                        run_t_visit_exchange, run_visit_exchange,
-                        trace_events)
+from .protocols import PLACEMENTS, trace_events
 from .rng import SimRng
 
 log = logging.getLogger("rumorwalks")
-
-_FAMILY_CHOICES = ("star", "double-star", "heavy-tree", "siamese",
-                   "cycle-stars-cliques", "regular", "clique-path",
-                   "complete", "cycle")
-
-_PROTOCOL_CHOICES = ("push", "push-pull", "visit-exchange", "meet-exchange",
-                     "t-visit-exchange", "r-visit-exchange")
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -59,18 +50,24 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _load_or_build_graph(args, seed: int):
-    if getattr(args, "graph", None):
-        return load_edge_list(args.graph)
-    if args.family is None or args.size is None:
+def _start_run(args):
+    """``(seed, graph, rng, source)`` of a run or couple command."""
+    seed = _resolve_seed(args.seed)
+    if args.graph:
+        graph = load_edge_list(args.graph)
+    elif args.family is None or args.size is None:
         raise ConfigError("either --graph or both --family and --size are required")
-    return build_graph(args.family, args.size, args.d, seed)
+    else:
+        graph = build_graph(args.family, args.size, args.d, seed)
+    rng = SimRng(seed)
+    return seed, graph, rng, resolve_source(args.source, graph,
+                                            rng.stream("source"))
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", metavar="PATH",
                    help="edge-list file to load instead of generating")
-    p.add_argument("--family", choices=_FAMILY_CHOICES)
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--size", type=int,
                    help="family size parameter (vertex count for most families)")
     p.add_argument("--d", default=None,
@@ -83,16 +80,7 @@ def _add_agent_args(p: argparse.ArgumentParser) -> None:
                    help="agents per vertex (default 1.0)")
     p.add_argument("--agents", type=int, default=None,
                    help="explicit agent count (overrides --alpha)")
-    p.add_argument("--placement", choices=("stationary", "one-per-vertex"),
-                   default="stationary")
-    p.add_argument("--lazy", action="store_true",
-                   help="walks stay put with probability 1/2 each round")
-
-
-def _agent_config(args, graph) -> AgentConfig:
-    count = args.agents if args.agents is not None else round(args.alpha * graph.n)
-    return AgentConfig(count=count, placement=args.placement,
-                       lazy=getattr(args, "lazy", False))
+    p.add_argument("--placement", choices=PLACEMENTS, default="stationary")
 
 
 def _write_trace(path: str, trace) -> None:
@@ -112,31 +100,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    seed = _resolve_seed(args.seed)
-    graph = _load_or_build_graph(args, seed)
-    rng = SimRng(seed)
-    source = resolve_source(args.source, graph, rng.stream("source"))
+    seed, graph, rng, source = _start_run(args)
     if args.protocol == "meet-exchange" and not args.lazy and graph.is_bipartite():
         log.warning("meet-exchange on a bipartite graph without --lazy can "
                     "deadlock on walk parity; consider --lazy")
-    if args.protocol == "push":
-        res = run_push(graph, source, rng, args.round_cap)
-    elif args.protocol == "push-pull":
-        res = run_push_pull(graph, source, rng, args.round_cap)
-    else:
-        acfg = _agent_config(args, graph)
-        if args.protocol == "visit-exchange":
-            res = run_visit_exchange(graph, source, acfg, rng, args.round_cap)
-        elif args.protocol == "meet-exchange":
-            res = run_meet_exchange(graph, source, acfg, rng, args.round_cap)
-        elif args.protocol == "t-visit-exchange":
-            if args.gamma is None:
-                raise ConfigError("t-visit-exchange requires --gamma")
-            res = run_t_visit_exchange(graph, source, acfg, args.gamma, rng,
-                                       args.round_cap)
-        else:
-            res = run_r_visit_exchange(graph, source, acfg, rng,
-                                       args.round_cap, args.floor)
+    res = run_protocol(args.protocol, graph, source, rng, alpha=args.alpha,
+                       agents=args.agents, placement=args.placement,
+                       lazy=args.lazy, gamma=args.gamma, floor=args.floor,
+                       round_cap=args.round_cap)
     if args.trace_out:
         _write_trace(args.trace_out, res.trace)
     _emit({"protocol": args.protocol, "n": graph.n, "m": graph.m,
@@ -178,11 +149,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_couple(args) -> int:
-    seed = _resolve_seed(args.seed)
-    graph = _load_or_build_graph(args, seed)
-    rng = SimRng(seed)
-    source = resolve_source(args.source, graph, rng.stream("source"))
-    acfg = _agent_config(args, graph)
+    seed, graph, rng, source = _start_run(args)
+    acfg = agent_config(graph, args.alpha, args.agents, args.placement)
     if args.mode == "even":
         tr = run_coupled_even(graph, source, acfg, rng, args.round_cap,
                               args.min_rounds)
@@ -225,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a graph to an edge-list file")
-    p.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--d", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -235,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one protocol once")
     _add_graph_args(p)
     _add_agent_args(p)
-    p.add_argument("--protocol", choices=_PROTOCOL_CHOICES, required=True)
+    p.add_argument("--lazy", action="store_true",
+                   help="walks stay put with probability 1/2 each round")
+    p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--source", default="0",
                    help="vertex id, or center / leaf / uniform")
     p.add_argument("--gamma", type=float, default=None,
@@ -260,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("couple", help="coupled agents + per-vertex sampler run")
     _add_graph_args(p)
     p.add_argument("--mode", choices=("even", "odd"), default="even")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--agents", type=int, default=None)
-    p.add_argument("--placement", choices=("stationary", "one-per-vertex"),
-                   default="stationary")
+    _add_agent_args(p)
     p.add_argument("--source", default="0")
     p.add_argument("--round-cap", type=int, default=None)
     p.add_argument("--min-rounds", type=int, default=0)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, TranscriptCorruptError
 from .graphs import Graph
-from .protocols import AgentConfig, _check_source, place_agents
+from .protocols import (AgentConfig, _floor_level, _move, _occupancy_floor,
+                        _start, _Visit, _walk)
 from .rng import ChoiceOracle, SimRng
 
 __all__ = [
@@ -115,92 +116,79 @@ def _group_positions(pos: np.ndarray) -> dict:
 def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
                  round_cap: int | None, min_rounds: int, mode: str,
                  enable_r_floor: bool, floor: float | None) -> CouplingTranscript:
-    from .protocols import default_round_cap  # local to avoid cycle at import
-
-    source = _check_source(graph, source)
     if config.lazy:
         raise InvalidParameterError(
             "coupled runs require non-lazy walks: a stayed step is not a "
             "neighbor choice, so it cannot be shared with push")
     if enable_r_floor and mode != "odd":
         raise InvalidParameterError("the occupancy floor pairs with the odd coupling")
+    if enable_r_floor:
+        floor = _floor_level(graph, config.count, floor, "occupancy floor")
     n = graph.n
-    cap = default_round_cap(n) if round_cap is None else int(round_cap)
+    source, cap, pos, _ = _start(graph, source, config, rng, round_cap)
     oracle = ChoiceOracle(graph, rng.child_seed("oracle"))
     walk_gen = rng.stream("walks")
-    pos = place_agents(graph, config, rng)
-
-    if enable_r_floor:
-        if not graph.is_regular or n < 2:
-            raise InvalidParameterError("occupancy floor requires a regular graph")
-        if floor is None:
-            floor = config.count * int(graph.degrees[0]) / (2 * n)
-
-    v_inf = np.full(n, -1, dtype=np.int64)
-    v_inf[source] = 0
-    a_inf = np.full(config.count, -1, dtype=np.int64)
-    a_inf[pos == source] = 0
-    v_count = 1
-    visits = [_group_positions(pos)]
+    visit = _Visit(n, source, pos)
+    v_inf = visit.v_inf
     walk_consumed: dict = {}
-    additions: list = []
 
-    t = 0
-    while (v_count < n or t < min_rounds) and t < cap:
-        t += 1
-        consume = (mode == "even") or (t % 2 == 1)
+    def oracle_step(pos: np.ndarray, t: int) -> np.ndarray:
+        if mode == "odd" and t % 2 == 0:
+            return _move(graph, pos, walk_gen, False, None)
+        # informed departures consume the oracle in (round, agent) order;
+        # a vertex is informed here iff it was informed by round t-1
         new_pos = np.empty_like(pos)
         free: list = []
-        if consume:
-            # informed departures consume the oracle in (round, agent) order;
-            # a vertex is informed here iff it was informed by round t-1
-            for g, u in enumerate(pos.tolist()):
-                if v_inf[u] != -1:
-                    i = walk_consumed.get(u, 0) + 1
-                    walk_consumed[u] = i
-                    new_pos[g] = oracle.choice(u, i)
-                else:
-                    free.append(g)
-        else:
-            free = list(range(pos.shape[0]))
+        for g, u in enumerate(pos.tolist()):
+            if v_inf[u] != -1:
+                i = walk_consumed.get(u, 0) + 1
+                walk_consumed[u] = i
+                new_pos[g] = oracle.choice(u, i)
+            else:
+                free.append(g)
         if free:
             fidx = np.asarray(free, dtype=np.int64)
-            old = pos[fidx]
-            step = walk_gen.integers(0, graph.degrees[old])
-            new_pos[fidx] = graph.indices[graph.indptr[old] + step]
-        pos = new_pos
+            new_pos[fidx] = _move(graph, pos[fidx], walk_gen, False, None)
+        return new_pos
 
-        carriers = a_inf != -1
-        landed = pos[carriers]
-        fresh_v = np.unique(landed[v_inf[landed] == -1])
-        if fresh_v.size:
-            v_inf[fresh_v] = t
-            v_count += fresh_v.size
-        newly_a = (a_inf == -1) & (v_inf[pos] != -1)
-        a_inf[newly_a] = t
+    visits = [_group_positions(pos)]
+    additions: list = []
+    grow = (_occupancy_floor(graph, floor, visit, additions)
+            if enable_r_floor else None)
 
-        if enable_r_floor and t % 2 == 1:
-            occ = np.bincount(pos, minlength=n)
-            nsum = np.add.reduceat(occ[graph.indices], graph.indptr[:-1])
-            while True:
-                deficit = floor - nsum
-                u = int(np.argmax(deficit))
-                if deficit[u] <= 0:
-                    break
-                w = int(graph.indices[graph.indptr[u]])
-                g = pos.shape[0]
-                pos = np.append(pos, w)
-                a_inf = np.append(a_inf, t if v_inf[w] != -1 else -1)
-                occ[w] += 1
-                nsum[graph.neighbors(w)] += 1
-                additions.append((t, u, g))
+    def record(t: int, pos: np.ndarray) -> np.ndarray:
+        if grow is not None:
+            pos = grow(t, pos)
         visits.append(_group_positions(pos))
+        return pos
 
-    visitx_rounds = t
-    visitx_complete = v_count == n
+    visitx_rounds = _walk(pos, oracle_step, [visit], cap, min_rounds, record)
+    visitx_complete = visit.done
 
-    # push replay over the same oracle: vertex u's i-th sample is w_u(i),
-    # issued at round tau_u + i, regardless of what the walk side consumed
+    # push replays the same oracle, regardless of what the walk consumed
+    tau, push_rounds, push_complete = _push_replay(n, source, oracle.choice,
+                                                   cap)
+    choices = {u: list(oracle.materialized(u))
+               for u in range(n) if oracle.materialized(u)}
+    tr = CouplingTranscript(
+        graph=graph, source=source, mode=mode, seed=rng.seed,
+        agent_count=config.count, placement=config.placement,
+        round_cap=cap, min_rounds=min_rounds,
+        visitx_rounds=visitx_rounds, visitx_complete=visitx_complete,
+        push_rounds=push_rounds, push_complete=push_complete,
+        t_visit=v_inf, tau_push=tau, agent_informed_at=visit.a_inf,
+        visits=visits, choices=choices, walk_consumed=dict(walk_consumed),
+        additions=additions, floor=floor if enable_r_floor else None)
+    if visitx_complete:
+        tr.s_sets = compute_s_sets(tr)
+        tr.c_table = compute_c_counters(tr)
+    return tr
+
+
+def _push_replay(n: int, source: int, choice, cap: int):
+    """Push driven by a choice sequence: vertex u's i-th sample is
+    ``choice(u, i)``, issued at round tau_u + i.  Returns
+    ``(tau, rounds, complete)``."""
     tau = np.full(n, -1, dtype=np.int64)
     tau[source] = 0
     order = [source]
@@ -210,28 +198,11 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         known = len(order)
         for j in range(known):
             u = order[j]
-            w = oracle.choice(u, r - int(tau[u]))
+            w = choice(u, r - int(tau[u]))
             if tau[w] == -1:
                 tau[w] = r
                 order.append(w)
-    push_rounds = r
-    push_complete = len(order) == n
-
-    choices = {u: list(oracle.materialized(u))
-               for u in range(n) if oracle.materialized(u)}
-    tr = CouplingTranscript(
-        graph=graph, source=source, mode=mode, seed=rng.seed,
-        agent_count=config.count, placement=config.placement,
-        round_cap=cap, min_rounds=min_rounds,
-        visitx_rounds=visitx_rounds, visitx_complete=visitx_complete,
-        push_rounds=push_rounds, push_complete=push_complete,
-        t_visit=v_inf, tau_push=tau, agent_informed_at=a_inf,
-        visits=visits, choices=choices, walk_consumed=dict(walk_consumed),
-        additions=additions, floor=floor if enable_r_floor else None)
-    if visitx_complete:
-        tr.s_sets = compute_s_sets(tr)
-        tr.c_table = compute_c_counters(tr)
-    return tr
+    return tau, r, len(order) == n
 
 
 def run_coupled_even(graph: Graph, source: int, config: AgentConfig,
@@ -533,30 +504,21 @@ def _resimulate_informing(tr: CouplingTranscript):
 
 def _replay_push(tr: CouplingTranscript):
     """Re-run the push replay from the recorded oracle choices."""
-    n = tr.graph.n
-    tau_hat = np.full(n, -1, dtype=np.int64)
-    tau_hat[tr.source] = 0
-    order = [tr.source]
-    r = 0
-    while len(order) < n and r < tr.push_rounds:
-        r += 1
-        known = len(order)
-        for j in range(known):
-            u = order[j]
-            i = r - int(tau_hat[u])
-            got = tr.choices.get(u, [])
-            if i > len(got):
-                raise TranscriptCorruptError(
-                    f"push replay needs choice {i} of vertex {u}, "
-                    f"only {len(got)} recorded")
-            w = got[i - 1]
-            if w not in tr.graph.neighbors(u):
-                raise TranscriptCorruptError(
-                    f"recorded choice {w} is not a neighbor of {u}")
-            if tau_hat[w] == -1:
-                tau_hat[w] = r
-                order.append(w)
-    return tau_hat, len(order) == n
+    def recorded(u: int, i: int) -> int:
+        got = tr.choices.get(u, [])
+        if i > len(got):
+            raise TranscriptCorruptError(
+                f"push replay needs choice {i} of vertex {u}, "
+                f"only {len(got)} recorded")
+        w = got[i - 1]
+        if w not in tr.graph.neighbors(u):
+            raise TranscriptCorruptError(
+                f"recorded choice {w} is not a neighbor of {u}")
+        return w
+
+    tau_hat, _, complete = _push_replay(tr.graph.n, tr.source, recorded,
+                                        tr.push_rounds)
+    return tau_hat, complete
 
 
 def _check_oracle_consistency(tr: CouplingTranscript):

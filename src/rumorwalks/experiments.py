@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -36,7 +36,6 @@ __all__ = [
     "TrialRow",
     "ExperimentResult",
     "RatioPoint",
-    "ComparisonPoint",
     "DominationRow",
     "GrowthFit",
     "ModelFit",
@@ -46,13 +45,14 @@ __all__ = [
     "CSV_HEADER",
     "build_graph",
     "resolve_source",
+    "agent_config",
+    "run_protocol",
     "run_trials",
     "result_to_csv",
     "sweep_ratio",
     "fit_growth",
     "fit_growth_points",
     "empirical_min",
-    "compare_visitx_meetx",
     "shared_walk_domination",
     "parse_config",
     "parse_config_file",
@@ -188,28 +188,42 @@ def resolve_source(rule: str, graph: Graph, gen: np.random.Generator) -> int:
     return v
 
 
-def _agent_config(cfg: ExperimentConfig, graph: Graph) -> AgentConfig:
-    count = cfg.agents if cfg.agents is not None else round(cfg.alpha * graph.n)
-    return AgentConfig(count=count, placement=cfg.placement, lazy=cfg.lazy)
+def agent_config(graph: Graph, alpha: float = 1.0, agents: int | None = None,
+                 placement: str = "stationary",
+                 lazy: bool = False) -> AgentConfig:
+    """The walkers of one run: ``agents`` of them when given, else
+    round(alpha * n)."""
+    count = agents if agents is not None else round(alpha * graph.n)
+    return AgentConfig(count=count, placement=placement, lazy=lazy)
 
 
-def _run_protocol(protocol: str, graph: Graph, source: int,
-                  cfg: ExperimentConfig, rng: SimRng):
-    cap = cfg.round_cap
-    if protocol == "push":
-        return run_push(graph, source, rng, cap)
-    if protocol == "push-pull":
-        return run_push_pull(graph, source, rng, cap)
-    acfg = _agent_config(cfg, graph)
-    if protocol == "visit-exchange":
-        return run_visit_exchange(graph, source, acfg, rng, cap)
-    if protocol == "meet-exchange":
-        return run_meet_exchange(graph, source, acfg, rng, cap)
-    if protocol == "t-visit-exchange":
-        return run_t_visit_exchange(graph, source, acfg, cfg.gamma, rng, cap)
-    if protocol == "r-visit-exchange":
-        return run_r_visit_exchange(graph, source, acfg, rng, cap, cfg.floor)
-    raise InvalidParameterError(f"unknown protocol {protocol!r}")
+def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
+                 alpha: float = 1.0, agents: int | None = None,
+                 placement: str = "stationary", lazy: bool = False,
+                 gamma: float | None = None, floor: float | None = None,
+                 round_cap: int | None = None):
+    """Run the protocol called ``name`` once and return its BroadcastResult.
+
+    The agent settings apply to the four agent protocols, ``gamma`` to
+    t-visit-exchange (where it is required) and ``floor`` to
+    r-visit-exchange.
+    """
+    if name == "push":
+        return run_push(graph, source, rng, round_cap)
+    if name == "push-pull":
+        return run_push_pull(graph, source, rng, round_cap)
+    acfg = agent_config(graph, alpha, agents, placement, lazy)
+    if name == "visit-exchange":
+        return run_visit_exchange(graph, source, acfg, rng, round_cap)
+    if name == "meet-exchange":
+        return run_meet_exchange(graph, source, acfg, rng, round_cap)
+    if name == "t-visit-exchange":
+        if gamma is None:
+            raise InvalidParameterError("t-visit-exchange requires gamma")
+        return run_t_visit_exchange(graph, source, acfg, gamma, rng, round_cap)
+    if name == "r-visit-exchange":
+        return run_r_visit_exchange(graph, source, acfg, rng, round_cap, floor)
+    raise InvalidParameterError(f"unknown protocol {name!r}")
 
 
 def _trial_graph(cfg: ExperimentConfig, size: int, trial: int,
@@ -237,8 +251,10 @@ def _run_trial(cfg: ExperimentConfig, size: int, trial: int,
         rng = SimRng(derive_seed(cfg.seed, "run", cfg.family, size, protocol,
                                  trial))
         source = resolve_source(cfg.source, graph, rng.stream("source"))
-        times.append(_run_protocol(protocol, graph, source, cfg,
-                                   rng).broadcast_time)
+        times.append(run_protocol(
+            protocol, graph, source, rng, alpha=cfg.alpha, agents=cfg.agents,
+            placement=cfg.placement, lazy=cfg.lazy, gamma=cfg.gamma,
+            floor=cfg.floor, round_cap=cfg.round_cap).broadcast_time)
     return graph.n, times
 
 
@@ -252,9 +268,7 @@ def _sweep_outcomes(config: ExperimentConfig):
     """
     if config.family not in RANDOM_FAMILIES:
         for size in config.sweep:
-            shared = build_graph(config.family, size, config.d,
-                                 derive_seed(config.seed, "graph",
-                                             config.family, size, 0))
+            shared = _trial_graph(config, size, 0, None)
             yield size, [_run_trial(config, size, i, shared)
                          for i in range(config.trials)]
         return
@@ -429,44 +443,6 @@ def sweep_ratio(result, protocol_a: str, protocol_b: str,
 
 
 @dataclass(frozen=True)
-class ComparisonPoint:
-    size: int
-    n: int
-    median_visitx: float
-    median_meetx: float
-    diff: float
-    ci_low: float
-    ci_high: float
-
-
-def compare_visitx_meetx(config: ExperimentConfig) -> list:
-    """Median meet-exchange minus median visit-exchange per size, with CI."""
-    cfg = replace(config, protocols=("visit-exchange", "meet-exchange"))
-    result = run_trials(cfg)
-    points = []
-    for size in cfg.sweep:
-        rv = result.row(size, "visit-exchange")
-        rm = result.row(size, "meet-exchange")
-        if not rv.values or not rm.values:
-            raise InvalidParameterError(
-                f"no completed trials to compare at size {size}")
-        vv = np.asarray(rv.values, dtype=np.float64)
-        vm = np.asarray(rm.values, dtype=np.float64)
-        gen = np.random.Generator(np.random.PCG64(
-            derive_seed(cfg.seed, "bootstrap-diff", size)))
-        diffs = (_bootstrap(gen, vm, cfg.bootstrap, np.median)
-                 - _bootstrap(gen, vv, cfg.bootstrap, np.median))
-        points.append(ComparisonPoint(
-            size=size, n=rv.n,
-            median_visitx=float(np.median(vv)),
-            median_meetx=float(np.median(vm)),
-            diff=float(np.median(vm) - np.median(vv)),
-            ci_low=float(np.quantile(diffs, 0.025)),
-            ci_high=float(np.quantile(diffs, 0.975))))
-    return points
-
-
-@dataclass(frozen=True)
 class DominationRow:
     size: int
     n: int
@@ -483,9 +459,7 @@ def shared_walk_domination(config: ExperimentConfig) -> list:
     for size in config.sweep:
         shared = None
         if config.family not in RANDOM_FAMILIES:
-            shared = build_graph(config.family, size, config.d,
-                                 derive_seed(config.seed, "graph",
-                                             config.family, size, 0))
+            shared = _trial_graph(config, size, 0, None)
         completed = holds = 0
         violations = []
         n_seen = shared.n if shared is not None else 0
@@ -498,8 +472,10 @@ def shared_walk_domination(config: ExperimentConfig) -> list:
             rng = SimRng(derive_seed(config.seed, "run", config.family, size,
                                      "shared", i))
             source = resolve_source(config.source, graph, rng.stream("source"))
-            out = run_shared_visit_meet(graph, source, _agent_config(config, graph),
-                                        rng, config.round_cap)
+            acfg = agent_config(graph, config.alpha, config.agents,
+                                config.placement, config.lazy)
+            out = run_shared_visit_meet(graph, source, acfg, rng,
+                                        config.round_cap)
             if out.meetx.complete and out.visitx_agents_round is not None:
                 completed += 1
                 if out.visitx_agents_round <= out.meetx.broadcast_time:

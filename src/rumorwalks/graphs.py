@@ -54,7 +54,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "family_tag", "indptr", "indices", "degrees",
-                 "_cumdeg", "_adj")
+                 "_cumdeg")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  family_tag: str | None = None):
@@ -65,7 +65,6 @@ class Graph:
         self.m = int(self.indices.shape[0] // 2)
         self.family_tag = family_tag
         self._cumdeg = None
-        self._adj = None
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
 
@@ -114,14 +113,6 @@ class Graph:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     @property
-    def adjacency(self) -> tuple:
-        """Per-vertex sorted neighbor tuples (materialized lazily)."""
-        if self._adj is None:
-            self._adj = tuple(tuple(int(v) for v in self.neighbors(u))
-                              for u in range(self.n))
-        return self._adj
-
-    @property
     def cumulative_degrees(self) -> np.ndarray:
         """cumsum(degrees); used for exact stationary sampling."""
         if self._cumdeg is None:
@@ -147,7 +138,10 @@ class Graph:
             return False
         csg = csr_matrix((np.ones(self.indices.shape[0], dtype=np.int8),
                           self.indices, self.indptr), shape=(self.n, self.n))
-        ncomp = connected_components(csg, directed=False, return_labels=False)
+        # the matrix is symmetric, so its strong components are the graph's
+        # components, found without the transpose the undirected mode makes
+        ncomp = connected_components(csg, directed=True, connection="strong",
+                                     return_labels=False)
         return int(ncomp) == 1
 
     def is_bipartite(self) -> bool:
@@ -425,12 +419,12 @@ def load_edge_list(path) -> Graph:
     n, m = ints(lines[0], 1, "header 'n m'")
     if n < 1 or m < 0:
         raise LoadError(f"{path}:1: invalid header n={n} m={m}")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != m:
         raise LoadError(
             f"{path}: header declares {m} edges but file has {len(body)}")
     edges = []
-    for i, ln in enumerate(body, start=2):
+    for i, ln in body:
         u, v = ints(ln, i, "edge 'u v'")
         if not (0 <= u < n and 0 <= v < n):
             raise LoadError(f"{path}:{i}: endpoint out of range for n={n}")

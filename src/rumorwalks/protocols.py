@@ -84,7 +84,6 @@ class ProtocolTrace:
     vertex_informed_at: np.ndarray | None = None
     agent_informed_at: np.ndarray | None = None
     positions: list | None = None
-    visit_counts: list | None = None
     source_trigger_round: int | None = None
 
 
@@ -120,12 +119,14 @@ def default_round_cap(n: int) -> int:
     return max(64, int(64 * n * math.ceil(math.log2(max(n, 2)))))
 
 
-def _check_source(graph: Graph, source: int) -> int:
+def _check_run(graph: Graph, source: int, round_cap: int | None):
+    """The checked source and the round cap of one run."""
     source = int(source)
     if not (0 <= source < graph.n):
         raise InvalidParameterError(
             f"source {source} out of range for n={graph.n}")
-    return source
+    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
+    return source, cap
 
 
 def place_agents(graph: Graph, config: AgentConfig, rng: SimRng) -> np.ndarray:
@@ -163,8 +164,7 @@ def run_push(graph: Graph, source: int, rng: SimRng,
 
     A vertex informed at round t starts sampling at round t + 1.
     """
-    source = _check_source(graph, source)
-    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
+    source, cap = _check_run(graph, source, round_cap)
     n = graph.n
     gen = rng.stream("push")
     informed_at = np.full(n, -1, dtype=np.int64)
@@ -192,8 +192,7 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
     transfers the rumor when exactly one endpoint was informed before the
     round (no within-round chaining).
     """
-    source = _check_source(graph, source)
-    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
+    source, cap = _check_run(graph, source, round_cap)
     n = graph.n
     gen = rng.stream("pushpull")
     starts = graph.indptr[:-1]
@@ -219,59 +218,159 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
 
 
 # -- agent protocols ----------------------------------------------------------
+#
+# Every agent protocol is the same process: agents doing synchronous random
+# walks.  The protocols differ only in who stores the rumor (the informing
+# layers _Visit and _Meet) and in how the population is policed between
+# rounds (a crowding cap, an occupancy floor, or nothing).
 
-def _record(trace: ProtocolTrace, graph: Graph, pos: np.ndarray,
-            positions: bool, counts: bool) -> None:
-    if positions:
-        trace.positions.append(pos.copy())
-    if counts:
-        trace.visit_counts.append(np.bincount(pos, minlength=graph.n))
+def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
+           round_cap: int | None):
+    """Checked source, round cap, initial positions and the free (lazy)
+    walk step ``step(pos, t)`` of one agent run."""
+    source, cap = _check_run(graph, source, round_cap)
+    pos = place_agents(graph, config, rng)
+    walk_gen = rng.stream("walks")
+    lazy_gen = rng.stream("lazy")
+
+    def step(pos: np.ndarray, _t: int) -> np.ndarray:
+        return _move(graph, pos, walk_gen, config.lazy, lazy_gen)
+
+    return source, cap, pos, step
+
+
+def _walk(pos: np.ndarray, step, layers: list, cap: int, min_rounds: int = 0,
+          after=None) -> int:
+    """The round loop of every agent run; returns the rounds run.
+
+    Runs until every informing layer is done and ``min_rounds`` rounds have
+    run, or until ``cap`` rounds have run.  Round t moves the agents with
+    ``step(pos, t)``, updates each layer, then applies the population
+    policy ``after(t, pos)``, which returns the (possibly grown) positions.
+    """
+    t = 0
+    while (t < min_rounds or not all(layer.done for layer in layers)) \
+            and t < cap:
+        t += 1
+        pos = step(pos, t)
+        for layer in layers:
+            layer.update(pos, t)
+        if after is not None:
+            pos = after(t, pos)
+    return t
+
+
+class _Visit:
+    """The informing rule of :func:`run_visit_exchange`; agents masked out
+    by ``alive`` neither inform nor get informed."""
+
+    def __init__(self, n: int, source: int, pos: np.ndarray,
+                 alive: np.ndarray | None = None):
+        self.v_inf = np.full(n, -1, dtype=np.int64)
+        self.v_inf[source] = 0
+        self.a_inf = np.full(pos.shape[0], -1, dtype=np.int64)
+        self.a_inf[pos == source] = 0
+        self.alive = alive
+        self.uninformed = n - 1
+
+    @property
+    def done(self) -> bool:
+        return self.uninformed == 0
+
+    def update(self, pos: np.ndarray, t: int) -> None:
+        v_inf, a_inf = self.v_inf, self.a_inf
+        carriers = a_inf != -1  # informed before this round
+        if self.alive is not None:
+            carriers &= self.alive
+        landed = pos[carriers]
+        fresh_v = np.unique(landed[v_inf[landed] == -1])
+        if fresh_v.size:
+            v_inf[fresh_v] = t
+            self.uninformed -= fresh_v.size
+        newly_a = (a_inf == -1) & (v_inf[pos] != -1)
+        if self.alive is not None:
+            newly_a &= self.alive
+        a_inf[newly_a] = t
+
+    def result(self, t: int, positions: list | None = None,
+               **logs) -> BroadcastResult:
+        trace = ProtocolTrace(rounds=t, vertex_informed_at=self.v_inf,
+                              agent_informed_at=self.a_inf, positions=positions)
+        return BroadcastResult(int(self.v_inf.max()) if self.done else None,
+                               "all-vertices", t, trace, **logs)
+
+
+class _Meet:
+    """The informing rule of :func:`run_meet_exchange`: an agent informed
+    in an earlier round informs every agent sharing its vertex; the source
+    informs only its first visitors."""
+
+    def __init__(self, n: int, source: int, pos: np.ndarray):
+        self.n, self.source = n, source
+        self.a_inf = np.full(pos.shape[0], -1, dtype=np.int64)
+        at_source = pos == source
+        self.a_inf[at_source] = 0
+        self.trigger = 0 if at_source.any() else None
+        self.uninformed = int((self.a_inf == -1).sum())
+
+    @property
+    def done(self) -> bool:
+        return self.uninformed == 0
+
+    def update(self, pos: np.ndarray, t: int) -> None:
+        prev = self.a_inf != -1
+        occupied = np.zeros(self.n, dtype=bool)
+        occupied[pos[prev]] = True
+        newly = ~prev & occupied[pos]
+        if self.trigger is None:
+            at_source = pos == self.source
+            if at_source.any():
+                newly |= ~prev & at_source
+                self.trigger = t
+        if newly.any():
+            self.a_inf[newly] = t
+            self.uninformed -= int(newly.sum())
+
+    def result(self, t: int, positions: list | None = None) -> BroadcastResult:
+        marker = np.full(self.n, -1, dtype=np.int64)
+        marker[self.source] = 0
+        trace = ProtocolTrace(rounds=t, vertex_informed_at=marker,
+                              agent_informed_at=self.a_inf, positions=positions,
+                              source_trigger_round=self.trigger)
+        bt = int(self.a_inf.max(initial=0)) if self.done else None
+        return BroadcastResult(bt, "all-agents", t, trace)
+
+
+def _recorder(pos: np.ndarray, on: bool):
+    """``(positions, after)``: a list holding the positions at the end of
+    every round, and the policy that appends to it; ``(None, None)`` when
+    off."""
+    if not on:
+        return None, None
+    positions = [pos.copy()]
+
+    def after(_t: int, pos: np.ndarray) -> np.ndarray:
+        positions.append(pos.copy())
+        return pos
+
+    return positions, after
 
 
 def run_visit_exchange(graph: Graph, source: int, config: AgentConfig,
                        rng: SimRng, round_cap: int | None = None,
-                       min_rounds: int = 0, record_positions: bool = False,
-                       record_visit_counts: bool = False) -> BroadcastResult:
+                       min_rounds: int = 0,
+                       record_positions: bool = False) -> BroadcastResult:
     """Visit-exchange broadcast; completes when every vertex is informed.
 
     Within a round, agent-to-vertex informing only uses agents informed in a
     previous round, while vertex-to-agent informing applies immediately, so
     an agent landing on an informed vertex is informed that same round.
     """
-    source = _check_source(graph, source)
-    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
-    n = graph.n
-    pos = place_agents(graph, config, rng)
-    walk_gen = rng.stream("walks")
-    lazy_gen = rng.stream("lazy")
-
-    v_inf = np.full(n, -1, dtype=np.int64)
-    v_inf[source] = 0
-    a_inf = np.full(config.count, -1, dtype=np.int64)
-    a_inf[pos == source] = 0
-    v_count = 1
-    trace = ProtocolTrace(rounds=0, vertex_informed_at=v_inf,
-                          agent_informed_at=a_inf,
-                          positions=[] if record_positions else None,
-                          visit_counts=[] if record_visit_counts else None)
-    _record(trace, graph, pos, record_positions, record_visit_counts)
-    t = 0
-    while (v_count < n or t < min_rounds) and t < cap:
-        t += 1
-        pos = _move(graph, pos, walk_gen, config.lazy, lazy_gen)
-        carriers = a_inf != -1  # informed before this round
-        landed = pos[carriers]
-        fresh_v = np.unique(landed[v_inf[landed] == -1])
-        if fresh_v.size:
-            v_inf[fresh_v] = t
-            v_count += fresh_v.size
-        newly_a = (a_inf == -1) & (v_inf[pos] != -1)
-        a_inf[newly_a] = t
-        _record(trace, graph, pos, record_positions, record_visit_counts)
-    trace.rounds = t
-    done = v_count == n
-    return BroadcastResult(int(v_inf.max()) if done else None,
-                           "all-vertices", t, trace)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    visit = _Visit(graph.n, source, pos)
+    positions, after = _recorder(pos, record_positions)
+    t = _walk(pos, step, [visit], cap, min_rounds, after)
+    return visit.result(t, positions)
 
 
 def run_meet_exchange(graph: Graph, source: int, config: AgentConfig,
@@ -283,52 +382,11 @@ def run_meet_exchange(graph: Graph, source: int, config: AgentConfig,
     The source vertex informs only its first visitors (round 0 occupants, or
     else the first nonempty visiting round) and is disarmed afterwards.
     """
-    source = _check_source(graph, source)
-    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
-    n, a_count = graph.n, config.count
-    pos = place_agents(graph, config, rng)
-    walk_gen = rng.stream("walks")
-    lazy_gen = rng.stream("lazy")
-
-    a_inf = np.full(a_count, -1, dtype=np.int64)
-    at_source = pos == source
-    trigger_round = None
-    if at_source.any():
-        a_inf[at_source] = 0
-        trigger_round = 0
-    armed = trigger_round is None
-    v_marker = np.full(n, -1, dtype=np.int64)
-    v_marker[source] = 0
-    informed = int((a_inf != -1).sum())
-    trace = ProtocolTrace(rounds=0, vertex_informed_at=v_marker,
-                          agent_informed_at=a_inf,
-                          positions=[] if record_positions else None,
-                          source_trigger_round=trigger_round)
-    _record(trace, graph, pos, record_positions, False)
-    t = 0
-    while informed < a_count and t < cap:
-        t += 1
-        pos = _move(graph, pos, walk_gen, config.lazy, lazy_gen)
-        prev = a_inf != -1
-        occupied = np.zeros(n, dtype=bool)
-        occupied[pos[prev]] = True
-        newly = ~prev & occupied[pos]
-        if armed:
-            at_source = pos == source
-            if at_source.any():
-                newly |= ~prev & at_source
-                armed = False
-                trace.source_trigger_round = t
-        if newly.any():
-            a_inf[newly] = t
-            informed += int(newly.sum())
-        _record(trace, graph, pos, record_positions, False)
-    trace.rounds = t
-    done = informed == a_count
-    bt = None
-    if done:
-        bt = int(a_inf.max()) if a_count else 0
-    return BroadcastResult(bt, "all-agents", t, trace)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    meet = _Meet(graph.n, source, pos)
+    positions, after = _recorder(pos, record_positions)
+    t = _walk(pos, step, [meet], cap, 0, after)
+    return meet.result(t, positions)
 
 
 # -- tweaked visit-exchange variants -------------------------------------------
@@ -357,34 +415,25 @@ def run_t_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     Requires gamma >= 2e * count / n so the cap is not trivially violated in
     expectation.
     """
-    source = _check_source(graph, source)
     d = _regular_degree(graph, "t-visit-exchange")
     n = graph.n
     if gamma < 2 * math.e * config.count / n:
         raise InvalidParameterError(
             f"gamma must be >= 2e*|A|/n = {2 * math.e * config.count / n:.4f}, "
             f"got {gamma}")
-    cap_rounds = default_round_cap(n) if round_cap is None else int(round_cap)
-    pos = place_agents(graph, config, rng)
-    walk_gen = rng.stream("walks")
-    lazy_gen = rng.stream("lazy")
-
-    v_inf = np.full(n, -1, dtype=np.int64)
-    v_inf[source] = 0
-    a_inf = np.full(config.count, -1, dtype=np.int64)
-    a_inf[pos == source] = 0
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
     alive = np.ones(config.count, dtype=bool)
-    v_count = 1
+    visit = _Visit(n, source, pos, alive)
     removals: list = []
     limit = gamma * d
 
-    def enforce(t: int) -> None:
+    def enforce(t: int, pos: np.ndarray) -> np.ndarray:
         occ = np.bincount(pos[alive], minlength=n)
         nsum = _neighborhood_sums(graph, occ)
         while True:
             u = int(np.argmax(nsum))
             if nsum[u] <= limit:
-                break
+                return pos
             nbrs = graph.neighbors(u)
             cand = np.nonzero(alive & np.isin(pos, nbrs))[0]
             g = int(cand[-1])  # highest agent index in the neighborhood
@@ -394,27 +443,51 @@ def run_t_visit_exchange(graph: Graph, source: int, config: AgentConfig,
             nsum[graph.neighbors(x)] -= 1
             removals.append((t, u, g))
 
-    enforce(0)
-    t = 0
-    while (v_count < n or t < min_rounds) and t < cap_rounds:
-        t += 1
-        # removed agents still consume walk randomness so that a run whose
-        # cap never binds is draw-for-draw identical to plain visit-exchange
-        pos = _move(graph, pos, walk_gen, config.lazy, lazy_gen)
-        carriers = (a_inf != -1) & alive
-        landed = pos[carriers]
-        fresh_v = np.unique(landed[v_inf[landed] == -1])
-        if fresh_v.size:
-            v_inf[fresh_v] = t
-            v_count += fresh_v.size
-        newly_a = (a_inf == -1) & alive & (v_inf[pos] != -1)
-        a_inf[newly_a] = t
-        enforce(t)
-    done = v_count == n
-    trace = ProtocolTrace(rounds=t, vertex_informed_at=v_inf,
-                          agent_informed_at=a_inf)
-    return BroadcastResult(int(v_inf.max()) if done else None,
-                           "all-vertices", t, trace, removal_log=removals)
+    enforce(0, pos)
+    # removed agents still consume walk randomness so that a run whose
+    # cap never binds is draw-for-draw identical to plain visit-exchange
+    t = _walk(pos, step, [visit], cap, min_rounds, enforce)
+    return visit.result(t, removal_log=removals)
+
+
+def _floor_level(graph: Graph, count: int, floor: float | None,
+                 what: str) -> float:
+    """The occupancy floor, by default count * d / (2n) (regular graphs)."""
+    d = _regular_degree(graph, what)
+    return count * d / (2 * graph.n) if floor is None else floor
+
+
+def _occupancy_floor(graph: Graph, floor: float, visit: _Visit,
+                     additions: list):
+    """Population policy ``after(t, pos)`` that keeps every neighborhood
+    at ``floor`` agents or more.
+
+    After every odd round t, while some vertex u has fewer than ``floor``
+    agents standing in its neighborhood, a new agent is spawned on the
+    lowest-indexed neighbor of the most deficient vertex (ties: lowest id).
+    The new agent adopts the informed state of the vertex it is placed on,
+    as of the end of round t.  Additions are logged as
+    (round, deficient_vertex, agent).
+    """
+    def replenish(t: int, pos: np.ndarray) -> np.ndarray:
+        if t % 2 == 0:
+            return pos
+        occ = np.bincount(pos, minlength=graph.n)
+        nsum = _neighborhood_sums(graph, occ)
+        while True:
+            deficit = floor - nsum
+            u = int(np.argmax(deficit))
+            if deficit[u] <= 0:
+                return pos
+            w = int(graph.indices[graph.indptr[u]])  # lowest-indexed neighbor
+            additions.append((t, u, pos.shape[0]))
+            pos = np.append(pos, w)
+            visit.a_inf = np.append(visit.a_inf,
+                                    t if visit.v_inf[w] != -1 else -1)
+            occ[w] += 1
+            nsum[graph.neighbors(w)] += 1
+
+    return replenish
 
 
 def run_r_visit_exchange(graph: Graph, source: int, config: AgentConfig,
@@ -423,67 +496,17 @@ def run_r_visit_exchange(graph: Graph, source: int, config: AgentConfig,
                          min_rounds: int = 0) -> BroadcastResult:
     """Visit-exchange with a neighborhood occupancy floor (regular graphs only).
 
-    After every odd round t, while some vertex u has fewer than
-    ``floor`` agents standing in its neighborhood (default floor:
-    count * d / (2n), fixed from the initial population), a new agent is
-    spawned on the lowest-indexed neighbor of the most deficient vertex
-    (ties: lowest id).  The new agent adopts the informed state of the vertex
-    it is placed on, as of the end of round t.  Additions are logged as
-    (round, deficient_vertex, agent).
+    After every odd round the population is replenished up to ``floor``
+    agents per neighborhood (default floor: count * d / (2n), fixed from the
+    initial population); see :func:`_occupancy_floor`.
     """
-    source = _check_source(graph, source)
-    d = _regular_degree(graph, "r-visit-exchange")
-    n = graph.n
-    cap_rounds = default_round_cap(n) if round_cap is None else int(round_cap)
-    if floor is None:
-        floor = config.count * d / (2 * n)
-    pos = place_agents(graph, config, rng)
-    walk_gen = rng.stream("walks")
-    lazy_gen = rng.stream("lazy")
-
-    v_inf = np.full(n, -1, dtype=np.int64)
-    v_inf[source] = 0
-    a_inf = np.full(config.count, -1, dtype=np.int64)
-    a_inf[pos == source] = 0
-    v_count = 1
+    floor = _floor_level(graph, config.count, floor, "r-visit-exchange")
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    visit = _Visit(graph.n, source, pos)
     additions: list = []
-
-    def replenish(t: int):
-        nonlocal pos, a_inf
-        occ = np.bincount(pos, minlength=n)
-        nsum = _neighborhood_sums(graph, occ)
-        while True:
-            deficit = floor - nsum
-            u = int(np.argmax(deficit))
-            if deficit[u] <= 0:
-                break
-            w = int(graph.indices[graph.indptr[u]])  # lowest-indexed neighbor
-            g = pos.shape[0]
-            pos = np.append(pos, w)
-            a_inf = np.append(a_inf, t if v_inf[w] != -1 else -1)
-            occ[w] += 1
-            nsum[graph.neighbors(w)] += 1
-            additions.append((t, u, g))
-
-    t = 0
-    while (v_count < n or t < min_rounds) and t < cap_rounds:
-        t += 1
-        pos = _move(graph, pos, walk_gen, config.lazy, lazy_gen)
-        carriers = a_inf != -1
-        landed = pos[carriers]
-        fresh_v = np.unique(landed[v_inf[landed] == -1])
-        if fresh_v.size:
-            v_inf[fresh_v] = t
-            v_count += fresh_v.size
-        newly_a = (a_inf == -1) & (v_inf[pos] != -1)
-        a_inf[newly_a] = t
-        if t % 2 == 1:
-            replenish(t)
-    done = v_count == n
-    trace = ProtocolTrace(rounds=t, vertex_informed_at=v_inf,
-                          agent_informed_at=a_inf)
-    return BroadcastResult(int(v_inf.max()) if done else None,
-                           "all-vertices", t, trace, addition_log=additions)
+    t = _walk(pos, step, [visit], cap, min_rounds,
+              _occupancy_floor(graph, floor, visit, additions))
+    return visit.result(t, addition_log=additions)
 
 
 # -- natural coupling of visit- and meet-exchange -------------------------------
@@ -499,73 +522,14 @@ def run_shared_visit_meet(graph: Graph, source: int, config: AgentConfig,
     visit-exchange has informed all agents never exceeds the meet-exchange
     broadcast time.
     """
-    source = _check_source(graph, source)
-    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
-    n, a_count = graph.n, config.count
-    pos = place_agents(graph, config, rng)
-    walk_gen = rng.stream("walks")
-    lazy_gen = rng.stream("lazy")
-
-    vx_v = np.full(n, -1, dtype=np.int64)
-    vx_v[source] = 0
-    vx_a = np.full(a_count, -1, dtype=np.int64)
-    vx_a[pos == source] = 0
-    vx_vcount = 1
-
-    mx_a = np.full(a_count, -1, dtype=np.int64)
-    at_source = pos == source
-    mx_trigger = 0 if at_source.any() else None
-    if mx_trigger == 0:
-        mx_a[at_source] = 0
-    armed = mx_trigger is None
-    mx_count = int((mx_a != -1).sum())
-
-    t = 0
-    while (vx_vcount < n or mx_count < a_count) and t < cap:
-        t += 1
-        pos = _move(graph, pos, walk_gen, config.lazy, lazy_gen)
-
-        carriers = vx_a != -1
-        landed = pos[carriers]
-        fresh_v = np.unique(landed[vx_v[landed] == -1])
-        if fresh_v.size:
-            vx_v[fresh_v] = t
-            vx_vcount += fresh_v.size
-        vx_a[(vx_a == -1) & (vx_v[pos] != -1)] = t
-
-        prev = mx_a != -1
-        occupied = np.zeros(n, dtype=bool)
-        occupied[pos[prev]] = True
-        newly = ~prev & occupied[pos]
-        if armed:
-            at_source = pos == source
-            if at_source.any():
-                newly |= ~prev & at_source
-                armed = False
-                mx_trigger = t
-        if newly.any():
-            mx_a[newly] = t
-            mx_count += int(newly.sum())
-
-    vx_done = vx_vcount == n
-    mx_done = mx_count == a_count
-    vx_trace = ProtocolTrace(rounds=t, vertex_informed_at=vx_v,
-                             agent_informed_at=vx_a)
-    mx_marker = np.full(n, -1, dtype=np.int64)
-    mx_marker[source] = 0
-    mx_trace = ProtocolTrace(rounds=t, vertex_informed_at=mx_marker,
-                             agent_informed_at=mx_a,
-                             source_trigger_round=mx_trigger)
-    visitx = BroadcastResult(int(vx_v.max()) if vx_done else None,
-                             "all-vertices", t, vx_trace)
-    mx_bt = (int(mx_a.max()) if a_count else 0) if mx_done else None
-    meetx = BroadcastResult(mx_bt, "all-agents", t, mx_trace)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    visit = _Visit(graph.n, source, pos)
+    meet = _Meet(graph.n, source, pos)
+    t = _walk(pos, step, [visit, meet], cap)
     agents_round = None
-    if a_count == 0:
-        agents_round = 0
-    elif (vx_a != -1).all():
-        agents_round = int(vx_a.max())
-    return SharedWalkResult(visitx, meetx, agents_round)
+    if (visit.a_inf != -1).all():
+        agents_round = int(visit.a_inf.max(initial=0))
+    return SharedWalkResult(visit.result(t), meet.result(t), agents_round)
 
 
 def trace_events(trace: ProtocolTrace) -> list:

@@ -17,18 +17,11 @@ from .errors import InvalidParameterError
 from .graphs import Graph
 
 __all__ = [
-    "MASK64",
     "derive_seed",
-    "trial_seed",
     "SimRng",
     "ChoiceOracle",
-    "next_neighbor_choice",
-    "sample_stationary_vertex",
     "place_stationary",
-    "step_walk",
 ]
-
-MASK64 = (1 << 64) - 1
 
 
 def derive_seed(*parts) -> int:
@@ -47,11 +40,6 @@ def derive_seed(*parts) -> int:
         else:
             raise TypeError(f"unsupported seed part type: {type(p)!r}")
     return int.from_bytes(h.digest()[:8], "little")
-
-
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Independent per-trial seed derived from the master seed."""
-    return derive_seed(master_seed, "trial", trial_index)
 
 
 class SimRng:
@@ -118,23 +106,6 @@ class ChoiceOracle:
         return {u: len(lst) for u, lst in self._choices.items() if lst}
 
 
-def next_neighbor_choice(oracle: ChoiceOracle, u: int, i: int) -> int:
-    """Module-level alias for :meth:`ChoiceOracle.choice`."""
-    return oracle.choice(u, i)
-
-
-def sample_stationary_vertex(graph: Graph, gen: np.random.Generator) -> int:
-    """One vertex drawn with probability degree(v) / (2m), exactly.
-
-    Uses an integer draw against the cumulative degree sequence, so the
-    probabilities are exact rather than float-normalized.
-    """
-    if graph.n == 1:
-        return 0
-    r = int(gen.integers(0, 2 * graph.m))
-    return int(np.searchsorted(graph.cumulative_degrees, r, side="right"))
-
-
 def place_stationary(graph: Graph, gen: np.random.Generator,
                      count: int) -> np.ndarray:
     """i.i.d. stationary positions for ``count`` agents."""
@@ -144,14 +115,3 @@ def place_stationary(graph: Graph, gen: np.random.Generator,
         return np.zeros(count, dtype=np.int64)
     draws = gen.integers(0, 2 * graph.m, size=count)
     return np.searchsorted(graph.cumulative_degrees, draws, side="right")
-
-
-def step_walk(graph: Graph, v: int, lazy: bool, gen: np.random.Generator) -> int:
-    """One walk step from v: uniform neighbor, or stay with prob. 1/2 if lazy."""
-    deg = graph.degree(v)
-    if deg == 0:
-        return v  # single-vertex graph
-    if lazy and gen.random() < 0.5:
-        return int(v)
-    nbrs = graph.neighbors(v)
-    return int(nbrs[gen.integers(0, deg)])

@@ -5,7 +5,9 @@ import json
 import pytest
 
 import rumorwalks as rw
+from rumorwalks import AgentConfig, SimRng
 from rumorwalks.cli import main
+from rumorwalks.experiments import PROTOCOLS
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +85,39 @@ class TestRun:
         lines = trace.read_text().splitlines()
         assert lines[0] == "kind,id,round"
         assert "vertex,0,0" in lines[1:]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_each_protocol_matches_library(self, capsys, protocol):
+        # a regular graph, since t- and r-visit-exchange need one
+        g = rw.generate_random_regular(16, 4, seed=5)
+        cfg = AgentConfig(count=12, lazy=True)
+        direct = {
+            "push": lambda rng: rw.run_push(g, 3, rng),
+            "push-pull": lambda rng: rw.run_push_pull(g, 3, rng),
+            "visit-exchange": lambda rng: rw.run_visit_exchange(g, 3, cfg, rng),
+            "meet-exchange": lambda rng: rw.run_meet_exchange(g, 3, cfg, rng),
+            "t-visit-exchange":
+                lambda rng: rw.run_t_visit_exchange(g, 3, cfg, 4.5, rng),
+            "r-visit-exchange":
+                lambda rng: rw.run_r_visit_exchange(g, 3, cfg, rng, floor=2.5),
+        }
+        res = direct[protocol](SimRng(5))
+        code, payload, _ = run_cli(
+            capsys, "run", "--family", "regular", "--size", "16", "--d", "4",
+            "--protocol", protocol, "--seed", "5", "--source", "3",
+            "--alpha", "0.75", "--lazy", "--gamma", "4.5", "--floor", "2.5")
+        assert code == (0 if res.complete else 2)
+        assert (payload["broadcast_time"], payload["rounds"]) == \
+            (res.broadcast_time, res.rounds)
+        assert payload["removals"] == len(res.removal_log)
+        assert payload["additions"] == len(res.addition_log)
+
+    def test_t_visit_without_gamma_exit_one(self, capsys):
+        code, payload, err = run_cli(capsys, "run", "--family", "cycle",
+                                     "--size", "8", "--protocol",
+                                     "t-visit-exchange", "--seed", "1")
+        assert code == 1 and payload is None
+        assert "gamma" in err
 
     def test_graph_file_input(self, tmp_path, capsys):
         el = tmp_path / "g.el"

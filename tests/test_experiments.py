@@ -280,15 +280,6 @@ class TestComparisons:
         mins = rw.empirical_min(rw.run_trials(cfg))
         assert mins[(2, "visit-exchange")] >= 1
 
-    def test_compare_visitx_meetx_star(self):
-        cfg = ExperimentConfig(family="star", sweep=(64,), trials=25, seed=5,
-                               protocols=("visit-exchange",), lazy=True)
-        pts = rw.compare_visitx_meetx(cfg)
-        p = pts[0]
-        assert p.n == 65
-        assert p.diff == p.median_meetx - p.median_visitx
-        assert p.ci_low <= p.ci_high
-
     def test_shared_walk_domination_rows(self):
         cfg = ExperimentConfig(family="star", sweep=(64,), trials=20, seed=6,
                                protocols=("visit-exchange",), lazy=True)

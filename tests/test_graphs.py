@@ -285,11 +285,6 @@ class TestGraphType:
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(4, [(0, 1), (2, 3)])  # disconnected
 
-    def test_adjacency_view(self):
-        g = rw.generate_star(3)
-        assert g.adjacency[0] == (1, 2, 3)
-        assert g.adjacency[2] == (0,)
-
     def test_bipartite_detection(self):
         assert rw.generate_star(5).is_bipartite()
         assert rw.generate_cycle(6).is_bipartite()
@@ -326,6 +321,30 @@ class TestGraphType:
         g = Graph.from_edges(n, edges)
         assert [g.neighbors(u).tolist() for u in range(n)] == \
             [sorted(x) for x in nbrs]
+
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_is_connected_matches_bfs(self, seed):
+        # random simple graphs, many of them disconnected, so they are built
+        # from CSR arrays directly: from_edges rejects disconnected edge sets
+        gen = np.random.Generator(np.random.PCG64(seed))
+        n = int(gen.integers(2, 40))
+        p = gen.uniform(0.0, 0.25)
+        nbrs = [[] for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if gen.random() < p:
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+        g = Graph(n, np.cumsum([0] + [len(x) for x in nbrs]),
+                  [v for x in nbrs for v in x])
+        seen, stack = {0}, [0]
+        while stack:
+            for v in nbrs[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        assert g.is_connected() == (len(seen) == n)
 
 
 class TestEdgeListIO:
@@ -367,6 +386,7 @@ class TestEdgeListIO:
         ("2 1\n1 0\n", "u < v"),
         ("x y\n0 1\n", "non-integer"),
         ("2 1\n0 one\n", ":2"),
+        ("3 2\n0 1\n\n1 1\n", ":4: edges must satisfy u < v"),
         ("", "empty"),
     ])
     def test_load_errors(self, tmp_path, text, fragment):

@@ -2,14 +2,11 @@
 distributional checks on stationary sampling and lazy stepping."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 import rumorwalks as rw
-from rumorwalks.rng import (ChoiceOracle, SimRng, derive_seed,
-                            next_neighbor_choice, place_stationary,
-                            sample_stationary_vertex, step_walk, trial_seed)
+from rumorwalks.protocols import _move
+from rumorwalks.rng import ChoiceOracle, SimRng, derive_seed, place_stationary
 
 
 class TestDeriveSeed:
@@ -33,11 +30,6 @@ class TestDeriveSeed:
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             derive_seed(1, True)
-
-    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 1000))
-    @settings(max_examples=50, deadline=None)
-    def test_trial_seed_stable(self, master, idx):
-        assert trial_seed(master, idx) == trial_seed(master, idx)
 
 
 class TestSimRng:
@@ -69,7 +61,6 @@ class TestChoiceOracle:
         oracle = ChoiceOracle(g, seed=21)
         first = oracle.choice(0, 3)
         assert oracle.choice(0, 3) == first
-        assert next_neighbor_choice(oracle, 0, 3) == first
 
     def test_degree_one_forced(self):
         g = rw.generate_star(5)
@@ -114,8 +105,7 @@ class TestStationarySampling:
     def test_k2_half(self):
         g = rw.generate_complete(2)
         gen = np.random.Generator(np.random.PCG64(3))
-        draws = [sample_stationary_vertex(g, gen) for _ in range(20_000)]
-        frac = np.mean(np.asarray(draws) == 0)
+        frac = np.mean(place_stationary(g, gen, 20_000) == 0)
         assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / 20_000)
 
     def test_star_center_mass(self):
@@ -144,22 +134,30 @@ class TestStationarySampling:
 
 
 class TestStepWalk:
+    """The one walk step of every agent protocol, one step per agent."""
+
     def test_k2_forced(self):
         g = rw.generate_complete(2)
         gen = np.random.Generator(np.random.PCG64(1))
-        assert all(step_walk(g, 0, False, gen) == 1 for _ in range(50))
+        pos = _move(g, np.zeros(50, dtype=np.int64), gen, False, None)
+        assert (pos == 1).all()
+        assert (_move(g, pos, gen, False, None) == 0).all()
 
     def test_lazy_stay_rate(self):
         g = rw.generate_cycle(5)
-        gen = np.random.Generator(np.random.PCG64(2))
+        walk_gen = np.random.Generator(np.random.PCG64(2))
+        lazy_gen = np.random.Generator(np.random.PCG64(3))
         n_steps = 100_000
-        stays = sum(step_walk(g, 2, True, gen) == 2 for _ in range(n_steps))
+        dest = _move(g, np.full(n_steps, 2, dtype=np.int64), walk_gen, True,
+                     lazy_gen)
+        assert set(dest.tolist()) == {1, 2, 3}
+        stays = int((dest == 2).sum())
         assert abs(stays / n_steps - 0.5) < 3 * np.sqrt(0.25 / n_steps)
 
     def test_c4_two_neighbors(self):
         g = rw.generate_cycle(4)
         gen = np.random.Generator(np.random.PCG64(9))
-        dest = [step_walk(g, 0, False, gen) for _ in range(40_000)]
-        frac1 = np.mean(np.asarray(dest) == 1)
-        assert set(dest) == {1, 3}
+        dest = _move(g, np.zeros(40_000, dtype=np.int64), gen, False, None)
+        frac1 = np.mean(dest == 1)
+        assert set(dest.tolist()) == {1, 3}
         assert abs(frac1 - 0.5) < 3 * np.sqrt(0.25 / 40_000)
