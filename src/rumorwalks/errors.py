@@ -28,7 +28,12 @@ class LoadError(RumorWalksError, ValueError):
 
 
 class ConfigError(RumorWalksError, ValueError):
-    """An experiment config file could not be parsed or validated."""
+    """An experiment config file could not be parsed or validated; ``key``
+    names the config key at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class FitError(RumorWalksError, ValueError):

@@ -5,15 +5,17 @@ Every trial derives its own seed from the master seed and the trial identity
 (family, size, protocol, index), so results are reproducible run-to-run and
 independent of execution order or worker count.  Random graph families draw
 a fresh graph per (size, trial), whose seed leaves out the protocol, so it is
-built once and shared by every protocol of the trial; with ``jobs > 1`` one
-process pool runs all trials of the sweep.  Deterministic families share one
-immutable graph per size and run serially.
+built once and shared by every protocol of the trial.  Deterministic families
+share one immutable graph per size, built once in each process that runs the
+sweep.  With ``jobs > 1`` one process pool runs all trials of the sweep,
+whatever the family.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -97,36 +99,40 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
+            raise ConfigError(f"unknown family {self.family!r}", "family")
         if not self.protocols:
-            raise ConfigError("at least one protocol is required")
+            raise ConfigError("at least one protocol is required",
+                              "protocols")
         for p in self.protocols:
             if p not in PROTOCOLS:
-                raise ConfigError(f"unknown protocol {p!r}")
+                raise ConfigError(f"unknown protocol {p!r}", "protocols")
         if not self.sweep:
-            raise ConfigError("sweep must list at least one size")
+            raise ConfigError("sweep must list at least one size", "sweep")
         if any(int(s) < 1 for s in self.sweep):
-            raise ConfigError("sweep sizes must be positive")
+            raise ConfigError("sweep sizes must be positive", "sweep")
         if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}",
+                              "trials")
         if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}", "alpha")
         if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}", "jobs")
         if self.round_cap is not None and self.round_cap < 1:
-            raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}")
+            raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}",
+                              "round_cap")
         if self.bootstrap < 1:
-            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}")
+            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}",
+                              "bootstrap")
         if not (self.source in SOURCE_RULES or _is_int(self.source)):
             raise ConfigError(f"source must be an id or one of {SOURCE_RULES}, "
-                              f"got {self.source!r}")
+                              f"got {self.source!r}", "source")
         if "t-visit-exchange" in self.protocols and self.gamma is None:
             raise ConfigError("t-visit-exchange requires gamma")
         if self.family in ("regular", "clique-path") and self.d is None:
             raise ConfigError(f"family {self.family!r} requires d")
         if self.d is not None and not _is_degree_spec(self.d):
             raise ConfigError(f"d must be an integer >= 1 or 'log2ceil', "
-                              f"got {self.d!r}")
+                              f"got {self.d!r}", "d")
 
 
 def _is_int(s: str) -> bool:
@@ -226,24 +232,31 @@ def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
     raise InvalidParameterError(f"unknown protocol {name!r}")
 
 
-def _trial_graph(cfg: ExperimentConfig, size: int, trial: int,
-                 shared: Graph | None) -> Graph:
-    if shared is not None:
-        return shared
+@lru_cache(maxsize=None)
+def _fixed_graph(family: str, size: int, d_spec: str | None) -> Graph:
+    """The one graph of a deterministic family at a sweep size, built once
+    in each process that runs the sweep.  It depends on nothing but the
+    key and is immutable, so every trial may share it; each sweep clears
+    the cache when it ends, so no graph outlives its sweep."""
+    return build_graph(family, size, d_spec, 0)
+
+
+def _trial_graph(cfg: ExperimentConfig, size: int, trial: int) -> Graph:
+    if cfg.family not in RANDOM_FAMILIES:
+        return _fixed_graph(cfg.family, size, cfg.d)
     gseed = derive_seed(cfg.seed, "graph", cfg.family, size, trial)
     return build_graph(cfg.family, size, cfg.d, gseed)
 
 
-def _run_trial(cfg: ExperimentConfig, size: int, trial: int,
-               shared: Graph | None = None):
-    """One trial: build the trial's graph, or take the shared one, and run
-    every protocol of the config on it, each from its own seed.
+def _run_trial(cfg: ExperimentConfig, size: int, trial: int):
+    """One trial: build the trial's graph, or take the family's shared one,
+    and run every protocol of the config on it, each from its own seed.
 
     Returns ``(vertex_count, times)`` with one broadcast time (None when
     incomplete) per protocol; a failed generation gives a None count.
     """
     try:
-        graph = _trial_graph(cfg, size, trial, shared)
+        graph = _trial_graph(cfg, size, trial)
     except GenerationFailureError:
         return None, [None] * len(cfg.protocols)
     times = []
@@ -262,24 +275,22 @@ def _sweep_outcomes(config: ExperimentConfig):
     """Yield ``(size, outcomes)`` in sweep order, one ``_run_trial`` outcome
     per trial in trial order.
 
-    Deterministic families build one graph per size and run serially.  A
-    random family builds each graph once per (size, trial); with ``jobs > 1``
-    one process pool serves every trial of the sweep.
+    Every (size, trial) pair is one task; with ``jobs > 1`` one process pool
+    serves every task of the sweep.  A random family builds each graph once
+    per (size, trial); a deterministic family builds its one graph per size
+    once in each process.
     """
-    if config.family not in RANDOM_FAMILIES:
-        for size in config.sweep:
-            shared = _trial_graph(config, size, 0, None)
-            yield size, [_run_trial(config, size, i, shared)
-                         for i in range(config.trials)]
-        return
     sizes = [size for size in config.sweep for _ in range(config.trials)]
     trials = [i for _ in config.sweep for i in range(config.trials)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_run_trial, repeat(config), sizes,
-                                     trials))
-    else:
-        outcomes = list(map(_run_trial, repeat(config), sizes, trials))
+    try:
+        if config.jobs > 1:
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                outcomes = list(pool.map(_run_trial, repeat(config), sizes,
+                                         trials))
+        else:
+            outcomes = list(map(_run_trial, repeat(config), sizes, trials))
+    finally:
+        _fixed_graph.cache_clear()
     for k, size in enumerate(config.sweep):
         yield size, outcomes[k * config.trials:(k + 1) * config.trials]
 
@@ -452,41 +463,40 @@ class DominationRow:
     violations: tuple
 
 
+def _domination_row(config: ExperimentConfig, size: int) -> DominationRow:
+    completed = holds = n_seen = 0
+    violations = []
+    for i in range(config.trials):
+        try:
+            graph = _trial_graph(config, size, i)
+        except GenerationFailureError:
+            continue
+        n_seen = graph.n
+        rng = SimRng(derive_seed(config.seed, "run", config.family, size,
+                                 "shared", i))
+        source = resolve_source(config.source, graph, rng.stream("source"))
+        acfg = agent_config(graph, config.alpha, config.agents,
+                            config.placement, config.lazy)
+        out = run_shared_visit_meet(graph, source, acfg, rng, config.round_cap)
+        if out.meetx.complete and out.visitx_agents_round is not None:
+            completed += 1
+            if out.visitx_agents_round <= out.meetx.broadcast_time:
+                holds += 1
+            else:
+                violations.append((i, out.visitx_agents_round,
+                                   out.meetx.broadcast_time))
+    return DominationRow(size=size, n=n_seen, trials=config.trials,
+                         completed=completed, holds=holds,
+                         violations=tuple(violations))
+
+
 def shared_walk_domination(config: ExperimentConfig) -> list:
     """Per-trial check that, over shared walks, visit-exchange informs all
     agents no later than meet-exchange completes."""
-    rows = []
-    for size in config.sweep:
-        shared = None
-        if config.family not in RANDOM_FAMILIES:
-            shared = _trial_graph(config, size, 0, None)
-        completed = holds = 0
-        violations = []
-        n_seen = shared.n if shared is not None else 0
-        for i in range(config.trials):
-            try:
-                graph = _trial_graph(config, size, i, shared)
-            except GenerationFailureError:
-                continue
-            n_seen = graph.n
-            rng = SimRng(derive_seed(config.seed, "run", config.family, size,
-                                     "shared", i))
-            source = resolve_source(config.source, graph, rng.stream("source"))
-            acfg = agent_config(graph, config.alpha, config.agents,
-                                config.placement, config.lazy)
-            out = run_shared_visit_meet(graph, source, acfg, rng,
-                                        config.round_cap)
-            if out.meetx.complete and out.visitx_agents_round is not None:
-                completed += 1
-                if out.visitx_agents_round <= out.meetx.broadcast_time:
-                    holds += 1
-                else:
-                    violations.append((i, out.visitx_agents_round,
-                                       out.meetx.broadcast_time))
-        rows.append(DominationRow(size=size, n=n_seen, trials=config.trials,
-                                  completed=completed, holds=holds,
-                                  violations=tuple(violations)))
-    return rows
+    try:
+        return [_domination_row(config, size) for size in config.sweep]
+    finally:
+        _fixed_graph.cache_clear()
 
 
 # -- growth-model fitting -----------------------------------------------------------
@@ -635,8 +645,10 @@ def parse_config(text: str) -> ExperimentConfig:
             jobs=take("jobs", int, default=1),
             bootstrap=take("bootstrap", int, default=1000),
         )
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        if exc.key not in raw:
+            raise
+        raise ConfigError(f"line {raw[exc.key][1]}: {exc}", exc.key) from exc
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 

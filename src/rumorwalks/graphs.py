@@ -54,7 +54,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "family_tag", "indptr", "indices", "degrees",
-                 "_cumdeg")
+                 "_cumdeg", "_distinct")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  family_tag: str | None = None):
@@ -65,6 +65,7 @@ class Graph:
         self.m = int(self.indices.shape[0] // 2)
         self.family_tag = family_tag
         self._cumdeg = None
+        self._distinct = None
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
 
@@ -128,8 +129,17 @@ class Graph:
         return np.column_stack([rows[mask], self.indices[mask]])
 
     @property
+    def distinct_degrees(self) -> np.ndarray:
+        """The degrees that occur, ascending; computed once."""
+        if self._distinct is None:
+            dd = np.unique(self.degrees)
+            dd.setflags(write=False)
+            self._distinct = dd
+        return self._distinct
+
+    @property
     def is_regular(self) -> bool:
-        return self.n == 1 or bool((self.degrees == self.degrees[0]).all())
+        return self.distinct_degrees.shape[0] == 1
 
     def is_connected(self) -> bool:
         if self.n == 1:

@@ -96,6 +96,23 @@ source = center
             rw.parse_config(text + f"{key} = {value}\n")
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("d", "foo", "d must be"),
+        ("trials", "0", "trials must be >= 1"),
+        ("round_cap", "-5", "round_cap must be >= 1"),
+        ("bootstrap", "0", "bootstrap must be >= 1"),
+        ("jobs", "0", "jobs must be >= 1"),
+        ("alpha", "-1", "alpha must be >= 0"),
+    ])
+    def test_value_errors_name_their_line(self, key, value, fragment):
+        lines = ["# sweep", "family = regular", "protocols = push",
+                 "sweep = 16", "trials = 2", "seed = 1", "d = 3"]
+        lines = [ln for ln in lines if not ln.startswith(f"{key} =")]
+        lines.insert(2, f"{key} = {value}")
+        with pytest.raises(ConfigError) as err:
+            rw.parse_config("\n".join(lines) + "\n")
+        assert f"line 3: {fragment}" in str(err.value)
+
     def test_parse_config_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(self.GOOD)
@@ -166,6 +183,33 @@ class TestRunTrials:
         par = rw.run_trials(replace(cfg, jobs=2))
         assert [r.values for r in seq.rows] == [r.values for r in par.rows]
         assert rw.result_to_csv(seq) == rw.result_to_csv(par)
+
+    @pytest.mark.parametrize("family,sweep", [
+        ("star", (16, 32)), ("heavy-tree", (15, 31)), ("double-star", (8, 16)),
+    ])
+    def test_jobs_parity_fixed_families(self, family, sweep):
+        cfg = small_config(family=family, sweep=sweep, trials=4, lazy=True,
+                           protocols=("push", "push-pull", "visit-exchange",
+                                      "meet-exchange"))
+        assert rw.result_to_csv(rw.run_trials(cfg)) == \
+            rw.result_to_csv(rw.run_trials(replace(cfg, jobs=2)))
+
+    def test_fixed_graph_built_once_per_size(self, monkeypatch):
+        calls = []
+        real = experiments.build_graph
+
+        def counting(family, size, d_spec, seed):
+            calls.append((family, size))
+            return real(family, size, d_spec, seed)
+
+        monkeypatch.setattr(experiments, "build_graph", counting)
+        cfg = small_config(sweep=(8, 16, 32), trials=4,
+                           protocols=("push", "visit-exchange"))
+        rw.run_trials(cfg)
+        assert calls == [("star", 8), ("star", 16), ("star", 32)]
+        # the graphs are not kept once the sweep is over
+        rw.run_trials(cfg)
+        assert len(calls) == 6
 
     def test_random_graph_built_once_per_trial(self, monkeypatch):
         calls = []

@@ -1,4 +1,4 @@
-"""Pins the output of every agent protocol and of the coupled runs.
+"""Pins the output of every protocol and of the coupled runs.
 
 Each digest is a SHA-256 over everything a run reports: broadcast time,
 rounds, both informing arrays, the meet-exchange trigger round, removal and
@@ -29,6 +29,34 @@ def _graphs():
 def _regular_graphs():
     return [rw.generate_complete(2), rw.generate_cycle(8), rw.generate_cycle(64),
             rw.generate_complete(6), rw.generate_random_regular(32, 4, seed=9)]
+
+
+def _vertex_graphs():
+    """K1, K2, stars, a double star, a heavy tree, a path (whose informed
+    degree-1 end still has an uninformed neighbor), a cycle and random
+    regular graphs: every mix of forced and drawn neighbor choices."""
+    return [rw.Graph.from_edges(1, []), rw.generate_complete(2),
+            rw.generate_star(16), rw.generate_star(300),
+            rw.generate_double_star(16), rw.generate_heavy_binary_tree(31),
+            rw.Graph.from_edges(12, [(i, i + 1) for i in range(11)]),
+            rw.generate_cycle(9), rw.generate_random_regular(64, 8, seed=3),
+            rw.generate_random_regular(128, 3, seed=5)]
+
+
+def digest_vertex(run):
+    """Runs from the center (vertex 0), the last vertex (a leaf of every
+    leafy family) and one more vertex, three seeds each, with the default
+    cap and with caps of 1 and 5 rounds, which most runs hit."""
+    h = hashlib.sha256()
+    k = 0
+    for g in _vertex_graphs():
+        for source in sorted({0, g.n - 1, (7 * k) % g.n}):
+            for s in range(3):
+                for cap in (None, 1, 5):
+                    _feed_result(h, run(g, source, SimRng(7919 * k + s),
+                                        round_cap=cap))
+                    k += 1
+    return h.hexdigest()
 
 
 def _cases(graphs, counts=lambda n: (0, 1, n, 2 * n), lazies=(False, True)):
@@ -136,6 +164,10 @@ def digest_coupled(mode, r_floor=False):
 
 
 GOLDEN = {
+    "push": (lambda: digest_vertex(rw.run_push),
+        "ed8f9c4c3acfb676f298827263bbe95cdb7657905cec52e6c9fb93928e043534"),
+    "push-pull": (lambda: digest_vertex(rw.run_push_pull),
+        "51f2a6fb73f7ab2bdf1df272fb27f7b3adf5706803de1fe13ed1b3b0910a00e2"),
     "visit": (digest_visit,
         "c32f6b5e14ab00863ff55b3e6d385c2d4d50e4898b79588f7e7a92a029204618"),
     "meet": (digest_meet,

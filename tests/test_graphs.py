@@ -294,6 +294,10 @@ class TestGraphType:
     def test_is_regular(self):
         assert rw.generate_cycle(7).is_regular
         assert not rw.generate_star(3).is_regular
+        assert Graph.from_edges(1, []).is_regular
+        assert rw.generate_star(3).distinct_degrees.tolist() == [1, 3]
+        assert rw.generate_heavy_binary_tree(7).distinct_degrees.tolist() \
+            == [2, 3, 4]
 
     def test_edges_canonical_order(self):
         g = rw.generate_double_star(6)

@@ -297,13 +297,18 @@ class TestTVisitExchange:
         g = rw.generate_complete(4)
         res = rw.run_t_visit_exchange(g, 0, AgentConfig(count=4),
                                       2 * math.e, SimRng(2), min_rounds=10)
-        # gamma*d = 2e*3 ~ 16.3 never binds with 4 agents; force with the
-        # minimum legal gamma instead
+        # gamma*d = 2e*3 ~ 16.3 never binds with 4 agents
         assert res.removal_log == []
-        res = rw.run_t_visit_exchange(g, 0, AgentConfig(count=16),
-                                      2 * math.e * 4, SimRng(2), min_rounds=10)
+        # the minimum legal gamma for 8 agents on 64 vertices caps every
+        # neighborhood at gamma*d = 2e*8/64*3 ~ 1.02 agents: two agents
+        # near one vertex force a removal
+        g = rw.generate_random_regular(64, 3, 1)
+        res = rw.run_t_visit_exchange(g, 0, AgentConfig(count=8),
+                                      2 * math.e * 8 / 64, SimRng(2),
+                                      min_rounds=10)
+        assert res.removal_log
         for rnd, vertex, agent in res.removal_log:
-            assert 0 <= vertex < 4 and 0 <= agent < 16 and rnd >= 0
+            assert 0 <= vertex < 64 and 0 <= agent < 8 and rnd >= 0
 
     def test_requires_regular(self):
         with pytest.raises(InvalidParameterError):
