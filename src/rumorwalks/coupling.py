@@ -14,11 +14,23 @@ even-round visits, leaving even-round steps independent of push.
 A canonical walk starts at the source and, each round, either stays put or
 follows one of the agents leaving its current vertex; its congestion is the
 sum over rounds of the number of agents sharing its position.
+
+Both processes read the oracle in bulk through :meth:`ChoiceOracle.take`:
+each round the walk ranks the informed agents within their vertex in agent
+order, and push samples from every informed vertex at once.  The oracle
+draws each vertex's entries ahead in blocks from the vertex's own stream,
+which yields exactly the entries of one-at-a-time draws, so a transcript is
+the same bytes either way; its ``choices`` list, per vertex, exactly the
+entries some process requested (the requested prefix), never those drawn
+ahead.  Verification replays push over a flat table of the recorded
+choices and checks every chain walk in one pass over a cumulative
+occupancy table.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
@@ -50,9 +62,10 @@ class CouplingTranscript:
     """Everything needed to re-check a coupled run offline.
 
     ``visits[t]`` maps each occupied vertex to the sorted ids of agents
-    standing there at the end of round t.  ``choices`` holds every oracle
-    entry materialized by either process; ``walk_consumed[u]`` says how many
-    of them the walk side consumed as informed departures from u.
+    standing there at the end of round t.  ``choices[u]`` lists oracle
+    entries 1..k of u, k being the highest index either process requested;
+    ``walk_consumed[u]`` says how many of them the walk side consumed as
+    informed departures from u.
     """
     graph: Graph
     source: int
@@ -107,10 +120,15 @@ class VerifyReport:
 
 
 def _group_positions(pos: np.ndarray) -> dict:
-    groups: dict = {}
-    for g, u in enumerate(pos.tolist()):
-        groups.setdefault(u, []).append(g)
-    return groups
+    """The ascending ids of the agents on each occupied vertex."""
+    if pos.shape[0] == 0:
+        return {}
+    order = np.argsort(pos, kind="stable")
+    at = pos[order]
+    starts = np.flatnonzero(np.r_[True, at[1:] != at[:-1]]).tolist()
+    ids = order.tolist()
+    return {u: ids[a:b] for u, a, b in
+            zip(at[starts].tolist(), starts, starts[1:] + [len(ids)])}
 
 
 def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
@@ -130,25 +148,25 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     walk_gen = rng.stream("walks")
     visit = _Visit(n, source, pos)
     v_inf = visit.v_inf
-    walk_consumed: dict = {}
+    consumed = np.zeros(n, dtype=np.int64)  # informed departures per vertex
 
     def oracle_step(pos: np.ndarray, t: int) -> np.ndarray:
         if mode == "odd" and t % 2 == 0:
             return _move(graph, pos, walk_gen, False, None)
-        # informed departures consume the oracle in (round, agent) order;
-        # a vertex is informed here iff it was informed by round t-1
+        # informed departures consume the oracle in (round, agent) order:
+        # the k-th informed agent on u (in agent order) this round takes
+        # entry consumed[u] + k; u is informed here iff it was informed by
+        # round t-1
+        informed = v_inf[pos] != -1
         new_pos = np.empty_like(pos)
-        free: list = []
-        for g, u in enumerate(pos.tolist()):
-            if v_inf[u] != -1:
-                i = walk_consumed.get(u, 0) + 1
-                walk_consumed[u] = i
-                new_pos[g] = oracle.choice(u, i)
-            else:
-                free.append(g)
-        if free:
-            fidx = np.asarray(free, dtype=np.int64)
-            new_pos[fidx] = _move(graph, pos[fidx], walk_gen, False, None)
+        if informed.any():
+            us = pos[informed]
+            rank, counts = _ranks(us, n)
+            new_pos[informed] = oracle.take(us, consumed[us] + rank + 1)
+            consumed[:] += counts
+        free = ~informed
+        if free.any():
+            new_pos[free] = _move(graph, pos[free], walk_gen, False, None)
         return new_pos
 
     visits = [_group_positions(pos)]
@@ -166,10 +184,10 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     visitx_complete = visit.done
 
     # push replays the same oracle, regardless of what the walk consumed
-    tau, push_rounds, push_complete = _push_replay(n, source, oracle.choice,
+    tau, push_rounds, push_complete = _push_replay(n, source, oracle.take,
                                                    cap)
     choices = {u: list(oracle.materialized(u))
-               for u in range(n) if oracle.materialized(u)}
+               for u in oracle.materialized_counts()}
     tr = CouplingTranscript(
         graph=graph, source=source, mode=mode, seed=rng.seed,
         agent_count=config.count, placement=config.placement,
@@ -177,7 +195,9 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         visitx_rounds=visitx_rounds, visitx_complete=visitx_complete,
         push_rounds=push_rounds, push_complete=push_complete,
         t_visit=v_inf, tau_push=tau, agent_informed_at=visit.a_inf,
-        visits=visits, choices=choices, walk_consumed=dict(walk_consumed),
+        visits=visits, choices=choices,
+        walk_consumed={u: int(consumed[u])
+                       for u in np.flatnonzero(consumed).tolist()},
         additions=additions, floor=floor if enable_r_floor else None)
     if visitx_complete:
         tr.s_sets = compute_s_sets(tr)
@@ -185,24 +205,41 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     return tr
 
 
-def _push_replay(n: int, source: int, choice, cap: int):
-    """Push driven by a choice sequence: vertex u's i-th sample is
-    ``choice(u, i)``, issued at round tau_u + i.  Returns
+def _ranks(us: np.ndarray, n: int):
+    """``(rank, counts)``: each entry's rank among the equal entries before
+    it in ``us``, and how often each vertex of [0, n) occurs."""
+    counts = np.bincount(us, minlength=n)
+    order = np.argsort(us, kind="stable")
+    first = np.cumsum(counts) - counts  # each vertex's first sorted slot
+    rank = np.empty_like(us)
+    rank[order] = np.arange(us.shape[0]) - first[us[order]]
+    return rank, counts
+
+
+def _push_replay(n: int, source: int, take, cap: int):
+    """Push driven by a choice table: vertex u's i-th sample is entry i of
+    u, issued at round tau_u + i; ``take(us, idx)`` looks entries up.
+    Vertices join ``order`` in discovery order: by round, then by the
+    position of the first informed vertex that sampled them.  Returns
     ``(tau, rounds, complete)``."""
     tau = np.full(n, -1, dtype=np.int64)
     tau[source] = 0
-    order = [source]
+    order = np.empty(n, dtype=np.int64)
+    order[0] = source
+    known = 1
     r = 0
-    while len(order) < n and r < cap:
+    while known < n and r < cap:
         r += 1
-        known = len(order)
-        for j in range(known):
-            u = order[j]
-            w = choice(u, r - int(tau[u]))
-            if tau[w] == -1:
-                tau[w] = r
-                order.append(w)
-    return tau, r, len(order) == n
+        us = order[:known]
+        ws = take(us, r - tau[us])
+        fresh = ws[tau[ws] == -1]
+        if fresh.shape[0] > 1:
+            _, first = np.unique(fresh, return_index=True)
+            fresh = fresh[np.sort(first)]
+        tau[fresh] = r
+        order[known:known + fresh.shape[0]] = fresh
+        known += fresh.shape[0]
+    return tau, r, known == n
 
 
 def run_coupled_even(graph: Graph, source: int, config: AgentConfig,
@@ -254,6 +291,17 @@ def compute_s_sets(tr: CouplingTranscript) -> dict:
     return s_sets
 
 
+def _occupancy(tr: CouplingTranscript) -> np.ndarray:
+    """Occupancy table z, shape (recorded rounds, n): z[r][u] is the number
+    of agents on u at the end of round r."""
+    z = np.zeros((len(tr.visits), tr.graph.n), dtype=np.int64)
+    for r, round_map in enumerate(tr.visits):
+        k = len(round_map)
+        z[r, np.fromiter(round_map, np.int64, k)] = np.fromiter(
+            map(len, round_map.values()), np.int64, k)
+    return z
+
+
 def compute_c_counters(tr: CouplingTranscript) -> np.ndarray:
     """C-counter table, shape (rounds+1, n).
 
@@ -267,18 +315,19 @@ def compute_c_counters(tr: CouplingTranscript) -> np.ndarray:
         tr.s_sets = compute_s_sets(tr)
     n, T = tr.graph.n, tr.visitx_rounds
     t = tr.t_visit
+    z = _occupancy(tr)
     by_round: dict = {}
     for u in range(n):
         by_round.setdefault(int(t[u]), []).append(u)
     c = np.zeros((T + 1, n), dtype=np.int64)
     for step in range(1, T + 1):
-        zprev = np.zeros(n, dtype=np.int64)
-        for u, agents in tr.visits[step - 1].items():
-            zprev[u] = len(agents)
         grown = t < step  # informed before this round (t >= 0 always here)
-        c[step][grown] = c[step - 1][grown] + zprev[grown]
+        c[step][grown] = c[step - 1][grown] + z[step - 1][grown]
         for u in by_round.get(step, ()):
-            c[step][u] = min(c[step][v] for v in tr.s_sets[u])
+            members = tr.s_sets.get(u)
+            if not members:  # only a stored table can lack a member
+                raise TranscriptCorruptError(f"empty S-set at vertex {u}")
+            c[step][u] = min(c[step][v] for v in members)
     return c
 
 
@@ -290,12 +339,50 @@ def verify_tau_leq_c(tr: CouplingTranscript):
         raise InvalidParameterError("both processes must have finished")
     if tr.c_table is None:
         tr.c_table = compute_c_counters(tr)
-    for u in range(tr.graph.n):
-        tu = int(tr.t_visit[u])
-        bound = int(tr.c_table[tu][u])
-        if int(tr.tau_push[u]) > bound:
-            return False, (u, int(tr.tau_push[u]), bound)
+    n = tr.graph.n
+    bound = tr.c_table[tr.t_visit, np.arange(n)]
+    over = np.flatnonzero(tr.tau_push > bound)
+    if over.size:
+        u = int(over[0])
+        return False, (u, int(tr.tau_push[u]), int(bound[u]))
     return True, None
+
+
+def _min_chains(tr: CouplingTranscript):
+    """The minimizing chains of all vertices, built in one pass in order of
+    informing round.  Returns ``(pred, follow, fault)``:
+
+    - ``pred[w]``: the S-set member v minimizing (C[t_w][v], v), the
+      previous vertex of w's chain; -1 at a chain's root (t_w <= 0);
+    - ``follow[w]``: the lowest agent that moved pred[w] -> w at round t_w;
+    - ``fault[w]``: the first fault a walk back from w meets, or None: an
+      empty S-set on the way back, then a root other than the source, then
+      the first hop, from the source side, that no agent made.
+    """
+    n = tr.graph.n
+    tv, c, s_sets = tr.t_visit, tr.c_table, tr.s_sets
+    pred = np.full(n, -1, dtype=np.int64)
+    follow = np.full(n, -1, dtype=np.int64)
+    fault: list = [None] * n
+    for w in np.argsort(tv, kind="stable").tolist():
+        tw = int(tv[w])
+        if tw <= 0:
+            if w != tr.source:
+                fault[w] = "chain did not terminate at the source"
+            continue
+        members = s_sets.get(w)
+        if not members:
+            fault[w] = f"empty S-set at vertex {w}"
+            continue
+        v = min(members, key=lambda v: (int(c[tw][v]), v))
+        pred[w] = v
+        fault[w] = fault[v]
+        shared = set(tr.z_agents(v, tw - 1)) & set(tr.z_agents(w, tw))
+        if shared:
+            follow[w] = min(shared)
+        elif fault[w] is None:
+            fault[w] = f"no agent moved {v} -> {w} at round {tw}"
+    return pred, follow, fault
 
 
 def reconstruct_min_chain_walk(tr: CouplingTranscript, u: int,
@@ -313,42 +400,71 @@ def reconstruct_min_chain_walk(tr: CouplingTranscript, u: int,
     if t < tu or t > tr.visitx_rounds:
         raise InvalidParameterError(
             f"need informing round {tu} <= t <= {tr.visitx_rounds}, got {t}")
-    c, tv = tr.c_table, tr.t_visit
+    pred, follow, fault = _min_chains(tr)
+    if fault[u] is not None:
+        raise TranscriptCorruptError(fault[u])
     chain = [u]
-    while int(tv[chain[0]]) > 0:
-        w = chain[0]
-        members = tr.s_sets[w]
-        if not members:
-            raise TranscriptCorruptError(f"empty S-set at vertex {w}")
-        best = min(members, key=lambda v: (int(c[int(tv[w])][v]), v))
-        chain.insert(0, best)
-    if chain[0] != tr.source:
-        raise TranscriptCorruptError("chain did not terminate at the source")
+    while pred[chain[-1]] != -1:
+        chain.append(int(pred[chain[-1]]))
+    chain.reverse()
 
+    tv = tr.t_visit
     verts = [tr.source]
     follows: list = []
-    for j in range(1, len(chain)):
-        prev_v, cur_v = chain[j - 1], chain[j]
-        hop = int(tv[cur_v])
-        stays = hop - int(tv[prev_v]) - 1
+    for prev_v, cur_v in zip(chain, chain[1:]):
+        stays = int(tv[cur_v]) - int(tv[prev_v]) - 1
         verts.extend([prev_v] * stays)
         follows.extend([None] * stays)
-        shared = set(tr.z_agents(prev_v, hop - 1)) & set(tr.z_agents(cur_v, hop))
-        if not shared:
-            raise TranscriptCorruptError(
-                f"no agent moved {prev_v} -> {cur_v} at round {hop}")
         verts.append(cur_v)
-        follows.append(min(shared))
-    tail = t - int(tv[chain[-1]])
-    verts.extend([chain[-1]] * tail)
+        follows.append(int(follow[cur_v]))
+    tail = t - int(tv[u])
+    verts.extend([u] * tail)
     follows.extend([None] * tail)
 
-    congestion = sum(tr.z_count(verts[r], r) for r in range(t))
-    expected = int(c[t][u])
+    rounds = max(t, 0)
+    congestion = int(_occupancy(tr)[np.arange(rounds), verts[:rounds]].sum())
+    expected = int(tr.c_table[t][u])
     if congestion != expected:
         raise TranscriptCorruptError(
             f"chain walk congestion {congestion} != C[{t}][{u}] = {expected}")
     return CanonicalWalk(verts, follows, congestion)
+
+
+def _check_chain_walks(tr: CouplingTranscript) -> None:
+    """``reconstruct_min_chain_walk(tr, u, t)`` for every u and every t from
+    t_u to the last round, in that order, in one pass: raises the fault of
+    the first failing (u, t) with the message that call would raise.
+
+    A chain's congestion is read off the cumulative occupancy table:
+    base[w], the congestion up to round t_w, is base[pred] plus the agents
+    met while staying on pred, and after t_w the walk stays on w.  Before
+    round 0 (a source recorded at t = -1) the walk has met nobody.
+    """
+    n, T = tr.graph.n, tr.visitx_rounds
+    tv, c = tr.t_visit, tr.c_table
+    pred, _, fault = _min_chains(tr)
+    zcum = np.zeros((len(tr.visits) + 1, n), dtype=np.int64)
+    np.cumsum(_occupancy(tr), axis=0, out=zcum[1:])
+    base = np.zeros(n, dtype=np.int64)
+    for r in range(1, T + 1):
+        ws = np.flatnonzero((tv == r) & (pred != -1))
+        p = pred[ws]
+        base[ws] = base[p] + zcum[r, p] - zcum[tv[p], p]
+    ts = np.arange(min(int(tv.min()), 0), T + 1)  # every step checked
+    since = zcum[np.maximum(ts, 0)] - zcum[np.maximum(tv, 0), np.arange(n)]
+    cong = np.where(ts[:, None] < 0, 0, base + since)
+    expected = c[ts]  # a negative step wraps, as C[t] does
+    bad = (ts[:, None] >= tv) & (cong != expected)
+    faulty = np.array([f is not None for f in fault]) & (tv <= T)
+    failing = np.flatnonzero(faulty | bad.any(axis=0))
+    if failing.size:
+        u = int(failing[0])
+        if fault[u] is not None:
+            raise TranscriptCorruptError(fault[u])
+        j = int(np.flatnonzero(bad[:, u])[0])
+        raise TranscriptCorruptError(
+            f"chain walk congestion {int(cong[j, u])} != "
+            f"C[{int(ts[j])}][{u}] = {int(expected[j, u])}")
 
 
 def max_congestion_dp(tr: CouplingTranscript, k: int) -> np.ndarray:
@@ -359,14 +475,12 @@ def max_congestion_dp(tr: CouplingTranscript, k: int) -> np.ndarray:
         raise InvalidParameterError(
             f"need 0 <= k <= recorded rounds {tr.visitx_rounds}, got {k}")
     n = tr.graph.n
+    z = _occupancy(tr)
     dp = np.full((k + 1, n), -1, dtype=np.int64)
     dp[0][tr.source] = 0
     for step in range(1, k + 1):
-        zprev = np.zeros(n, dtype=np.int64)
-        for u, agents in tr.visits[step - 1].items():
-            zprev[u] = len(agents)
         prev = dp[step - 1]
-        score = np.where(prev >= 0, prev + zprev, -1)
+        score = np.where(prev >= 0, prev + z[step - 1], -1)
         cur = dp[step]
         cur[:] = score  # staying put
         pos_now: dict = {}
@@ -429,44 +543,97 @@ def transcript_to_json(tr: CouplingTranscript) -> dict:
     return obj
 
 
+def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
+    """Raise unless every id of ``ids`` (a list, or a dict's keys) lies in
+    [low, high), with no upper end if ``high`` is None."""
+    if not ids or (min(ids) >= low and (high is None or max(ids) < high)):
+        return
+    bad = next(x for x in ids if x < low or (high is not None and x >= high))
+    span = f"[{low}, {high})" if high is not None else f">= {low}"
+    raise TranscriptCorruptError(f"{what} {bad} is not {span}")
+
+
+def _vector(what: str, values, length: int) -> np.ndarray:
+    """``values`` as an int64 array, which must have shape (length,)."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.shape != (length,):
+        raise TranscriptCorruptError(
+            f"{what} has shape {arr.shape}, expected ({length},)")
+    return arr
+
+
 def transcript_from_json(obj: dict) -> CouplingTranscript:
+    """Rebuild a transcript from its JSON object, rejecting anything
+    verification could not index safely: vertex ids outside [0, n) (the
+    source, visited vertices, S-sets), negative agent ids, informing rounds
+    outside [-1, rounds], and tables or round lists of the wrong length.
+    Recorded choices are not range-checked here: an out-of-range choice is
+    a push-replay violation.  Every fault raises TranscriptCorruptError.
+    """
+    if not isinstance(obj, dict):
+        raise TranscriptCorruptError("malformed transcript: not a JSON object")
     try:
         if obj.get("format") != TRANSCRIPT_FORMAT:
             raise TranscriptCorruptError(
                 f"unknown transcript format {obj.get('format')!r}")
-        graph = Graph.from_edges(obj["graph"]["n"], obj["graph"]["edges"],
-                                 obj["graph"].get("family"))
+        n, edges = int(obj["graph"]["n"]), obj["graph"]["edges"]
+        if n > len(edges) + 1:  # checked before any array of size n exists
+            raise TranscriptCorruptError(
+                f"{len(edges)} edges cannot connect {n} vertices")
+        graph = Graph.from_edges(n, edges, obj["graph"].get("family"))
+        rounds = int(obj["visitx"]["rounds"])
+        _check_ids("walk round count", [rounds], 0)
+        visits = [{int(u): [int(g) for g in agents] for u, agents in rnd}
+                  for rnd in obj["visits"]]
+        if len(visits) != rounds + 1:
+            raise TranscriptCorruptError(
+                f"{len(visits)} rounds of visits recorded for "
+                f"{rounds} walk rounds")
+        for round_map in visits:
+            _check_ids("visited vertex", round_map, 0, n)
+            _check_ids("agent id", list(itertools.chain.from_iterable(
+                round_map.values())), 0)
+        agent_count = int(obj["agent_count"])
+        _check_ids("agent count", [agent_count], 0)
+        additions = [(int(r), int(u), int(g))
+                     for r, u, g in obj.get("additions", [])]
+        t_visit = _vector("visitx.t", obj["visitx"]["t"], n)
+        _check_ids("informing round", t_visit.tolist(), -1, rounds + 1)
         tr = CouplingTranscript(
             graph=graph,
             source=int(obj["source"]),
             mode=obj["mode"],
             seed=int(obj["seed"]),
-            agent_count=int(obj["agent_count"]),
+            agent_count=agent_count,
             placement=obj["placement"],
             round_cap=int(obj["round_cap"]),
             min_rounds=int(obj["min_rounds"]),
-            visitx_rounds=int(obj["visitx"]["rounds"]),
+            visitx_rounds=rounds,
             visitx_complete=bool(obj["visitx"]["complete"]),
             push_rounds=int(obj["push"]["rounds"]),
             push_complete=bool(obj["push"]["complete"]),
-            t_visit=np.asarray(obj["visitx"]["t"], dtype=np.int64),
-            tau_push=np.asarray(obj["push"]["tau"], dtype=np.int64),
-            agent_informed_at=np.asarray(obj["visitx"]["agent_informed_at"],
-                                         dtype=np.int64),
-            visits=[{int(u): [int(g) for g in agents] for u, agents in rnd}
-                    for rnd in obj["visits"]],
+            t_visit=t_visit,
+            tau_push=_vector("push.tau", obj["push"]["tau"], n),
+            agent_informed_at=_vector(
+                "visitx.agent_informed_at", obj["visitx"]["agent_informed_at"],
+                agent_count + len(additions)),
+            visits=visits,
             choices={int(u): [int(w) for w in ws] for u, ws in obj["choices"]},
             walk_consumed={int(u): int(cnt)
                            for u, cnt in obj["walk_consumed"]},
-            additions=[tuple(a) for a in obj.get("additions", [])],
+            additions=additions,
             floor=obj.get("floor"),
         )
+        _check_ids("source", [tr.source], 0, n)
         if "s_sets" in obj:
             tr.s_sets = {int(u): [int(v) for v in vs] for u, vs in obj["s_sets"]}
+            _check_ids("S-set vertex", tr.s_sets, 0, n)
+            _check_ids("S-set member", list(itertools.chain.from_iterable(
+                tr.s_sets.values())), 0, n)
         if "c_table" in obj:
             tr.c_table = np.asarray(obj["c_table"], dtype=np.int64)
         return tr
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TranscriptCorruptError(f"malformed transcript: {exc}") from exc
 
 
@@ -503,20 +670,44 @@ def _resimulate_informing(tr: CouplingTranscript):
 
 
 def _replay_push(tr: CouplingTranscript):
-    """Re-run the push replay from the recorded oracle choices."""
-    def recorded(u: int, i: int) -> int:
-        got = tr.choices.get(u, [])
-        if i > len(got):
-            raise TranscriptCorruptError(
-                f"push replay needs choice {i} of vertex {u}, "
-                f"only {len(got)} recorded")
-        w = got[i - 1]
-        if w not in tr.graph.neighbors(u):
-            raise TranscriptCorruptError(
-                f"recorded choice {w} is not a neighbor of {u}")
-        return w
+    """Re-run the push replay from the recorded oracle choices.
 
-    tau_hat, _, complete = _push_replay(tr.graph.n, tr.source, recorded,
+    The recorded lists are packed into one flat table (row u at offset[u]);
+    an entry outside [0, n) is stored as -1 before any edge key is formed
+    from it, since numpy would wrap a negative id.  Each round's lookup
+    raises the violation of its first failing query, in replay order: a
+    missing entry, or one that is not a neighbor.
+    """
+    n = tr.graph.n
+    rows = [tr.choices.get(u, []) for u in range(n)]
+    length = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    offset = np.cumsum(length) - length
+    flat = np.array([w if 0 <= w < n else -1 for ws in rows for w in ws]
+                    + [-1], dtype=np.int64)  # trailing -1: the missing entry
+    g = tr.graph
+    edge_keys = np.repeat(np.arange(n, dtype=np.int64), g.degrees) * n \
+        + g.indices  # sorted, since CSR rows and neighbors are
+    missing = flat.shape[0] - 1
+
+    def recorded(us: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        have = idx <= length[us]
+        ws = flat[np.where(have, offset[us] + idx - 1, missing)]
+        keys = us * n + ws
+        at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.shape[0] - 1)
+        bad = (ws < 0) | (edge_keys[at] != keys)
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            u, i = int(us[j]), int(idx[j])
+            got = rows[u]
+            if i > len(got):
+                raise TranscriptCorruptError(
+                    f"push replay needs choice {i} of vertex {u}, "
+                    f"only {len(got)} recorded")
+            raise TranscriptCorruptError(
+                f"recorded choice {got[i - 1]} is not a neighbor of {u}")
+        return ws
+
+    tau_hat, _, complete = _push_replay(n, tr.source, recorded,
                                         tr.push_rounds)
     return tau_hat, complete
 
@@ -631,13 +822,8 @@ def verify_transcript(tr: CouplingTranscript) -> VerifyReport:
                 raise TranscriptCorruptError(
                     f"vertex {u}: push round {tau_u} exceeds counter {bound}")
 
-        def chain_walks():
-            for u in range(tr.graph.n):
-                for step in range(int(tr.t_visit[u]), tr.visitx_rounds + 1):
-                    reconstruct_min_chain_walk(tr, u, step)
-
         run_check("counter-bound", counter_bound)
-        run_check("chain-walks", chain_walks)
+        run_check("chain-walks", lambda: _check_chain_walks(tr))
 
     return VerifyReport(ok=not violations, incomplete=incomplete,
                         checks=checks, violations=violations)

@@ -67,43 +67,103 @@ class ChoiceOracle:
     """Lazily materialized table of uniform neighbor choices.
 
     ``choice(u, i)`` is the i-th (1-indexed) uniform draw from the neighbors
-    of u.  Each entry is generated at most once and afterwards returned
-    verbatim, and the value depends only on (oracle seed, u, i) — never on
-    the order in which different vertices are queried — because every vertex
-    owns its own derived sub-stream.  Coupled runs share one oracle between
-    the walk process and the push replay.
+    of u, and ``take(us, idx)`` looks up many (vertex, index) pairs at once.
+    Each entry is generated at most once and afterwards returned verbatim,
+    and the value depends only on (oracle seed, u, i) — never on the order
+    in which different vertices are queried — because every vertex owns its
+    own derived PCG64 sub-stream.  Coupled runs share one oracle between the
+    walk process and the push replay.
+
+    Entries live in one flat ``int64`` buffer, each vertex's row contiguous.
+    A row is refilled in blocks, at least doubling it, by one
+    ``integers(0, deg, size=k)`` call on the vertex's stream, which gives
+    the same values, and leaves the stream in the same state, as k scalar
+    draws; a refilled row moves to the end of the buffer.  A degree-1 vertex
+    draws nothing (a bounded draw of range 0 consumes no randomness) and its
+    row repeats its lone neighbor.  Drawing ahead is invisible:
+    :meth:`materialized` and :meth:`materialized_counts` report exactly the
+    prefix up to the highest index requested so far.
     """
+
+    _BLOCK = 32  # smallest refill, in entries
 
     def __init__(self, graph: Graph, seed: int):
         self.graph = graph
         self.seed = int(seed)
-        self._choices: dict[int, list] = {}
+        n = graph.n
+        self._buf = np.empty(0, dtype=np.int64)
+        self._used = 0                                # buffer entries in use
+        self._row = np.zeros(n, dtype=np.int64)       # row start in _buf
+        self._drawn = np.zeros(n, dtype=np.int64)     # entries drawn per row
+        self._requested = np.zeros(n, dtype=np.int64)  # highest index asked
         self._gens: dict[int, np.random.Generator] = {}
 
     def choice(self, u: int, i: int) -> int:
-        if i < 1:
-            raise InvalidParameterError(f"choice index is 1-based, got {i}")
-        deg = self.graph.degree(u)
-        if deg < 1:
-            raise InvalidParameterError(f"vertex {u} has no neighbors")
-        got = self._choices.setdefault(u, [])
-        if len(got) < i:
+        return int(self.take([u], [i])[0])
+
+    def take(self, us: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Entries ``choice(us[j], idx[j])`` for every j, as an array."""
+        us = np.asarray(us, dtype=np.int64)
+        idx = np.asarray(idx, dtype=np.int64)
+        if us.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if us.min() < 0 or us.max() >= self.graph.n:
+            raise InvalidParameterError(
+                f"vertex ids must be in [0, {self.graph.n})")
+        low = idx < 1
+        if low.any():
+            raise InvalidParameterError(
+                f"choice index is 1-based, got {idx[low][0]}")
+        isolated = self.graph.degrees[us] < 1
+        if isolated.any():
+            raise InvalidParameterError(
+                f"vertex {us[isolated][0]} has no neighbors")
+        short = idx > self._drawn[us]
+        if short.any():
+            need = np.zeros(self.graph.n, dtype=np.int64)
+            np.maximum.at(need, us[short], idx[short])
+            for u in np.flatnonzero(need).tolist():
+                self._refill(u, int(need[u]))
+        np.maximum.at(self._requested, us, idx)
+        return self._buf[self._row[us] + idx - 1]
+
+    def _refill(self, u: int, need: int) -> None:
+        """Grow row u to at least ``need`` entries, moving it to the end."""
+        old = int(self._drawn[u])
+        size = max(need, 2 * old, self._BLOCK)
+        a, b = int(self.graph.indptr[u]), int(self.graph.indptr[u + 1])
+        nbrs = self.graph.indices
+        if b - a == 1:
+            fresh = np.full(size - old, nbrs[a], dtype=np.int64)
+        else:
             gen = self._gens.get(u)
             if gen is None:
                 gen = np.random.Generator(
                     np.random.PCG64(derive_seed(self.seed, "vertex", u)))
                 self._gens[u] = gen
-            nbrs = self.graph.neighbors(u)
-            while len(got) < i:
-                got.append(int(nbrs[gen.integers(0, deg)]))
-        return got[i - 1]
+            fresh = nbrs[a + gen.integers(0, b - a, size=size - old)]
+        start = self._used
+        if start + size > self._buf.size:
+            grown = np.empty(max(2 * self._buf.size, start + size),
+                             dtype=np.int64)
+            grown[:start] = self._buf[:start]
+            self._buf = grown
+        src = int(self._row[u])
+        self._buf[start:start + old] = self._buf[src:src + old]
+        self._buf[start + old:start + size] = fresh
+        self._row[u] = start
+        self._drawn[u] = size
+        self._used = start + size
 
     def materialized(self, u: int) -> tuple:
-        """All choices generated so far for vertex u."""
-        return tuple(self._choices.get(u, ()))
+        """The choices requested so far for vertex u: entries 1..max index."""
+        start = int(self._row[u])
+        return tuple(self._buf[start:start + self._requested[u]].tolist())
 
     def materialized_counts(self) -> dict:
-        return {u: len(lst) for u, lst in self._choices.items() if lst}
+        """Highest index requested, for every vertex with one."""
+        return {u: int(self._requested[u])
+                for u in np.flatnonzero(self._requested).tolist()}
 
 
 def place_stationary(graph: Graph, gen: np.random.Generator,

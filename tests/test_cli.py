@@ -245,6 +245,29 @@ class TestCoupleVerify:
             assert isinstance(v, str)
             assert v.split(":", 1)[0] in payload["checks"]
 
+    @pytest.mark.parametrize("edit", ["visited vertex 64", "visited vertex -1",
+                                      "s-set member 999", "source 999",
+                                      "t 10**6"])
+    def test_verify_out_of_range_exits_three(self, tmp_path, capsys, edit):
+        out = tmp_path / "r64.json"
+        code = main(["couple", "--family", "regular", "--size", "64",
+                     "--d", "4", "--seed", "8", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        obj = json.loads(out.read_text())
+        if edit.startswith("visited vertex"):
+            obj["visits"][1][0][0] = int(edit.split()[-1])
+        elif edit == "s-set member 999":
+            next(vs for _u, vs in obj["s_sets"] if vs)[0] = 999
+        elif edit == "source 999":
+            obj["source"] = 999
+        else:
+            obj["visitx"]["t"][3] = 10 ** 6
+        out.write_text(json.dumps(obj))
+        code, payload, err = run_cli(capsys, "verify", "--transcript", str(out))
+        assert code == 3 and payload is None
+        assert "transcript corrupt" in err
+
     def test_verify_unparseable_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"
         bad.write_text("{nope")

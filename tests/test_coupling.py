@@ -1,11 +1,15 @@
 """Coupled runs, counter recursion, chain-walk congestion, the DP oracle,
-and transcript serialization/verification."""
+and transcript serialization/verification: range checks on load, a fuzz of
+the JSON boundary, and golden verify reports."""
 import copy
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rumorwalks as rw
 from rumorwalks import AgentConfig, InvalidParameterError, TranscriptCorruptError
@@ -298,3 +302,267 @@ class TestTranscriptJson:
         back = rw.transcript_from_json(obj)
         ok, violation = rw.verify_tau_leq_c(back)
         assert not ok and violation[0] == u
+
+
+def _regular64_json():
+    g = rw.generate_random_regular(64, 4, seed=7)
+    tr = rw.run_coupled_even(g, 0, AgentConfig(count=64), SimRng(52))
+    assert tr.complete and rw.verify_transcript(tr).ok
+    return json.loads(rw.transcript_dumps(tr))
+
+
+def _first_nonempty_s_set(obj):
+    return next(vs for _u, vs in obj["s_sets"] if vs)
+
+
+# each edit puts one id, round or length out of range in a valid transcript
+OUT_OF_RANGE = {
+    "visited vertex n": lambda o: o["visits"][1][0].__setitem__(0, 64),
+    "visited vertex -1": lambda o: o["visits"][1][0].__setitem__(0, -1),
+    "agent id -1": lambda o: o["visits"][2][0][1].__setitem__(0, -1),
+    "source 999": lambda o: o.__setitem__("source", 999),
+    "source -1": lambda o: o.__setitem__("source", -1),
+    "t 10**6": lambda o: o["visitx"]["t"].__setitem__(3, 10 ** 6),
+    "t -2": lambda o: o["visitx"]["t"].__setitem__(3, -2),
+    "t rounds+1": lambda o: o["visitx"]["t"].__setitem__(
+        3, o["visitx"]["rounds"] + 1),
+    "t too short": lambda o: o["visitx"]["t"].pop(),
+    "tau too long": lambda o: o["push"]["tau"].append(1),
+    "agent_informed_at too short": lambda o: o["visitx"][
+        "agent_informed_at"].pop(),
+    "s-set member 999": lambda o: _first_nonempty_s_set(o).__setitem__(0, 999),
+    "s-set vertex 64": lambda o: o["s_sets"][3].__setitem__(0, 64),
+    "visits too short": lambda o: o["visits"].pop(),
+    "huge walk rounds": lambda o: o["visitx"].__setitem__("rounds", 10 ** 18),
+    "huge agent count": lambda o: o.__setitem__("agent_count", 10 ** 18),
+    "huge n": lambda o: o["graph"].__setitem__("n", 10 ** 12),
+    "huge c-table cell": lambda o: o["c_table"][1].__setitem__(0, 2 ** 70),
+    "short addition": lambda o: o.__setitem__("additions", [[1, 2]]),
+}
+
+
+class TestTranscriptRanges:
+    """Out-of-range ids and rounds are load errors, never tracebacks."""
+
+    @pytest.mark.parametrize("edit", sorted(OUT_OF_RANGE))
+    def test_rejected_on_load(self, edit):
+        obj = _regular64_json()
+        OUT_OF_RANGE[edit](obj)
+        with pytest.raises(TranscriptCorruptError):
+            rw.transcript_from_json(obj)
+
+    @pytest.mark.parametrize("value", [-1, 64, 999, 2 ** 70])
+    def test_out_of_range_choice_is_a_replay_violation(self, value):
+        obj = _regular64_json()
+        u, ws = obj["choices"][0]
+        ws[0] = value
+        report = rw.verify_transcript(rw.transcript_from_json(obj))
+        assert not report.checks["push-replay"]
+        assert f"push-replay: recorded choice {value} is not a neighbor " \
+               f"of {u}" in report.violations
+
+    def test_not_an_object(self):
+        with pytest.raises(TranscriptCorruptError):
+            rw.transcript_from_json([1, 2, 3])
+
+
+# -- fuzzing the untrusted-input boundary ------------------------------------
+
+def _fuzz_bases():
+    runs = [rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                                SimRng(3)),
+            rw.run_coupled_odd(rw.generate_star(5), 0, AgentConfig(6),
+                               SimRng(4)),
+            rw.run_coupled_odd(rw.generate_cycle(6), 0, AgentConfig(6),
+                               SimRng(3), min_rounds=6, enable_r_floor=True),
+            rw.run_coupled_even(rw.generate_cycle(12), 0, AgentConfig(1),
+                                SimRng(2), round_cap=3)]
+    return [rw.transcript_dumps(tr) for tr in runs]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 70),
+    st.sampled_from([10 ** 6, 2 ** 31, 2 ** 63 - 1, 2 ** 63, 2 ** 70,
+                     -2 ** 63 - 1, -10 ** 30]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3), st.none(), st.booleans(),
+    st.lists(st.integers(-2, 66), max_size=3),
+    st.lists(st.lists(st.integers(-2, 66), max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2))
+
+
+@st.composite
+def _mutated_transcript(draw):
+    """A transcript's JSON with one field replaced, removed or resized."""
+    obj = json.loads(draw(st.sampled_from(FUZZ_BASES)))
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and draw(st.booleans()):
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(list(keys)))
+        node = parent[key]
+    action = draw(st.sampled_from(["replace", "remove", "grow"]))
+    if action == "remove":
+        parent.pop(key)
+    elif action == "grow" and isinstance(parent, list):
+        parent.insert(key, draw(FUZZ_VALUES))
+    else:
+        parent[key] = draw(FUZZ_VALUES)
+    return obj
+
+
+class TestFuzzTranscripts:
+    @given(obj=_mutated_transcript())
+    @settings(max_examples=400, deadline=None)
+    def test_report_or_corrupt_error(self, obj):
+        try:
+            tr = rw.transcript_from_json(obj)
+        except TranscriptCorruptError:
+            return
+        try:
+            report = rw.verify_transcript(tr)
+        except TranscriptCorruptError:
+            return
+        assert isinstance(report, rw.VerifyReport)
+        assert report.ok == (not report.violations)
+
+
+# -- golden verify reports -----------------------------------------------------
+
+def _golden_bases():
+    """Even, odd and odd+floor transcripts, complete and not."""
+    even = [(rw.generate_complete(2), 0, 2), (rw.generate_cycle(8), 3, 8),
+            (rw.generate_star(16), 0, 17), (rw.generate_star(16), 9, 17),
+            (rw.generate_heavy_binary_tree(15), 14, 15),
+            (rw.generate_double_star(8), 0, 8),
+            (rw.generate_random_regular(32, 4, seed=9), 5, 32)]
+    for k, (g, source, count) in enumerate(even):
+        for s in range(2):
+            yield rw.run_coupled_even(g, source, AgentConfig(count),
+                                      SimRng(6007 * k + s))
+    for k, g in enumerate([rw.generate_cycle(8), rw.generate_star(6),
+                           rw.generate_random_regular(16, 4, seed=5)]):
+        for s in range(2):
+            yield rw.run_coupled_odd(g, 0, AgentConfig(g.n),
+                                     SimRng(7001 * k + s))
+    for k, g in enumerate([rw.generate_cycle(6),
+                           rw.generate_random_regular(16, 4, seed=5)]):
+        yield rw.run_coupled_odd(g, 0, AgentConfig(g.n // 2), SimRng(31 + k),
+                                 min_rounds=6, enable_r_floor=True)
+    yield rw.run_coupled_even(rw.generate_cycle(12), 0, AgentConfig(1),
+                              SimRng(2), round_cap=3)
+
+
+def _golden_mutations(obj):
+    """(label, mutated copy) pairs: one fault each, all in range."""
+    n, T = obj["graph"]["n"], obj["visitx"]["rounds"]
+    src, t = obj["source"], obj["visitx"]["t"]
+    late = max(range(n), key=lambda u: (t[u], u))
+    mid = next((u for u in range(n) if u != src and 0 < t[u] < T), None)
+    busiest = max(range(len(obj["choices"])),
+                  key=lambda j: len(obj["choices"][j][1]))
+
+    def edit(label, fn, drop_tables=False):
+        o = copy.deepcopy(obj)
+        if drop_tables:
+            o.pop("s_sets", None)
+            o.pop("c_table", None)
+        fn(o)
+        return label, o
+
+    def swap(o):
+        ws = o["choices"][busiest][1]
+        ws[0], ws[-1] = ws[-1], ws[0]
+
+    def set_choice(value):
+        def fn(o):
+            o["choices"][busiest][1][len(o["choices"][busiest][1]) // 2] = value
+        return fn
+
+    def drop_agent(o):
+        r = 1 + (T - 1) // 2
+        next(ags for _u, ags in o["visits"][r] if ags).pop()
+
+    def move_agent(o):
+        r = 1 + (T - 1) // 2
+        entry = next(e for e in o["visits"][r] if e[1])
+        g = entry[1].pop()
+        other = next((e for e in o["visits"][r] if e is not entry), None)
+        if other is None:
+            o["visits"][r].append([(entry[0] + 1) % n, [g]])
+            o["visits"][r].sort()
+        else:
+            other[1].append(g)
+            other[1].sort()
+
+    def plant_tau(o):
+        o["push"]["tau"][late] = o["c_table"][t[late]][late] + 1
+
+    def source_at(value, other=None):
+        def fn(o):
+            o["visitx"]["t"][src] = value
+            if other is not None:
+                o["visitx"]["t"][other] = 0
+        return fn
+
+    out = [edit("clean", lambda o: None),
+           edit("swapped choice", swap),
+           edit("non-neighbor choice", set_choice(src if n > 2 else 0)),
+           edit("choice -1", set_choice(-1)),
+           edit("choice n", set_choice(n)),
+           edit("truncated choices", lambda o: o["choices"][busiest][1].__delitem__(
+               slice(len(o["choices"][busiest][1]) // 2, None))),
+           edit("dropped agent", drop_agent),
+           edit("moved agent", move_agent),
+           edit("moved agent, no tables", move_agent, True)]
+    if "c_table" in obj:
+        out += [edit("shifted C cell", lambda o: o["c_table"][T].__setitem__(
+                    late, o["c_table"][T][late] + 1)),
+                edit("tau > C", plant_tau)]
+    if mid is not None:
+        out += [edit("bumped t", lambda o: o["visitx"]["t"].__setitem__(
+                    mid, t[mid] + 1)),
+                edit("bumped t, no tables", lambda o: o["visitx"]["t"].__setitem__(
+                    mid, t[mid] + 1), True),
+                edit("t = 0, no tables", lambda o: o["visitx"]["t"].__setitem__(
+                    mid, 0), True)]
+    nbr = min(v for a, b in obj["graph"]["edges"] for u, v in ((a, b), (b, a))
+              if u == src)
+    out += [edit("source t = -1, neighbor t = 0", source_at(-1, nbr), True),
+            edit("source t = -1", source_at(-1), True)]
+    return out
+
+
+def _report_digest():
+    h = hashlib.sha256()
+    cases = 0
+    for tr in _golden_bases():
+        obj = json.loads(rw.transcript_dumps(tr))
+        for label, mutated in _golden_mutations(obj):
+            rep = rw.verify_transcript(rw.transcript_from_json(mutated))
+            h.update(repr((label, rep.ok, rep.incomplete,
+                           list(rep.checks.items()),
+                           rep.violations)).encode())
+            cases += 1
+    return h.hexdigest(), cases
+
+
+class TestGoldenVerifyReports:
+    """Every check of the verifier, pinned by the reports it gives on
+    mutated transcripts: the first failing (u, t) of the chain-walk check,
+    the order of push-replay's two messages, and which checks run."""
+
+    def test_reports_match_recorded_digest(self):
+        digest, cases = _report_digest()
+        assert cases == GOLDEN_VERIFY_CASES
+        assert digest == GOLDEN_VERIFY_DIGEST
+
+
+# recorded from the scalar verifier that preceded the one-pass chain check
+GOLDEN_VERIFY_CASES = 357
+GOLDEN_VERIFY_DIGEST = \
+    "3e0645384c967617090995747a45c6221feec6dcda75d8e969dccd287773d03f"

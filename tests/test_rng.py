@@ -101,6 +101,88 @@ class TestChoiceOracle:
         assert len(oracle.materialized(1)) == 4
 
 
+def _scalar_entries(graph, seed, u, count):
+    """Reference: entries 1..count of vertex u drawn one at a time."""
+    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, "vertex", u)))
+    nbrs = graph.neighbors(u)
+    return [int(nbrs[gen.integers(0, graph.degree(u))]) for _ in range(count)]
+
+
+class TestChoiceOracleContract:
+    """The block-refilled table against one-at-a-time scalar draws."""
+
+    def test_take_matches_choice(self):
+        g = rw.generate_double_star(8)
+        rng = np.random.Generator(np.random.PCG64(4))
+        us = rng.integers(0, g.n, size=300)
+        idx = rng.integers(1, 90, size=300)
+        a = ChoiceOracle(g, seed=17)
+        b = ChoiceOracle(g, seed=17)
+        got = a.take(us, idx)
+        assert got.dtype == np.int64
+        assert got.tolist() == [b.choice(int(u), int(i))
+                                for u, i in zip(us, idx)]
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
+    def test_entries_equal_scalar_draws(self, order):
+        # rows cross several block boundaries (32, 64, 128, ...), in any
+        # query order, and vertices are queried interleaved
+        g = rw.generate_cycle_stars_cliques(3)
+        seed = 29
+        count = 300
+        queries = [(u, i) for u in (0, 5, 20) for i in range(1, count + 1)]
+        if order == "reverse":
+            queries.reverse()
+        elif order == "shuffled":
+            perm = np.random.Generator(np.random.PCG64(1)).permutation(
+                len(queries))
+            queries = [queries[j] for j in perm]
+        oracle = ChoiceOracle(g, seed=seed)
+        got: dict = {}
+        for j in range(0, len(queries), 37):
+            chunk = queries[j:j + 37]
+            vals = oracle.take([u for u, _ in chunk], [i for _, i in chunk])
+            for (u, i), w in zip(chunk, vals.tolist()):
+                got[u, i] = w
+        for u in (0, 5, 20):
+            assert [got[u, i] for i in range(1, count + 1)] == \
+                _scalar_entries(g, seed, u, count)
+
+    def test_degree_one_draws_nothing(self):
+        g = rw.generate_star(5)
+        oracle = ChoiceOracle(g, seed=3)
+        assert oracle.take([2, 3, 2], [1, 70, 200]).tolist() == [0, 0, 0]
+        assert oracle._gens == {}  # no leaf ever built a stream
+        oracle.choice(0, 1)
+        assert list(oracle._gens) == [0]
+
+    def test_materialized_shows_requested_prefix_only(self):
+        g = rw.generate_complete(5)
+        oracle = ChoiceOracle(g, seed=6)
+        oracle.take([1, 1, 3], [2, 5, 1])
+        # whole blocks were drawn, but only the requested prefix shows
+        assert oracle.materialized_counts() == {1: 5, 3: 1}
+        assert oracle.materialized(1) == tuple(_scalar_entries(g, 6, 1, 5))
+        assert oracle.materialized(3) == tuple(_scalar_entries(g, 6, 3, 1))
+        assert oracle.materialized(0) == ()
+        oracle.choice(1, 3)  # a lower index does not shrink the prefix
+        assert oracle.materialized_counts()[1] == 5
+        oracle.choice(1, 40)  # past the first block
+        assert oracle.materialized(1) == tuple(_scalar_entries(g, 6, 1, 40))
+
+    def test_rejections(self):
+        k1 = ChoiceOracle(rw.Graph.from_edges(1, []), seed=1)
+        with pytest.raises(rw.InvalidParameterError):
+            k1.choice(0, 1)  # degree 0
+        oracle = ChoiceOracle(rw.generate_complete(2), seed=1)
+        for u, i in [(0, 0), (1, -3), (2, 1), (-1, 1)]:
+            with pytest.raises(rw.InvalidParameterError):
+                oracle.choice(u, i)
+        with pytest.raises(rw.InvalidParameterError):
+            oracle.take([0, 1], [1, 0])
+        assert oracle.materialized_counts() == {}
+
+
 class TestStationarySampling:
     def test_k2_half(self):
         g = rw.generate_complete(2)
