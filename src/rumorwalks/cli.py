@@ -141,7 +141,8 @@ def _cmd_sweep(args) -> int:
         Path(args.csv).write_text(csv_text, encoding="utf-8")
         log.info("wrote %s", args.csv)
     summary = [{"n": r.n, "protocol": r.protocol, "trials": r.trials,
-                "incomplete": r.incomplete, "mean": r.mean, "median": r.median}
+                "incomplete": r.incomplete, "capped": r.capped,
+                "gen_failed": r.gen_failed, "mean": r.mean, "median": r.median}
                for r in result.rows]
     _emit({"family": cfg.family, "seed": cfg.seed, "rows": summary,
            "csv": args.csv})

@@ -253,7 +253,7 @@ def _run_trial(cfg: ExperimentConfig, size: int, trial: int):
     and run every protocol of the config on it, each from its own seed.
 
     Returns ``(vertex_count, times)`` with one broadcast time (None when
-    incomplete) per protocol; a failed generation gives a None count.
+    capped) per protocol; a failed generation gives a None count.
     """
     try:
         graph = _trial_graph(cfg, size, trial)
@@ -301,8 +301,8 @@ class TrialRow:
 
     ``values`` keeps the per-trial broadcast times of completed trials in
     trial order so downstream bootstrap resampling can reuse them.
-    Incomplete trials (round cap, generation failure) are counted but do not
-    enter the moments.
+    Incomplete trials, ``capped`` at the round cap plus ``gen_failed``
+    (graph generation failed), are counted but do not enter the moments.
     """
     family: str
     n: int
@@ -312,6 +312,8 @@ class TrialRow:
     lazy: bool
     trials: int
     incomplete: int
+    capped: int
+    gen_failed: int
     values: tuple
     seed: int
     mean: float | None
@@ -323,7 +325,7 @@ class TrialRow:
 
 
 def _make_row(cfg: ExperimentConfig, n: int, size: int, protocol: str,
-              values: list, incomplete: int) -> TrialRow:
+              values: list, capped: int, gen_failed: int) -> TrialRow:
     arr = np.asarray(values, dtype=np.float64)
     stats = {k: None for k in ("mean", "median", "q05", "q95", "min", "max")}
     if arr.size:
@@ -337,7 +339,8 @@ def _make_row(cfg: ExperimentConfig, n: int, size: int, protocol: str,
         }
     return TrialRow(family=cfg.family, n=n, size=size, protocol=protocol,
                     alpha=cfg.alpha, lazy=cfg.lazy, trials=cfg.trials,
-                    incomplete=incomplete, values=tuple(values),
+                    incomplete=capped + gen_failed, capped=capped,
+                    gen_failed=gen_failed, values=tuple(values),
                     seed=cfg.seed, **stats)
 
 
@@ -362,6 +365,7 @@ def run_trials(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     for size, outcomes in _sweep_outcomes(config):
         built = [n for n, _ in outcomes if n is not None]
+        failed = len(outcomes) - len(built)
         if not built:
             raise GenerationFailureError(
                 f"all {config.trials} generations failed for "
@@ -370,7 +374,7 @@ def run_trials(config: ExperimentConfig) -> ExperimentResult:
             values = [int(times[j]) for _, times in outcomes
                       if times[j] is not None]
             rows.append(_make_row(config, built[-1], size, protocol, values,
-                                  len(outcomes) - len(values)))
+                                  len(built) - len(values), failed))
     return ExperimentResult(config=config, rows=rows)
 
 
@@ -408,12 +412,14 @@ class RatioPoint:
     ci_high: float
 
 
-def _bootstrap(gen, values: np.ndarray, resamples: int, stat) -> np.ndarray:
-    out = np.empty(resamples)
+def _bootstrap(gen, values: np.ndarray, resamples: int) -> np.ndarray:
+    """Medians of ``resamples`` resamples of ``values``, drawn as that many
+    ``gen.integers(0, k, size=k)`` calls would draw them."""
     k = values.shape[0]
-    for i in range(resamples):
-        out[i] = stat(values[gen.integers(0, k, size=k)])
-    return out
+    rows = max(1, 2 ** 20 // k)  # resamples per call, bounding memory
+    return np.concatenate([np.median(values[gen.integers(
+        0, k, size=(min(rows, resamples - i), k))], axis=1)
+        for i in range(0, resamples, rows)])
 
 
 def sweep_ratio(result, protocol_a: str, protocol_b: str,
@@ -444,9 +450,8 @@ def sweep_ratio(result, protocol_a: str, protocol_b: str,
             # the ratio of a sample to itself is identically one
             samples = np.ones(resamples)
         else:
-            med_a = _bootstrap(gen, va, resamples, np.median)
-            med_b = _bootstrap(gen, vb, resamples, np.median)
-            samples = med_a / med_b
+            samples = (_bootstrap(gen, va, resamples)
+                       / _bootstrap(gen, vb, resamples))
         points.append(RatioPoint(size=size, n=ra.n, ratio=ratio,
                                  ci_low=float(np.quantile(samples, 0.025)),
                                  ci_high=float(np.quantile(samples, 0.975))))

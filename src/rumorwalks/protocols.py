@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .graphs import Graph
-from .rng import SimRng, place_stationary
+from .rng import SimRng, bounded_ahead, place_stationary
 
 __all__ = [
     "AgentConfig",
@@ -200,7 +200,10 @@ def run_push(graph: Graph, source: int, rng: SimRng,
              round_cap: int | None = None) -> BroadcastResult:
     """Push rumor spreading from ``source``.
 
-    A vertex informed at round t starts sampling at round t + 1.
+    A vertex informed at round t starts sampling at round t + 1.  Rounds
+    that add no sampling vertex, as on a star, run in blocks from draws read
+    ahead (:func:`bounded_ahead`), which leave the ``push`` stream where
+    rounds run one by one would leave it.
     """
     source, cap = _check_run(graph, source, round_cap)
     n = graph.n
@@ -209,33 +212,51 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     informed_at = np.full(n, -1, dtype=np.int64)
     informed_at[source] = 0
     # the row starts and degrees of the informed vertices of degree > 1, in
-    # the order they were informed; a degree-1 vertex draws nothing, and it
-    # informs its lone neighbor the round after it is informed, or never
+    # informed order; a degree-1 vertex draws nothing, and its push informs
+    # nothing unless it is the source (its lone neighbor informed it)
     starts, degs = indptr[[source]], degrees[[source]]
     forced = starts[:0]
     if degs[0] == 1:
         starts, degs, forced = forced, forced, graph.indices[starts]
     leafy = graph.distinct_degrees[0] == 1
     count, t = 1, 0
+    # calm counts rounds in a row that added no drawing row; from 4 on, a
+    # block takes that many rounds again (so blocks double), at most 2**16
+    # draws, kept up to the first round that adds a row or informs the last
+    calm = 0
     while count < n and t < cap:
-        t += 1
-        targets = _draw_neighbors(graph, gen, starts, degs)
-        if forced.size:
-            targets = np.concatenate([targets, forced])
-        fresh = targets[informed_at[targets] == -1]
-        if fresh.size > 1:
-            fresh = np.unique(fresh)
-        forced = fresh[:0]
-        if fresh.size:
+        k = starts.shape[0]
+        rounds = min(calm, 2 ** 16 // k, cap - t) if calm >= 4 else 0
+        if rounds > 1 and (degs == degs[0]).all():
+            draws, leave = bounded_ahead(gen, int(degs[0]), rounds * k)
+            targets = graph.indices[np.tile(starts, rounds) + draws]
+            new = np.flatnonzero(informed_at[targets] == -1)
+            fresh, first = np.unique(targets[new], return_index=True)
+            when = new[first] // k  # the block round informing each
+            last = int(when[degrees[fresh] > 1].min(initial=rounds - 1))
+            if count + fresh.size >= n:
+                last = min(last, int(np.sort(when)[n - count - 1]))
+            informed_at[fresh] = np.where(when <= last, t + 1 + when, -1)
+            count += int(np.count_nonzero(when <= last))
+            leave((last + 1) * k)
+            t, calm = t + last + 1, calm + last
+            fresh = fresh[when == last]
+        else:
+            t += 1
+            targets = _draw_neighbors(graph, gen, starts, degs)
+            if forced.size:
+                targets, forced = np.concatenate([targets, forced]), forced[:0]
+            fresh = targets[informed_at[targets] == -1]
+            if fresh.size > 1:
+                fresh = np.unique(fresh)
             informed_at[fresh] = t
             count += fresh.size
-            fdeg = degrees[fresh]
-            if leafy:
-                lone = fdeg == 1
-                forced = graph.indices[indptr[fresh[lone]]]
-                fresh, fdeg = fresh[~lone], fdeg[~lone]
+        if leafy:
+            fresh = fresh[degrees[fresh] > 1]
+        if fresh.size:
             starts = np.concatenate([starts, indptr[fresh]])
-            degs = np.concatenate([degs, fdeg])
+            degs = np.concatenate([degs, degrees[fresh]])
+        calm = 0 if fresh.size else calm + 1
     done = count == n
     trace = ProtocolTrace(rounds=t, vertex_informed_at=informed_at)
     return BroadcastResult(int(informed_at.max()) if done else None,

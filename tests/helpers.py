@@ -1,10 +1,12 @@
-"""Shared test utilities: an independent brute-force congestion oracle and
-the small-graph corpus used by the coupling checks."""
+"""Shared test utilities: an independent brute-force congestion oracle, the
+small-graph corpus used by the coupling checks, the per-round push
+reference and a planted generation failure."""
 from __future__ import annotations
 
 import numpy as np
 
 import rumorwalks as rw
+from rumorwalks import experiments
 
 
 def brute_max_congestion(transcript, k: int) -> np.ndarray:
@@ -78,3 +80,59 @@ def small_instance_graphs():
         rw.generate_random_regular(4, 2, seed=12),
         rw.generate_random_regular(6, 2, seed=13),
     ]
+
+
+def push_per_round(graph, source: int, rng, round_cap=None):
+    """Reference push: the round loop of ``run_push`` before it took rounds
+    in blocks, one ``_draw_neighbors`` call per round.
+
+    Returns ``(vertex_informed_at, rounds)``.
+    """
+    from rumorwalks.protocols import _draw_neighbors
+
+    n = graph.n
+    cap = rw.default_round_cap(n) if round_cap is None else int(round_cap)
+    gen = rng.stream("push")
+    indptr, degrees = graph.indptr, graph.degrees
+    informed_at = np.full(n, -1, dtype=np.int64)
+    informed_at[source] = 0
+    starts, degs = indptr[[source]], degrees[[source]]
+    forced = starts[:0]
+    if degs[0] == 1:
+        starts, degs, forced = forced, forced, graph.indices[starts]
+    leafy = graph.distinct_degrees[0] == 1
+    count, t = 1, 0
+    while count < n and t < cap:
+        t += 1
+        targets = _draw_neighbors(graph, gen, starts, degs)
+        if forced.size:
+            targets = np.concatenate([targets, forced])
+        fresh = targets[informed_at[targets] == -1]
+        if fresh.size > 1:
+            fresh = np.unique(fresh)
+        forced = fresh[:0]
+        if fresh.size:
+            informed_at[fresh] = t
+            count += fresh.size
+            fdeg = degrees[fresh]
+            if leafy:
+                lone = fdeg == 1
+                forced = graph.indices[indptr[fresh[lone]]]
+                fresh, fdeg = fresh[~lone], fdeg[~lone]
+            starts = np.concatenate([starts, indptr[fresh]])
+            degs = np.concatenate([degs, fdeg])
+    return informed_at, t
+
+
+def fail_generation(monkeypatch, cfg, size: int, trial: int) -> None:
+    """Make the graph generation of one trial of a random-family sweep fail
+    (in this process: run the sweep with ``jobs = 1``)."""
+    real = experiments.build_graph
+    doomed = rw.derive_seed(cfg.seed, "graph", cfg.family, size, trial)
+
+    def failing(family, size, d_spec, seed):
+        if seed == doomed:
+            raise rw.GenerationFailureError("planted failure")
+        return real(family, size, d_spec, seed)
+
+    monkeypatch.setattr(experiments, "build_graph", failing)

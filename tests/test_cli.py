@@ -9,6 +9,8 @@ from rumorwalks import AgentConfig, SimRng
 from rumorwalks.cli import main
 from rumorwalks.experiments import PROTOCOLS
 
+from helpers import fail_generation
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -212,6 +214,23 @@ seed = 11
         code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 1 and payload is None
         assert "RUMORWALKS_JOBS" in err
+
+
+class TestSweepOutcomes:
+    def test_capped_and_gen_failed_in_summary(self, tmp_path, capsys,
+                                              monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("family = regular\nd = 3\nprotocols = push\n"
+                       "sweep = 16\ntrials = 4\nseed = 5\nround_cap = 1\n")
+        fail_generation(monkeypatch, rw.parse_config_file(cfg), 16, 1)
+        csv_path = tmp_path / "out.csv"
+        code, payload, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                                   "--csv", str(csv_path))
+        assert code == 0
+        row = payload["rows"][0]
+        assert (row["capped"], row["gen_failed"], row["incomplete"]) == \
+            (3, 1, 4)
+        assert csv_path.read_text().splitlines()[1].split(",")[6] == "4"
 
 
 class TestCoupleVerify:

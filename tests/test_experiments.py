@@ -1,7 +1,8 @@
 """Config round-tripping, trial aggregation, CSV stability, ratios, fits,
 and the parallel path."""
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import rumorwalks as rw
 from rumorwalks import experiments
 from rumorwalks import ConfigError, ExperimentConfig, FitError
 from rumorwalks.experiments import CSV_HEADER, GROWTH_MODELS, build_graph
+
+from helpers import fail_generation
 
 
 def small_config(**overrides):
@@ -228,6 +231,35 @@ class TestRunTrials:
         assert all(r.incomplete == 0 and len(r.values) == 3 for r in res.rows)
 
 
+class TestOutcomes:
+    """A round-cap hit and a failed generation are counted apart;
+    ``incomplete`` (the CSV column) stays their sum."""
+
+    def test_capped(self):
+        res = rw.run_trials(small_config(trials=4, round_cap=1))
+        row = res.rows[0]
+        assert (row.capped, row.gen_failed, row.incomplete) == (4, 0, 4)
+        assert row.values == ()
+        assert rw.result_to_csv(res).splitlines()[1].split(",")[6] == "4"
+
+    def test_generation_failed(self, monkeypatch):
+        cfg = small_config(family="regular", d="3", trials=4,
+                           protocols=("push", "visit-exchange"))
+        fail_generation(monkeypatch, cfg, 16, 2)
+        res = rw.run_trials(cfg)
+        for row in res.rows:
+            assert (row.capped, row.gen_failed, row.incomplete) == (0, 1, 1)
+            assert len(row.values) == 3
+
+    def test_both(self, monkeypatch):
+        cfg = small_config(family="regular", d="3", trials=4, round_cap=1)
+        fail_generation(monkeypatch, cfg, 16, 0)
+        res = rw.run_trials(cfg)
+        row = res.rows[0]
+        assert (row.capped, row.gen_failed, row.incomplete) == (3, 1, 4)
+        assert rw.result_to_csv(res).splitlines()[1].split(",")[6] == "4"
+
+
 class TestCsv:
     def test_header_and_shape(self):
         res = rw.run_trials(small_config())
@@ -280,6 +312,45 @@ class TestSweepRatio:
         a = rw.sweep_ratio(res, "push", "push-pull")
         b = rw.sweep_ratio(res, "push", "push-pull")
         assert a == b
+
+
+class TestBootstrap:
+    """The vectorised bootstrap against the loop it replaced."""
+
+    @staticmethod
+    def loop(gen, values, resamples):
+        out = np.empty(resamples)
+        k = values.shape[0]
+        for i in range(resamples):
+            out[i] = np.median(values[gen.integers(0, k, size=k)])
+        return out
+
+    @pytest.mark.parametrize("k,resamples", [
+        (1, 10), (2, 100), (5, 100), (32, 1000), (1500, 1000), (3000, 701),
+    ])
+    def test_equals_loop(self, k, resamples):
+        values = np.random.default_rng(k).integers(1, 100, k).astype(float)
+        gens = [np.random.Generator(np.random.PCG64(k)) for _ in range(2)]
+        for _ in range(2):  # two calls in a row on one generator
+            got = experiments._bootstrap(gens[0], values, resamples)
+            want = self.loop(gens[1], values, resamples)
+            assert got.tobytes() == want.tobytes()
+
+    def test_golden_ratio_points(self):
+        # SHA-256 of sweep_ratio points for k = 1 .. 100 completed trials,
+        # recorded from the per-resample loop
+        h = hashlib.sha256()
+        for k in (1, 2, 5, 31, 32, 100):
+            cfg = ExperimentConfig(family="star",
+                                   protocols=("push", "push-pull"),
+                                   sweep=(8, 16), trials=k, seed=1000 + k)
+            res = rw.run_trials(cfg)
+            for resamples in (None, 37):
+                for a, b in (("push", "push-pull"), ("push-pull", "push")):
+                    for p in rw.sweep_ratio(res, a, b, resamples):
+                        h.update(repr(astuple(p)).encode())
+        assert h.hexdigest() == ("e1ff7933d91222b775c04fc0473e7c42"
+                                 "d5cfe80a2e1ab18f9bc98eb69b185360")
 
 
 class TestFitGrowth:

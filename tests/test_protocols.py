@@ -7,9 +7,11 @@ import pytest
 from scipy import stats
 
 import rumorwalks as rw
-from rumorwalks import AgentConfig, Graph, InvalidParameterError
+from rumorwalks import AgentConfig, Graph, InvalidParameterError, protocols
 from rumorwalks.protocols import default_round_cap, place_agents
 from rumorwalks.rng import SimRng
+
+from helpers import push_per_round
 
 K2 = rw.generate_complete(2)
 
@@ -92,6 +94,61 @@ class TestPush:
         assert not res.complete
         assert res.broadcast_time is None
         assert res.rounds == 3
+
+
+class TestPushBlocks:
+    """``run_push`` runs calm stretches in blocks of rounds from draws read
+    ahead; it must give what the per-round loop gives, and leave the
+    ``push`` stream where that loop leaves it."""
+
+    PATH = Graph.from_edges(40, [(i, i + 1) for i in range(39)])
+    CASES = [
+        ("star-center", rw.generate_star(1000), 0, True),
+        ("star-leaf", rw.generate_star(1000), 1000, True),
+        ("star-small", rw.generate_star(5), 0, True),
+        ("double-star-center", rw.generate_double_star(64), 0, True),
+        ("double-star-leaf", rw.generate_double_star(64), 63, True),
+        ("path-end", PATH, 0, True),
+        ("path-middle", PATH, 20, True),
+        ("heavy-tree", rw.generate_heavy_binary_tree(63), 0, False),
+        ("regular", rw.generate_random_regular(256, 8, seed=3), 0, None),
+        ("regular-sparse", rw.generate_random_regular(64, 3, seed=4), 5,
+         None),
+    ]
+
+    @pytest.mark.parametrize("name,graph,source,blocky", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_matches_per_round_loop(self, monkeypatch, name, graph, source,
+                                    blocky):
+        blocks = []
+        real = protocols.bounded_ahead
+
+        def counting(gen, bound, count):
+            blocks.append(count)
+            return real(gen, bound, count)
+
+        monkeypatch.setattr(protocols, "bounded_ahead", counting)
+        trials = 3 if graph.n > 500 else 12
+        for seed in range(trials):
+            full = push_per_round(graph, source, SimRng(seed))[1]
+            # caps that land inside the run, and so inside its blocks
+            caps = [None, 1, 5, full // 3 + 1, full // 2 + 7, full - 1, full]
+            for cap in caps:
+                want_rng, got_rng = SimRng(seed), SimRng(seed)
+                want, rounds = push_per_round(graph, source, want_rng, cap)
+                got = rw.run_push(graph, source, got_rng, cap)
+                assert got.rounds == rounds, (seed, cap)
+                assert np.array_equal(got.trace.vertex_informed_at, want), \
+                    (seed, cap)
+                complete = bool((want >= 0).all())
+                assert got.broadcast_time == (int(want.max()) if complete
+                                              else None)
+                assert got_rng.stream("push").bit_generator.state == \
+                    want_rng.stream("push").bit_generator.state, (seed, cap)
+        # stars and paths do run blocks, mixed degrees never do; a regular
+        # graph adds drawing rows nearly every round, so it rarely does
+        if blocky is not None:
+            assert bool(blocks) == blocky
 
 
 class TestPushPull:

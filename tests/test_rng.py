@@ -6,7 +6,8 @@ from scipy import stats
 
 import rumorwalks as rw
 from rumorwalks.protocols import _move
-from rumorwalks.rng import ChoiceOracle, SimRng, derive_seed, place_stationary
+from rumorwalks.rng import (ChoiceOracle, SimRng, bounded_ahead, derive_seed,
+                            place_stationary)
 
 
 class TestDeriveSeed:
@@ -243,3 +244,61 @@ class TestStepWalk:
         frac1 = np.mean(dest == 1)
         assert set(dest.tolist()) == {1, 3}
         assert abs(frac1 - 0.5) < 3 * np.sqrt(0.25 / 40_000)
+
+
+class TestBoundedAhead:
+    """The push block reader against numpy's own bounded draws."""
+
+    BOUNDS = [2, 3, 7, 14, 1000, 1001, 2 ** 31 - 1, 2 ** 31 + 1,
+              3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32]
+
+    @staticmethod
+    def _gen(seed: int, pending: bool) -> np.random.Generator:
+        gen = np.random.Generator(np.random.PCG64(seed))
+        if pending:
+            gen.integers(0, 5)  # one 32-bit draw: half a word left over
+            assert gen.bit_generator.state["has_uint32"] == 1
+        return gen
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_equals_scalar_draws(self, bound, pending):
+        count = 301
+        for seed in range(3):
+            draws, leave = bounded_ahead(self._gen(seed, pending), bound,
+                                         count)
+            ref = self._gen(seed, pending)
+            want = [int(ref.integers(0, bound)) for _ in range(count)]
+            assert draws.dtype == np.int64
+            assert draws.tolist() == want
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_leave_matches_scalar_state(self, bound, pending):
+        count = 64
+        for used in (0, 1, 2, 3, 17, 40, count):
+            gen = self._gen(used, pending)
+            _, leave = bounded_ahead(gen, bound, count)
+            leave(used)
+            ref = self._gen(used, pending)
+            for _ in range(used):
+                ref.integers(0, bound)
+            assert gen.bit_generator.state == ref.bit_generator.state
+            # every later reader of the stream sees the same draws
+            assert gen.integers(0, 2 ** 40, size=3).tolist() == \
+                ref.integers(0, 2 ** 40, size=3).tolist()
+            assert gen.integers(0, 9) == ref.integers(0, 9)
+
+    def test_leave_twice(self):
+        # a block leaves the stream once; reading a second block from there
+        # continues the same scalar stream
+        gen, ref = self._gen(5, False), self._gen(5, False)
+        got = []
+        for bound, count, used in ((6, 50, 33), (6, 9, 9), (1000, 20, 1)):
+            draws, leave = bounded_ahead(gen, bound, count)
+            leave(used)
+            got += draws[:used].tolist()
+        want = [int(ref.integers(0, 6)) for _ in range(42)] + \
+            [int(ref.integers(0, 1000))]
+        assert got == want
+        assert gen.bit_generator.state == ref.bit_generator.state
