@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import GenerationFailureError, InvalidParameterError, LoadError
 
@@ -146,13 +146,13 @@ class Graph:
             return True
         if self.m == 0:
             return False
-        csg = csr_matrix((np.ones(self.indices.shape[0], dtype=np.int8),
-                          self.indices, self.indptr), shape=(self.n, self.n))
-        # the matrix is symmetric, so its strong components are the graph's
-        # components, found without the transpose the undirected mode makes
-        ncomp = connected_components(csg, directed=True, connection="strong",
-                                     return_labels=False)
-        return int(ncomp) == 1
+        csg = csr_matrix((np.ones(self.indices.shape[0]), self.indices,
+                          self.indptr), shape=(self.n, self.n))
+        # the matrix is symmetric, so a directed search from vertex 0 reaches
+        # its whole component, without the transpose the undirected mode makes
+        reached = breadth_first_order(csg, 0, directed=True,
+                                      return_predecessors=False)
+        return reached.shape[0] == self.n
 
     def is_bipartite(self) -> bool:
         color = np.full(self.n, -1, dtype=np.int8)
@@ -316,50 +316,84 @@ def _known(edge_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return edge_keys[np.searchsorted(edge_keys, keys)] == keys
 
 
-def _suitable(stubs: np.ndarray, edge_keys: np.ndarray, n: int) -> bool:
+def _stable_order(keys: np.ndarray, n: int):
+    """``(order, keys[order])`` for the stable sort order of ``keys``, each
+    key below ``n * n``.
+
+    The pairs (key, index) are distinct, so one unstable sort of
+    ``keys << s | index``, with ``s`` bits for the index, breaks ties by
+    index just as a stable sort does: the low ``s`` bits are the order and
+    the high bits the sorted keys.  Packed values must stay below 2**63;
+    past that bound the stable argsort is used.
+    """
+    m = keys.shape[0]
+    s = m.bit_length()
+    if (n * n) << s >= 1 << 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = keys << s
+    packed |= np.arange(m, dtype=np.int64)
+    packed.sort()
+    return packed & ((1 << s) - 1), packed >> s
+
+
+def _suitable(stubs: np.ndarray, taken, n: int) -> bool:
     """True if the leftover stub multiset can still be paired into new,
-    non-loop edges.  Mirrors the standard stub-matching feasibility test.
+    non-loop edges; ``taken(keys)`` flags the edge keys already used.
+    Mirrors the standard stub-matching feasibility test.
     """
     if stubs.size == 0:
         return True
     vals = np.unique(stubs)
     a, b = np.triu_indices(vals.shape[0], k=1)
-    return not _known(edge_keys, vals[a] * n + vals[b]).all()
+    return not taken(vals[a] * n + vals[b]).all()
 
 
 def _pairing_attempt(n: int, d: int, gen: np.random.Generator):
     """One stub-matching pass: repeatedly shuffle unmatched stubs, keep the
     pairings that form new simple edges, and re-queue the rest.  Returns the
-    sorted edge keys ``lo * n + hi`` (lo < hi), or None when no valid
-    completion exists for this pass.
+    edge keys ``lo * n + hi`` (lo < hi), in no particular order, or None
+    when no valid completion exists for this pass.
+
+    The first round that keeps any pairs keeps nearly all of them; those
+    edge keys form a sorted block, and the few of later rounds go to a
+    small sorted tail, so no round copies the block.  Both end in the
+    sentinel of :func:`_known`.
     """
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    edge_keys = np.array([n * n], dtype=np.int64)  # sentinel: see _known
+    sentinel = np.array([n * n], dtype=np.int64)
+    block = tail = sentinel
+
+    def taken(keys):
+        return _known(block, keys) | _known(tail, keys)
+
     while stubs.size:
         gen.shuffle(stubs)
         a = stubs[0::2]
         b = stubs[1::2]
         keys = np.minimum(a, b) * n + np.maximum(a, b)
         # In key order, a pair is kept when it is no self-loop, is the first
-        # pair with its key in stub order (the sort is stable), and its edge
-        # is not yet taken.
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
+        # pair with its key in stub order (ties in sk are in stub order),
+        # and its edge is not yet taken; before any edge is kept, none is.
+        order, sk = _stable_order(keys, n)
         keep = np.empty(sk.shape[0], dtype=bool)
         keep[0] = True
         np.not_equal(sk[1:], sk[:-1], out=keep[1:])
         keep &= (a != b)[order]
-        keep &= ~_known(edge_keys, sk)
+        if block.shape[0] > 1:
+            keep &= ~taken(sk)
         if keep.any():
             new = sk[keep]
-            edge_keys = np.insert(edge_keys, np.searchsorted(edge_keys, new),
-                                  new)
+            if block.shape[0] == 1:
+                block = np.concatenate([new, sentinel])
+            else:
+                tail = np.insert(tail, np.searchsorted(tail, new), new)
             good = np.empty_like(keep)
             good[order] = keep
             stubs = np.concatenate([a[~good], b[~good]])
-        elif not _suitable(stubs, edge_keys, n):
+        elif not _suitable(stubs, taken, n):
             return None
-    return edge_keys[:-1]
+    return np.concatenate([block[:-1], tail[:-1]])
 
 
 def generate_random_regular(n: int, d: int, seed: int,

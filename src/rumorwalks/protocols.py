@@ -126,6 +126,8 @@ def _check_run(graph: Graph, source: int, round_cap: int | None):
         raise InvalidParameterError(
             f"source {source} out of range for n={graph.n}")
     cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
+    if cap < 1:
+        raise InvalidParameterError(f"round_cap must be >= 1, got {cap}")
     return source, cap
 
 

@@ -1,6 +1,7 @@
 """Shared test utilities: an independent brute-force congestion oracle, the
 small-graph corpus used by the coupling checks, the per-round push
-reference and a planted generation failure."""
+reference, the stable-argsort stub-pairing reference and a planted
+generation failure."""
 from __future__ import annotations
 
 import numpy as np
@@ -122,6 +123,71 @@ def push_per_round(graph, source: int, rng, round_cap=None):
             starts = np.concatenate([starts, indptr[fresh]])
             degs = np.concatenate([degs, fdeg])
     return informed_at, t
+
+
+def _reference_known(edge_keys, keys):
+    return edge_keys[np.searchsorted(edge_keys, keys)] == keys
+
+
+def _reference_suitable(stubs, edge_keys, n):
+    if stubs.size == 0:
+        return True
+    vals = np.unique(stubs)
+    a, b = np.triu_indices(vals.shape[0], k=1)
+    return not _reference_known(edge_keys, vals[a] * n + vals[b]).all()
+
+
+def _reference_pairing_attempt(n, d, gen):
+    """One stub-matching pass as ``graphs._pairing_attempt`` did it before
+    the packed-key sort: a stable argsort of every round's keys, and each
+    round's new edges inserted into one sorted array."""
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    edge_keys = np.array([n * n], dtype=np.int64)  # sentinel
+    while stubs.size:
+        gen.shuffle(stubs)
+        a = stubs[0::2]
+        b = stubs[1::2]
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        keep = np.empty(sk.shape[0], dtype=bool)
+        keep[0] = True
+        np.not_equal(sk[1:], sk[:-1], out=keep[1:])
+        keep &= (a != b)[order]
+        keep &= ~_reference_known(edge_keys, sk)
+        if keep.any():
+            new = sk[keep]
+            edge_keys = np.insert(edge_keys, np.searchsorted(edge_keys, new),
+                                  new)
+            good = np.empty_like(keep)
+            good[order] = keep
+            stubs = np.concatenate([a[~good], b[~good]])
+        elif not _reference_suitable(stubs, edge_keys, n):
+            return None
+    return edge_keys[:-1]
+
+
+def reference_random_regular(n, d, seed, max_restarts=1000):
+    """``generate_random_regular`` on the reference pairing, with
+    connectivity from scipy's ``connected_components``; returns the graph,
+    or None after ``max_restarts`` failed passes."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(max_restarts):
+        keys = _reference_pairing_attempt(n, d, gen)
+        if keys is None:
+            continue
+        u, v = keys // n, keys % n
+        order = np.lexsort((np.r_[v, u], np.r_[u, v]))
+        rows, cols = np.r_[u, v][order], np.r_[v, u][order]
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        adj = csr_matrix((np.ones(cols.shape[0]), cols, indptr), shape=(n, n))
+        if connected_components(adj, directed=False,
+                                return_labels=False) == 1:
+            return rw.Graph(n, indptr, cols)
+    return None
 
 
 def fail_generation(monkeypatch, cfg, size: int, trial: int) -> None:

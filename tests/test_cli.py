@@ -135,6 +135,15 @@ class TestRun:
         assert code == 1 and payload is None
         assert "d must be" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_bad_round_cap_exit_one(self, capsys, cap):
+        code, payload, err = run_cli(capsys, "run", "--family", "star",
+                                     "--size", "10", "--protocol", "push",
+                                     "--seed", "1", "--round-cap", cap)
+        assert code == 1 and payload is None
+        assert f"round_cap must be >= 1, got {cap}" in err
+        assert "Traceback" not in err
+
     def test_missing_graph_args(self, capsys):
         code, _, err = run_cli(capsys, "run", "--protocol", "push",
                                "--seed", "1")
@@ -307,6 +316,17 @@ class TestCoupleVerify:
         assert code == 0
         vcode, vpayload, _ = run_cli(capsys, "verify", "--transcript", str(out))
         assert vcode == 0 and vpayload["ok"]
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_bad_round_cap_exit_one(self, tmp_path, capsys, cap):
+        out = tmp_path / "tr.json"
+        code, payload, err = run_cli(capsys, "couple", "--family", "cycle",
+                                     "--size", "8", "--seed", "21",
+                                     "--round-cap", cap, "--out", str(out))
+        assert code == 1 and payload is None
+        assert f"round_cap must be >= 1, got {cap}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_incomplete_couple_exits_two(self, tmp_path, capsys):
         out = tmp_path / "none.json"

@@ -3,11 +3,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rumorwalks as rw
 from rumorwalks import Graph, InvalidParameterError, LoadError
+from rumorwalks.graphs import _stable_order
+
+from helpers import reference_random_regular
 
 
 def check_invariants(g: Graph):
@@ -270,6 +273,97 @@ class TestRandomRegularStream:
         assert regular_digest(n, d, range(seeds)) == digest
 
 
+@st.composite
+def regular_params(draw):
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, n - 1))
+    if (n * d) % 2:
+        d = d - 1 if d > 1 else d + 1
+    return n, d
+
+
+class TestPairingDifferential:
+    """The generator against the stable-argsort pairing it replaced
+    (``helpers.reference_random_regular``), and its packed-key order
+    against ``np.argsort(kind="stable")``."""
+
+    @given(params=regular_params(), seed=st.integers(0, 2 ** 32))
+    @example(params=(6, 3), seed=0)
+    @example(params=(12, 11), seed=3)
+    @example(params=(30, 29), seed=7)
+    @example(params=(12, 2), seed=1)
+    @example(params=(3, 2), seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, params, seed):
+        n, d = params
+        ref = reference_random_regular(n, d, seed, max_restarts=50)
+        if ref is None:
+            with pytest.raises(rw.GenerationFailureError):
+                rw.generate_random_regular(n, d, seed, max_restarts=50)
+        else:
+            g = rw.generate_random_regular(n, d, seed, max_restarts=50)
+            assert np.array_equal(g.indptr, ref.indptr)
+            assert np.array_equal(g.indices, ref.indices)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_at_sweep_size(self, seed):
+        g = rw.generate_random_regular(2048, 11, seed)
+        assert g == reference_random_regular(2048, 11, seed)
+
+    @given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 400),
+           distinct=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_stable_argsort(self, seed, size, distinct):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        n = 50
+        keys = gen.choice(n * n, size=distinct, replace=False)
+        keys = keys[gen.integers(0, distinct, size=size)].astype(np.int64)
+        order, sk = _stable_order(keys, n)
+        expect = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, expect)
+        assert np.array_equal(sk, keys[expect])
+
+    @staticmethod
+    def order_with_spy(monkeypatch, keys, n):
+        """``_stable_order(keys, n)`` and how often it fell back to
+        ``np.argsort``; the result is checked against the stable argsort."""
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        order, sk = _stable_order(keys, n)
+        monkeypatch.undo()
+        expect = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, expect)
+        assert np.array_equal(sk, keys[expect])
+        return calls
+
+    @pytest.mark.parametrize("n,size", [(2 ** 31, 8), (2 ** 31, 1),
+                                        (2 ** 30, 4), (2 ** 28, 300)])
+    def test_order_past_the_packing_bound(self, monkeypatch, n, size):
+        # (n*n) << s reaches 2**63, so the stable argsort runs: packing the
+        # largest key would overflow an int64
+        assert (n * n) << size.bit_length() >= 2 ** 63
+        gen = np.random.Generator(np.random.PCG64(size))
+        keys = np.r_[n * n - 1, gen.integers(n * n - 4, n * n, size=size - 1)]
+        calls = self.order_with_spy(monkeypatch, keys.astype(np.int64), n)
+        assert calls == ["stable"]
+
+    @pytest.mark.parametrize("n,size", [(2 ** 30, 3), (2 ** 20, 5),
+                                        (2 ** 14, 114688)])
+    def test_order_below_the_packing_bound(self, monkeypatch, n, size):
+        # the largest keys still pack: (n*n - 1) << s | index < 2**63
+        assert (n * n) << size.bit_length() < 2 ** 63
+        gen = np.random.Generator(np.random.PCG64(size))
+        keys = np.r_[n * n - 1, gen.integers(n * n - 4, n * n, size=size - 1)]
+        calls = self.order_with_spy(monkeypatch, keys.astype(np.int64), n)
+        assert calls == []
+
+
 class TestGraphType:
     def test_from_edges_rejects_garbage(self):
         with pytest.raises(InvalidParameterError):
@@ -325,6 +419,44 @@ class TestGraphType:
         g = Graph.from_edges(n, edges)
         assert [g.neighbors(u).tolist() for u in range(n)] == \
             [sorted(x) for x in nbrs]
+
+    @staticmethod
+    def csr_graph(n, edges):
+        """A Graph straight from CSR arrays, so it may be disconnected."""
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return Graph(n, np.cumsum([0] + [len(x) for x in nbrs]),
+                     [v for x in map(sorted, nbrs) for v in x])
+
+    @pytest.mark.parametrize("n,edges,connected", [
+        # vertex 0 isolated: the search from 0 reaches only itself
+        (4, [(1, 2), (2, 3), (1, 3)], False),
+        # vertex 0 in the smaller of two components
+        (6, [(0, 1), (2, 3), (3, 4), (4, 5)], False),
+        # the last vertex isolated
+        (5, [(0, 1), (1, 2), (2, 3)], False),
+        (2, [(0, 1)], True),
+        (2, [], False),
+        (5, [(3, 4), (2, 3), (1, 2), (0, 1)], True),
+    ])
+    def test_is_connected_cases(self, n, edges, connected):
+        assert self.csr_graph(n, edges).is_connected() is connected
+
+    def test_single_edge_graph(self):
+        g = Graph.from_edges(2, [(1, 0)])
+        assert g.is_connected() and g.m == 1
+        assert g.neighbors(0).tolist() == [1]
+
+    @pytest.mark.parametrize("n,edges", [
+        (4, [(1, 2), (2, 3)]),
+        (6, [(0, 1), (2, 3), (3, 4), (4, 5)]),
+        (5, [(0, 1), (1, 2), (2, 3)]),
+    ])
+    def test_from_edges_rejects_disconnected(self, n, edges):
+        with pytest.raises(InvalidParameterError, match="graph is not connected"):
+            Graph.from_edges(n, edges)
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=100, deadline=None)
