@@ -22,9 +22,12 @@ draws each vertex's entries ahead in blocks from the vertex's own stream,
 which yields exactly the entries of one-at-a-time draws, so a transcript is
 the same bytes either way; its ``choices`` list, per vertex, exactly the
 entries some process requested (the requested prefix), never those drawn
-ahead.  Verification replays push over a flat table of the recorded
-choices and checks every chain walk in one pass over a cumulative
-occupancy table.
+ahead.  The walk is one position matrix: entry [r, g] is agent g's vertex
+at the end of round r, or -1 while g is absent (before an agent added by the
+occupancy floor arrives).  Every table and check reads it as arrays, over
+all (round, agent) steps at once; verification replays push over a flat
+table of the recorded choices and checks every chain walk in one pass over
+a cumulative occupancy table.
 """
 from __future__ import annotations
 
@@ -35,24 +38,16 @@ import itertools
 import numpy as np
 
 from .errors import InvalidParameterError, TranscriptCorruptError
-from .graphs import Graph
+from .graphs import Graph, _known
 from .protocols import (AgentConfig, _floor_level, _move, _occupancy_floor,
                         _start, _Visit, _walk)
 from .rng import ChoiceOracle, SimRng
 
 __all__ = [
-    "CouplingTranscript",
-    "CanonicalWalk",
-    "VerifyReport",
-    "run_coupled_even",
-    "run_coupled_odd",
-    "compute_s_sets",
-    "compute_c_counters",
-    "verify_tau_leq_c",
-    "reconstruct_min_chain_walk",
-    "max_congestion_dp",
-    "transcript_to_json",
-    "transcript_from_json",
+    "CouplingTranscript", "CanonicalWalk", "VerifyReport",
+    "run_coupled_even", "run_coupled_odd", "compute_s_sets",
+    "compute_c_counters", "verify_tau_leq_c", "reconstruct_min_chain_walk",
+    "max_congestion_dp", "transcript_to_json", "transcript_from_json",
     "verify_transcript",
 ]
 
@@ -61,11 +56,14 @@ __all__ = [
 class CouplingTranscript:
     """Everything needed to re-check a coupled run offline.
 
-    ``visits[t]`` maps each occupied vertex to the sorted ids of agents
-    standing there at the end of round t.  ``choices[u]`` lists oracle
-    entries 1..k of u, k being the highest index either process requested;
-    ``walk_consumed[u]`` says how many of them the walk side consumed as
-    informed departures from u.
+    ``positions`` has shape (rounds + 1, agent_count + len(additions)):
+    entry [r, g] is agent g's vertex at the end of round r, or -1 while g
+    is absent, as an added agent is before its arrival round.
+    ``choices[u]`` lists oracle entries 1..k of u, k being the highest
+    index either process requested; ``walk_consumed[u]`` says how many of
+    them the walk side consumed as informed departures from u.
+    ``repeat_round`` is the first round whose JSON listing named some
+    agent more than once (the matrix keeps one of its vertices), or None.
     """
     graph: Graph
     source: int
@@ -82,24 +80,18 @@ class CouplingTranscript:
     t_visit: np.ndarray
     tau_push: np.ndarray
     agent_informed_at: np.ndarray
-    visits: list
+    positions: np.ndarray
     choices: dict
     walk_consumed: dict
     additions: list = field(default_factory=list)
     floor: float | None = None
     s_sets: dict | None = None
     c_table: np.ndarray | None = None
+    repeat_round: int | None = None
 
     @property
     def complete(self) -> bool:
         return self.visitx_complete and self.push_complete
-
-    def z_agents(self, u: int, t: int) -> list:
-        """Agent ids on vertex u at the end of round t."""
-        return self.visits[t].get(u, [])
-
-    def z_count(self, u: int, t: int) -> int:
-        return len(self.visits[t].get(u, ()))
 
 
 @dataclass
@@ -117,18 +109,6 @@ class VerifyReport:
     incomplete: bool
     checks: dict
     violations: list
-
-
-def _group_positions(pos: np.ndarray) -> dict:
-    """The ascending ids of the agents on each occupied vertex."""
-    if pos.shape[0] == 0:
-        return {}
-    order = np.argsort(pos, kind="stable")
-    at = pos[order]
-    starts = np.flatnonzero(np.r_[True, at[1:] != at[:-1]]).tolist()
-    ids = order.tolist()
-    return {u: ids[a:b] for u, a, b in
-            zip(at[starts].tolist(), starts, starts[1:] + [len(ids)])}
 
 
 def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
@@ -169,19 +149,20 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
             new_pos[free] = _move(graph, pos[free], walk_gen, False, None)
         return new_pos
 
-    visits = [_group_positions(pos)]
+    rows = [pos]  # no round changes a position array once it is made
     additions: list = []
     grow = (_occupancy_floor(graph, floor, visit, additions)
             if enable_r_floor else None)
 
     def record(t: int, pos: np.ndarray) -> np.ndarray:
-        if grow is not None:
-            pos = grow(t, pos)
-        visits.append(_group_positions(pos))
-        return pos
+        rows.append(pos if grow is None else grow(t, pos))
+        return rows[-1]
 
     visitx_rounds = _walk(pos, oracle_step, [visit], cap, min_rounds, record)
     visitx_complete = visit.done
+    positions = np.full((len(rows), rows[-1].shape[0]), -1, dtype=np.int64)
+    for r, row in enumerate(rows):  # added agents are -1 before arrival
+        positions[r, :row.shape[0]] = row
 
     # push replays the same oracle, regardless of what the walk consumed
     tau, push_rounds, push_complete = _push_replay(n, source, oracle.take,
@@ -195,7 +176,7 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         visitx_rounds=visitx_rounds, visitx_complete=visitx_complete,
         push_rounds=push_rounds, push_complete=push_complete,
         t_visit=v_inf, tau_push=tau, agent_informed_at=visit.a_inf,
-        visits=visits, choices=choices,
+        positions=positions, choices=choices,
         walk_consumed={u: int(consumed[u])
                        for u in np.flatnonzero(consumed).tolist()},
         additions=additions, floor=floor if enable_r_floor else None)
@@ -265,41 +246,48 @@ def run_coupled_odd(graph: Graph, source: int, config: AgentConfig,
 
 # -- derived tables -------------------------------------------------------------
 
+def _steps(pos: np.ndarray):
+    """Every step of an agent present in two consecutive rounds, in
+    (round, agent) order: ``(t, g, a, b)`` says agent g moved a -> b at
+    round t."""
+    r, g = np.nonzero((pos[:-1] != -1) & (pos[1:] != -1))
+    return r + 1, g, pos[r, g], pos[r + 1, g]
+
+
+def _edge_keys(graph: Graph) -> np.ndarray:
+    """The sorted keys ``u * n + v`` of the directed edges (CSR rows and
+    their neighbors are sorted), then the sentinel that ``_known`` needs."""
+    keys = np.repeat(np.arange(graph.n), graph.degrees) * graph.n
+    return np.append(keys + graph.indices, graph.n ** 2)
+
+
 def compute_s_sets(tr: CouplingTranscript) -> dict:
     """For each vertex u informed after round 0, the neighbors v informed
     strictly earlier from which an informing agent arrived: some agent stood
     on v at round t_u - 1 and on u at round t_u.
     """
-    t = tr.t_visit
-    s_sets: dict = {}
-    for u in range(tr.graph.n):
-        tu = int(t[u])
-        if tu <= 0:
-            s_sets[u] = []
-            continue
-        z_u = set(tr.z_agents(u, tu))
-        members = []
-        for v in tr.graph.neighbors(u).tolist():
-            if 0 <= t[v] < tu:
-                z_v = tr.z_agents(v, tu - 1)
-                if z_v and not z_u.isdisjoint(z_v):
-                    members.append(v)
-        if not members:
-            raise TranscriptCorruptError(
-                f"vertex {u} informed at round {tu} has no informing neighbor")
-        s_sets[u] = members
-    return s_sets
+    tv, n = tr.t_visit, tr.graph.n
+    t, _, a, b = _steps(tr.positions)
+    hit = (tv[b] == t) & (tv[a] >= 0) & (tv[a] < t)
+    a, b = a[hit], b[hit]
+    near = _known(_edge_keys(tr.graph), a * n + b)
+    pairs = np.unique(b[near] * n + a[near])
+    bounds = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n)
+    lonely = np.flatnonzero((tv > 0) & (bounds[1:] == bounds[:-1]))
+    if lonely.size:
+        u = int(lonely[0])
+        raise TranscriptCorruptError(
+            f"vertex {u} informed at round {tv[u]} has no informing neighbor")
+    members, bounds = (pairs % n).tolist(), bounds.tolist()
+    return {u: members[bounds[u]:bounds[u + 1]] for u in range(n)}
 
 
 def _occupancy(tr: CouplingTranscript) -> np.ndarray:
     """Occupancy table z, shape (recorded rounds, n): z[r][u] is the number
     of agents on u at the end of round r."""
-    z = np.zeros((len(tr.visits), tr.graph.n), dtype=np.int64)
-    for r, round_map in enumerate(tr.visits):
-        k = len(round_map)
-        z[r, np.fromiter(round_map, np.int64, k)] = np.fromiter(
-            map(len, round_map.values()), np.int64, k)
-    return z
+    pos, n = tr.positions, tr.graph.n
+    keys = (np.arange(pos.shape[0])[:, None] * n + pos)[pos != -1]
+    return np.bincount(keys, minlength=pos.shape[0] * n).reshape(-1, n)
 
 
 def compute_c_counters(tr: CouplingTranscript) -> np.ndarray:
@@ -317,17 +305,22 @@ def compute_c_counters(tr: CouplingTranscript) -> np.ndarray:
     t = tr.t_visit
     z = _occupancy(tr)
     by_round: dict = {}
-    for u in range(n):
-        by_round.setdefault(int(t[u]), []).append(u)
+    for u, tu in enumerate(t.tolist()):
+        by_round.setdefault(tu, []).append(u)
     c = np.zeros((T + 1, n), dtype=np.int64)
     for step in range(1, T + 1):
         grown = t < step  # informed before this round (t >= 0 always here)
         c[step][grown] = c[step - 1][grown] + z[step - 1][grown]
-        for u in by_round.get(step, ()):
+        fresh = by_round.get(step)
+        if not fresh:
+            continue
+        row = c[step].tolist()  # read and written in order, as a list
+        for u in fresh:
             members = tr.s_sets.get(u)
             if not members:  # only a stored table can lack a member
                 raise TranscriptCorruptError(f"empty S-set at vertex {u}")
-            c[step][u] = min(c[step][v] for v in members)
+            row[u] = min(row[v] for v in members)
+        c[step, fresh] = [row[u] for u in fresh]
     return c
 
 
@@ -360,7 +353,15 @@ def _min_chains(tr: CouplingTranscript):
       the first hop, from the source side, that no agent made.
     """
     n = tr.graph.n
-    tv, c, s_sets = tr.t_visit, tr.c_table, tr.s_sets
+    tv, c, s_sets = tr.t_visit, tr.c_table.tolist(), tr.s_sets
+    # the lowest agent to make each hop v -> w on w's informing round:
+    # the first such step in (round, agent) order
+    t, g, a, b = _steps(tr.positions)
+    on_time = t == tv[b]
+    movers: dict = {}
+    for hop, agent in zip(zip(a[on_time].tolist(), b[on_time].tolist()),
+                          g[on_time].tolist()):
+        movers.setdefault(hop, agent)
     pred = np.full(n, -1, dtype=np.int64)
     follow = np.full(n, -1, dtype=np.int64)
     fault: list = [None] * n
@@ -374,12 +375,10 @@ def _min_chains(tr: CouplingTranscript):
         if not members:
             fault[w] = f"empty S-set at vertex {w}"
             continue
-        v = min(members, key=lambda v: (int(c[tw][v]), v))
-        pred[w] = v
+        pred[w] = v = min(members, key=lambda v: (c[tw][v], v))
         fault[w] = fault[v]
-        shared = set(tr.z_agents(v, tw - 1)) & set(tr.z_agents(w, tw))
-        if shared:
-            follow[w] = min(shared)
+        if (v, w) in movers:
+            follow[w] = movers[v, w]
         elif fault[w] is None:
             fault[w] = f"no agent moved {v} -> {w} at round {tw}"
     return pred, follow, fault
@@ -443,7 +442,7 @@ def _check_chain_walks(tr: CouplingTranscript) -> None:
     n, T = tr.graph.n, tr.visitx_rounds
     tv, c = tr.t_visit, tr.c_table
     pred, _, fault = _min_chains(tr)
-    zcum = np.zeros((len(tr.visits) + 1, n), dtype=np.int64)
+    zcum = np.zeros((tr.positions.shape[0] + 1, n), dtype=np.int64)
     np.cumsum(_occupancy(tr), axis=0, out=zcum[1:])
     base = np.zeros(n, dtype=np.int64)
     for r in range(1, T + 1):
@@ -476,25 +475,15 @@ def max_congestion_dp(tr: CouplingTranscript, k: int) -> np.ndarray:
             f"need 0 <= k <= recorded rounds {tr.visitx_rounds}, got {k}")
     n = tr.graph.n
     z = _occupancy(tr)
+    t, _, a, b = _steps(tr.positions[:k + 1])
     dp = np.full((k + 1, n), -1, dtype=np.int64)
     dp[0][tr.source] = 0
     for step in range(1, k + 1):
         prev = dp[step - 1]
         score = np.where(prev >= 0, prev + z[step - 1], -1)
-        cur = dp[step]
-        cur[:] = score  # staying put
-        pos_now: dict = {}
-        for v, agents in tr.visits[step].items():
-            for g in agents:
-                pos_now[g] = v
-        for u, agents in tr.visits[step - 1].items():
-            s = int(score[u])
-            if s < 0:
-                continue
-            for g in agents:
-                v = pos_now.get(g)
-                if v is not None and s > cur[v]:
-                    cur[v] = s
+        dp[step] = score  # staying put
+        moved = t == step  # following an agent that left a reached vertex
+        np.maximum.at(dp[step], b[moved], score[a[moved]])
     return dp
 
 
@@ -505,50 +494,53 @@ TRANSCRIPT_FORMAT = "rumorwalks-transcript-v1"
 
 def transcript_to_json(tr: CouplingTranscript) -> dict:
     obj = {
-        "format": TRANSCRIPT_FORMAT,
-        "mode": tr.mode,
-        "seed": tr.seed,
-        "source": tr.source,
-        "agent_count": tr.agent_count,
-        "placement": tr.placement,
-        "round_cap": tr.round_cap,
+        "format": TRANSCRIPT_FORMAT, "mode": tr.mode, "seed": tr.seed,
+        "source": tr.source, "agent_count": tr.agent_count,
+        "placement": tr.placement, "round_cap": tr.round_cap,
         "min_rounds": tr.min_rounds,
-        "graph": {
-            "n": tr.graph.n,
-            "family": tr.graph.family_tag,
-            "edges": tr.graph.edges().tolist(),
-        },
-        "visitx": {
-            "rounds": tr.visitx_rounds,
-            "complete": tr.visitx_complete,
-            "t": tr.t_visit.tolist(),
-            "agent_informed_at": tr.agent_informed_at.tolist(),
-        },
-        "push": {
-            "rounds": tr.push_rounds,
-            "complete": tr.push_complete,
-            "tau": tr.tau_push.tolist(),
-        },
-        "visits": [sorted((u, list(agents)) for u, agents in round_map.items())
-                   for round_map in tr.visits],
-        "choices": sorted((u, list(ws)) for u, ws in tr.choices.items()),
-        "walk_consumed": sorted(tr.walk_consumed.items()),
+        "graph": {"n": tr.graph.n, "family": tr.graph.family_tag,
+                  "edges": tr.graph.edges().tolist()},
+        "visitx": {"rounds": tr.visitx_rounds,
+                   "complete": tr.visitx_complete, "t": tr.t_visit.tolist(),
+                   "agent_informed_at": tr.agent_informed_at.tolist()},
+        "push": {"rounds": tr.push_rounds, "complete": tr.push_complete,
+                 "tau": tr.tau_push.tolist()},
+        "visits": _visit_lists(tr.positions, tr.graph.n),
+        "choices": [[u, list(ws)] for u, ws in sorted(tr.choices.items())],
+        "walk_consumed": [list(e) for e in sorted(tr.walk_consumed.items())],
         "additions": [list(a) for a in tr.additions],
         "floor": tr.floor,
     }
     if tr.s_sets is not None:
-        obj["s_sets"] = sorted((u, list(vs)) for u, vs in tr.s_sets.items())
+        obj["s_sets"] = [[u, list(vs)] for u, vs in sorted(tr.s_sets.items())]
     if tr.c_table is not None:
         obj["c_table"] = tr.c_table.tolist()
     return obj
 
 
+def _visit_lists(pos: np.ndarray, n: int) -> list:
+    """The JSON visits of a position matrix: per round, ``[u, agents]`` for
+    each occupied vertex u in ascending order, agents ascending.  One
+    stable sort of the keys ``r * n + u``, taken in (round, agent) order,
+    orders them all."""
+    r, g = np.nonzero(pos != -1)
+    cells = r * n + pos[r, g]
+    order = np.argsort(cells, kind="stable")
+    cells, ids = cells[order], g[order].tolist()
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    bounds = np.append(starts, cells.shape[0]).tolist()
+    groups = [[u, ids[a:b]] for u, a, b in
+              zip((cells[starts] % n).tolist(), bounds, bounds[1:])]
+    cut = np.searchsorted(cells[starts], np.arange(pos.shape[0] + 1) * n)
+    return [groups[a:b] for a, b in zip(cut.tolist(), cut[1:].tolist())]
+
+
 def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
-    """Raise unless every id of ``ids`` (a list, or a dict's keys) lies in
-    [low, high), with no upper end if ``high`` is None."""
+    """Raise unless every id of ``ids`` (a sequence, or a dict's keys) lies
+    in [low, high), with no upper end if ``high`` is None."""
     if not ids or (min(ids) >= low and (high is None or max(ids) < high)):
         return
-    bad = next(x for x in ids if x < low or (high is not None and x >= high))
+    bad = next(x for x in ids if not (x >= low and (high is None or x < high)))
     span = f"[{low}, {high})" if high is not None else f">= {low}"
     raise TranscriptCorruptError(f"{what} {bad} is not {span}")
 
@@ -562,11 +554,40 @@ def _vector(what: str, values, length: int) -> np.ndarray:
     return arr
 
 
+def _positions(visits: list, n: int, population: int):
+    """The position matrix of a JSON visits list, whose entries must be
+    [vertex, agents] pairs (-1 for an agent no entry lists), and the first
+    round listing some agent twice, or None.  A vertex listed twice keeps
+    only its last list, as in a dict."""
+    entries = list(itertools.chain.from_iterable(visits))
+    us, lists = zip(*entries, strict=True) if entries else ((), ())
+    ids = list(itertools.chain.from_iterable(lists))
+    _check_ids("visited vertex", us, 0, n)
+    _check_ids("agent id", ids, 0, population)
+    ids = np.fromiter(ids, np.int64, len(ids))
+    counts = np.fromiter(map(len, lists), np.int64, len(lists))
+    keys = np.repeat(np.arange(len(visits)) * n, list(map(len, visits))) \
+        + np.fromiter(us, np.int64, len(us))
+    if (np.diff(keys) <= 0).any():  # out of JSON order: drop repeated keys
+        last = keys.shape[0] - 1 - np.unique(keys[::-1], return_index=True)[1]
+        kept = np.isin(np.arange(keys.shape[0]), last)
+        ids, counts = ids[np.repeat(kept, counts)], counts * kept
+    rnd, at = np.divmod(np.repeat(keys, counts), n)
+    pos = np.full((len(visits), population), -1, dtype=np.int64)
+    pos[rnd, ids] = at
+    repeats = np.flatnonzero((pos != -1).sum(axis=1)
+                             < np.bincount(rnd, minlength=len(visits)))
+    return pos, int(repeats[0]) if repeats.size else None
+
+
 def transcript_from_json(obj: dict) -> CouplingTranscript:
     """Rebuild a transcript from its JSON object, rejecting anything
     verification could not index safely: vertex ids outside [0, n) (the
-    source, visited vertices, S-sets), negative agent ids, informing rounds
-    outside [-1, rounds], and tables or round lists of the wrong length.
+    source, visited vertices, S-sets, additions), agent ids outside [0,
+    agent_count + len(additions)), added agents below agent_count or
+    listed twice, informing and addition rounds outside [-1, rounds] and
+    [0, rounds], and tables or round lists of the wrong length.  A round
+    that does not partition the agents loads (conservation flags it).
     Recorded choices are not range-checked here: an out-of-range choice is
     a push-replay violation.  Every fault raises TranscriptCorruptError.
     """
@@ -583,50 +604,46 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         graph = Graph.from_edges(n, edges, obj["graph"].get("family"))
         rounds = int(obj["visitx"]["rounds"])
         _check_ids("walk round count", [rounds], 0)
-        visits = [{int(u): [int(g) for g in agents] for u, agents in rnd}
-                  for rnd in obj["visits"]]
-        if len(visits) != rounds + 1:
-            raise TranscriptCorruptError(
-                f"{len(visits)} rounds of visits recorded for "
-                f"{rounds} walk rounds")
-        for round_map in visits:
-            _check_ids("visited vertex", round_map, 0, n)
-            _check_ids("agent id", list(itertools.chain.from_iterable(
-                round_map.values())), 0)
         agent_count = int(obj["agent_count"])
         _check_ids("agent count", [agent_count], 0)
         additions = [(int(r), int(u), int(g))
                      for r, u, g in obj.get("additions", [])]
+        population = agent_count + len(additions)
+        add_rounds, add_vertices, added = list(zip(*additions)) or [()] * 3
+        _check_ids("addition round", add_rounds, 0, rounds + 1)
+        _check_ids("addition vertex", add_vertices, 0, n)
+        _check_ids("added agent id", added, agent_count, population)
+        for g in added:
+            if added.count(g) > 1:
+                raise TranscriptCorruptError(f"added agent id {g} is repeated")
+        # sized by the JSON lists before the matrix is allocated
+        informed_at = _vector("visitx.agent_informed_at",
+                              obj["visitx"]["agent_informed_at"], population)
+        visits = obj["visits"]
+        if len(visits) != rounds + 1:
+            raise TranscriptCorruptError(
+                f"{len(visits)} rounds of visits recorded for "
+                f"{rounds} walk rounds")
+        positions, repeat_round = _positions(visits, n, population)
         t_visit = _vector("visitx.t", obj["visitx"]["t"], n)
         _check_ids("informing round", t_visit.tolist(), -1, rounds + 1)
         tr = CouplingTranscript(
-            graph=graph,
-            source=int(obj["source"]),
-            mode=obj["mode"],
-            seed=int(obj["seed"]),
-            agent_count=agent_count,
-            placement=obj["placement"],
-            round_cap=int(obj["round_cap"]),
-            min_rounds=int(obj["min_rounds"]),
-            visitx_rounds=rounds,
+            graph=graph, source=int(obj["source"]), mode=obj["mode"],
+            seed=int(obj["seed"]), agent_count=agent_count,
+            placement=obj["placement"], round_cap=int(obj["round_cap"]),
+            min_rounds=int(obj["min_rounds"]), visitx_rounds=rounds,
             visitx_complete=bool(obj["visitx"]["complete"]),
             push_rounds=int(obj["push"]["rounds"]),
-            push_complete=bool(obj["push"]["complete"]),
-            t_visit=t_visit,
+            push_complete=bool(obj["push"]["complete"]), t_visit=t_visit,
             tau_push=_vector("push.tau", obj["push"]["tau"], n),
-            agent_informed_at=_vector(
-                "visitx.agent_informed_at", obj["visitx"]["agent_informed_at"],
-                agent_count + len(additions)),
-            visits=visits,
-            choices={int(u): [int(w) for w in ws] for u, ws in obj["choices"]},
-            walk_consumed={int(u): int(cnt)
-                           for u, cnt in obj["walk_consumed"]},
-            additions=additions,
-            floor=obj.get("floor"),
-        )
+            agent_informed_at=informed_at, positions=positions,
+            choices={int(u): list(map(int, ws)) for u, ws in obj["choices"]},
+            walk_consumed={int(u): int(c) for u, c in obj["walk_consumed"]},
+            additions=additions, floor=obj.get("floor"),
+            repeat_round=repeat_round)
         _check_ids("source", [tr.source], 0, n)
         if "s_sets" in obj:
-            tr.s_sets = {int(u): [int(v) for v in vs] for u, vs in obj["s_sets"]}
+            tr.s_sets = {int(u): list(map(int, vs)) for u, vs in obj["s_sets"]}
             _check_ids("S-set vertex", tr.s_sets, 0, n)
             _check_ids("S-set member", list(itertools.chain.from_iterable(
                 tr.s_sets.values())), 0, n)
@@ -638,67 +655,41 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
 
 
 def transcript_dumps(tr: CouplingTranscript) -> str:
-    return json.dumps(transcript_to_json(tr), indent=None, separators=(",", ":"))
+    # a fresh object holds no cycles, so the encoder need not track them
+    return json.dumps(transcript_to_json(tr), separators=(",", ":"),
+                      check_circular=False)
 
 
 # -- offline verification -----------------------------------------------------------
 
-def _active_agents(tr: CouplingTranscript, t: int) -> list:
-    ids = list(range(tr.agent_count))
-    ids += [g for (rnd, _u, g) in tr.additions if rnd <= t]
-    return sorted(ids)
-
-
-def _resimulate_informing(tr: CouplingTranscript):
-    """Re-derive vertex/agent informing rounds from positions alone."""
-    n = tr.graph.n
-    t_hat = np.full(n, -1, dtype=np.int64)
-    t_hat[tr.source] = 0
-    a_hat: dict = {}
-    for g in tr.z_agents(tr.source, 0):
-        a_hat[g] = 0
-    for rnd in range(1, len(tr.visits)):
-        for u, agents in tr.visits[rnd].items():
-            if t_hat[u] == -1 and any(0 <= a_hat.get(g, -1) < rnd for g in agents):
-                t_hat[u] = rnd
-        for u, agents in tr.visits[rnd].items():
-            if t_hat[u] != -1:
-                for g in agents:
-                    if g not in a_hat:
-                        a_hat[g] = rnd
-    return t_hat, a_hat
-
-
-def _replay_push(tr: CouplingTranscript):
-    """Re-run the push replay from the recorded oracle choices.
-
-    The recorded lists are packed into one flat table (row u at offset[u]);
-    an entry outside [0, n) is stored as -1 before any edge key is formed
-    from it, since numpy would wrap a negative id.  Each round's lookup
-    raises the violation of its first failing query, in replay order: a
-    missing entry, or one that is not a neighbor.
-    """
+def _recorded(tr: CouplingTranscript):
+    """``entry(us, idx)``: the recorded choice idx (from 1) of each vertex
+    of ``us``, read off one flat table of the recorded lists; -1 where none
+    is recorded or it lies outside [0, n), so that no edge key is formed
+    from it (numpy would wrap a negative id)."""
     n = tr.graph.n
     rows = [tr.choices.get(u, []) for u in range(n)]
     length = np.fromiter(map(len, rows), dtype=np.int64, count=n)
     offset = np.cumsum(length) - length
     flat = np.array([w if 0 <= w < n else -1 for ws in rows for w in ws]
                     + [-1], dtype=np.int64)  # trailing -1: the missing entry
-    g = tr.graph
-    edge_keys = np.repeat(np.arange(n, dtype=np.int64), g.degrees) * n \
-        + g.indices  # sorted, since CSR rows and neighbors are
-    missing = flat.shape[0] - 1
+    return lambda us, idx: flat[np.where(idx <= length[us],
+                                         offset[us] + idx - 1, -1)]
+
+
+def _replay_push(tr: CouplingTranscript):
+    """Re-run the push replay from the recorded oracle choices.  Each
+    round's lookup raises the violation of its first failing query, in
+    replay order: a missing entry, or one that is not a neighbor."""
+    n, entry, edge_keys = tr.graph.n, _recorded(tr), _edge_keys(tr.graph)
 
     def recorded(us: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        have = idx <= length[us]
-        ws = flat[np.where(have, offset[us] + idx - 1, missing)]
-        keys = us * n + ws
-        at = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.shape[0] - 1)
-        bad = (ws < 0) | (edge_keys[at] != keys)
+        ws = entry(us, idx)
+        bad = (ws < 0) | ~_known(edge_keys, us * n + ws)
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             u, i = int(us[j]), int(idx[j])
-            got = rows[u]
+            got = tr.choices.get(u, [])
             if i > len(got):
                 raise TranscriptCorruptError(
                     f"push replay needs choice {i} of vertex {u}, "
@@ -707,36 +698,31 @@ def _replay_push(tr: CouplingTranscript):
                 f"recorded choice {got[i - 1]} is not a neighbor of {u}")
         return ws
 
-    tau_hat, _, complete = _push_replay(n, tr.source, recorded,
-                                        tr.push_rounds)
+    tau_hat, _, complete = _push_replay(n, tr.source, recorded, tr.push_rounds)
     return tau_hat, complete
 
 
 def _check_oracle_consistency(tr: CouplingTranscript):
-    """The i-th informed departure from u must equal recorded choice w_u(i)."""
-    consumed: dict = {}
-    for rnd in range(1, len(tr.visits)):
-        if tr.mode == "odd" and rnd % 2 == 0:
-            continue
-        pos_now: dict = {}
-        for v, agents in tr.visits[rnd].items():
-            for g in agents:
-                pos_now[g] = v
-        for u, agents in sorted(tr.visits[rnd - 1].items()):
-            if not (0 <= tr.t_visit[u] <= rnd - 1):
-                continue
-            for g in agents:
-                dest = pos_now.get(g)
-                if dest is None:
-                    continue  # agent added later; cannot happen for departures
-                i = consumed.get(u, 0) + 1
-                consumed[u] = i
-                got = tr.choices.get(u, [])
-                if i > len(got) or got[i - 1] != dest:
-                    raise TranscriptCorruptError(
-                        f"departure {i} from vertex {u} went to {dest}, "
-                        f"oracle recorded "
-                        f"{got[i - 1] if i <= len(got) else 'nothing'}")
+    """The i-th informed departure from u must equal recorded choice w_u(i).
+
+    Departures count in (round, agent) order, from vertices informed by the
+    round before (in the odd coupling, at odd rounds only); the first
+    mismatch in (round, vertex, agent) order is reported.
+    """
+    tv = tr.t_visit
+    t, g, a, b = _steps(tr.positions)
+    keep = (tv[a] >= 0) & (tv[a] < t) & ((t % 2 == 1) | (tr.mode != "odd"))
+    t, g, a, b = t[keep], g[keep], a[keep], b[keep]
+    rank, counts = _ranks(a, tr.graph.n)
+    bad = np.flatnonzero(_recorded(tr)(a, rank + 1) != b)
+    if bad.size:
+        j = bad[np.lexsort((g[bad], a[bad], t[bad]))[0]]
+        u, i = int(a[j]), int(rank[j]) + 1
+        got = tr.choices.get(u, [])
+        raise TranscriptCorruptError(
+            f"departure {i} from vertex {u} went to {b[j]}, oracle recorded "
+            f"{got[i - 1] if i <= len(got) else 'nothing'}")
+    consumed = {u: int(counts[u]) for u in np.flatnonzero(counts).tolist()}
     if consumed != {u: c for u, c in tr.walk_consumed.items() if c}:
         raise TranscriptCorruptError("consumed-count table does not match visits")
 
@@ -761,28 +747,37 @@ def verify_transcript(tr: CouplingTranscript) -> VerifyReport:
             violations.append(f"{name}: {exc}")
 
     def conservation():
-        if len(tr.visits) != tr.visitx_rounds + 1:
+        pos = tr.positions
+        if pos.shape[0] != tr.visitx_rounds + 1:
             raise TranscriptCorruptError(
-                f"{len(tr.visits)} rounds of visits recorded, "
+                f"{pos.shape[0]} rounds of visits recorded, "
                 f"expected {tr.visitx_rounds + 1}")
-        for rnd, round_map in enumerate(tr.visits):
-            seen = sorted(g for agents in round_map.values() for g in agents)
-            if seen != _active_agents(tr, rnd):
-                raise TranscriptCorruptError(
-                    f"round {rnd} does not partition the agent population")
+        arrival = np.zeros(pos.shape[1], dtype=np.int64)
+        for r, _u, g in tr.additions:
+            arrival[g] = r
+        arrived = np.arange(pos.shape[0])[:, None] >= arrival
+        bad = np.flatnonzero(((pos != -1) != arrived).any(axis=1)).tolist()
+        bad += [] if tr.repeat_round is None else [tr.repeat_round]
+        if bad:
+            raise TranscriptCorruptError(
+                f"round {min(bad)} does not partition the agent population")
 
     def informing():
-        t_hat, a_hat = _resimulate_informing(tr)
-        if not np.array_equal(t_hat, tr.t_visit):
-            u = int(np.nonzero(t_hat != tr.t_visit)[0][0])
-            raise TranscriptCorruptError(
-                f"vertex {u}: recorded informing round {tr.t_visit[u]}, "
-                f"re-simulation gives {t_hat[u]}")
-        for g, r in enumerate(tr.agent_informed_at.tolist()):
-            if a_hat.get(g, -1) != r:
+        # re-derive the informing rounds from positions alone: the
+        # visit-exchange rule, with absent agents masked out each round
+        pos = tr.positions
+        visit = _Visit(tr.graph.n, tr.source, pos[0])
+        for rnd in range(1, pos.shape[0]):
+            visit.alive = pos[rnd] != -1
+            visit.update(pos[rnd], rnd)
+        for what, hat, rec in (("vertex", visit.v_inf, tr.t_visit),
+                               ("agent", visit.a_inf, tr.agent_informed_at)):
+            wrong = np.flatnonzero(hat != rec)
+            if wrong.size:
+                i = int(wrong[0])
                 raise TranscriptCorruptError(
-                    f"agent {g}: recorded informing round {r}, "
-                    f"re-simulation gives {a_hat.get(g, -1)}")
+                    f"{what} {i}: recorded informing round {rec[i]}, "
+                    f"re-simulation gives {hat[i]}")
 
     def push_replay():
         tau_hat, complete = _replay_push(tr)

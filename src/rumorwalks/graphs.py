@@ -403,7 +403,8 @@ def generate_random_regular(n: int, d: int, seed: int,
     Self-loops and duplicate pairings are rejected at the stub level and the
     affected stubs re-shuffled; a pass that cannot complete, or that yields a
     disconnected graph, triggers a full restart.  Raises
-    GenerationFailureError after ``max_restarts`` restarts.
+    GenerationFailureError after ``max_restarts`` restarts, saying how many
+    passes hit a pairing dead end and how many gave a disconnected graph.
     """
     if n < 2:
         raise InvalidParameterError(f"regular graph needs n >= 2, got {n}")
@@ -413,9 +414,11 @@ def generate_random_regular(n: int, d: int, seed: int,
         raise InvalidParameterError(f"n*d must be even, got n={n} d={d}")
     gen = np.random.Generator(np.random.PCG64(seed))
     tag = f"regular(n={n},d={d})"
+    dead_ends = 0
     for _ in range(max_restarts):
         keys = _pairing_attempt(n, d, gen)
         if keys is None:
+            dead_ends += 1
             continue
         # simple by construction, so only connectivity is left to check
         indptr, indices, _ = _csr_arrays(n, keys // n, keys % n)
@@ -425,7 +428,8 @@ def generate_random_regular(n: int, d: int, seed: int,
         # disconnected: restart from scratch
     raise GenerationFailureError(
         f"no connected {d}-regular graph on {n} vertices after "
-        f"{max_restarts} restarts")
+        f"{max_restarts} restarts: {dead_ends} pairing dead ends, "
+        f"{max_restarts - dead_ends} disconnected graphs")
 
 
 # -- edge-list file I/O -------------------------------------------------------

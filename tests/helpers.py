@@ -21,14 +21,16 @@ def brute_max_congestion(transcript, k: int) -> np.ndarray:
     g = transcript.graph
     best = np.full((k + 1, g.n), -1, dtype=np.int64)
 
+    positions = transcript.positions
+
     def agents_at(u, t):
-        return transcript.visits[t].get(u, [])
+        return [g for g, v in enumerate(positions[t].tolist()) if v == u]
 
     def position_of(agent, t):
-        for v, agents in transcript.visits[t].items():
-            if agent in agents:
-                return v
-        raise AssertionError(f"agent {agent} missing at round {t}")
+        v = int(positions[t, agent])
+        if v == -1:
+            raise AssertionError(f"agent {agent} missing at round {t}")
+        return v
 
     def dfs(t, v, q):
         if q > best[t][v]:

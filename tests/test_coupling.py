@@ -16,7 +16,7 @@ from rumorwalks import AgentConfig, InvalidParameterError, TranscriptCorruptErro
 from rumorwalks.coupling import TRANSCRIPT_FORMAT
 from rumorwalks.rng import SimRng
 
-from helpers import brute_max_congestion, small_instance_graphs
+from helpers import brute_max_congestion, coupling_corpus, small_instance_graphs
 
 K2 = rw.generate_complete(2)
 OPV2 = AgentConfig(count=2, placement="one-per-vertex")
@@ -58,7 +58,8 @@ class TestEvenCouplingK2:
         for u in range(2):
             tu = tr.t_visit[u]
             for t in range(tu + 1, tr.visitx_rounds + 1):
-                expected = tr.c_table[t - 1][u] + tr.z_count(u, t - 1)
+                z = np.count_nonzero(tr.positions[t - 1] == u)
+                expected = tr.c_table[t - 1][u] + z
                 assert tr.c_table[t][u] == expected
 
     def test_counter_monotone(self):
@@ -95,7 +96,7 @@ class TestEvenCouplingFamilies:
         g = rw.generate_star(6)
         tr = rw.run_coupled_even(g, 0, AgentConfig(count=1),
                                  SimRng(1))  # seed 1 places the agent at 0
-        assert tr.visits[0].get(0), "premise: agent starts on the source"
+        assert tr.positions[0, 0] == 0, "premise: agent starts on the source"
         report = rw.verify_transcript(tr)
         assert report.ok
         assert report.checks["oracle-consistency"]
@@ -198,6 +199,16 @@ class TestOddCoupling:
         assert tr.floor == 6 * 2 / (2 * 6)
         assert rw.verify_transcript(tr).ok
 
+    def test_added_agents_absent_before_arrival(self):
+        tr = rw.run_coupled_odd(rw.generate_cycle(8), 0, AgentConfig(3),
+                                SimRng(0), min_rounds=6, enable_r_floor=True)
+        assert tr.additions
+        assert tr.positions.shape == (tr.visitx_rounds + 1,
+                                      3 + len(tr.additions))
+        for r, _u, g in tr.additions:
+            assert (tr.positions[:r, g] == -1).all()
+            assert (tr.positions[r:, g] >= 0).all()
+
     def test_r_floor_requires_regular(self):
         with pytest.raises(InvalidParameterError):
             rw.run_coupled_odd(rw.generate_star(4), 0, AgentConfig(count=5),
@@ -260,10 +271,10 @@ class TestVerification:
         tr = rw.run_coupled_even(rw.generate_cycle(5), 0, AgentConfig(count=5),
                                  SimRng(44))
         bad = copy.deepcopy(tr)
-        victim = next(u for u, ags in bad.visits[1].items() if ags)
-        bad.visits[1][victim] = bad.visits[1][victim][:-1]
+        bad.positions[1, 0] = -1  # agent 0 goes missing at round 1
         report = rw.verify_transcript(bad)
         assert not report.ok
+        assert not report.checks["conservation"]
 
     def test_incomplete_report(self):
         tr = rw.run_coupled_even(rw.generate_cycle(12), 0, AgentConfig(count=1),
@@ -364,6 +375,131 @@ class TestTranscriptRanges:
     def test_not_an_object(self):
         with pytest.raises(TranscriptCorruptError):
             rw.transcript_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize("value", [64, 2 ** 70])
+    def test_agent_id_bounded_by_population(self, value):
+        obj = _regular64_json()
+        obj["visits"][2][0][1][0] = value
+        with pytest.raises(TranscriptCorruptError,
+                           match=rf"^agent id {value} is not \[0, 64\)$"):
+            rw.transcript_from_json(obj)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a[1].__setitem__(2, a[0][2]), "added agent id 3 is repeated"),
+        (lambda a: a[0].__setitem__(2, 2), r"added agent id 2 is not \[3, 7\)"),
+        (lambda a: a[0].__setitem__(2, 7), r"added agent id 7 is not \[3, 7\)"),
+        (lambda a: a[0].__setitem__(0, 7), r"addition round 7 is not \[0, 7\)"),
+        (lambda a: a[0].__setitem__(0, -1), r"addition round -1 is not \[0, 7\)"),
+        (lambda a: a[0].__setitem__(1, 8), r"addition vertex 8 is not \[0, 8\)"),
+    ])
+    def test_additions_rejected_on_load(self, edit, message):
+        obj = _floor_json()
+        edit(obj["additions"])
+        with pytest.raises(TranscriptCorruptError, match=f"^{message}$"):
+            rw.transcript_from_json(obj)
+
+
+def _floor_json():
+    """An odd-coupling transcript of six rounds on the 8-cycle whose
+    occupancy floor adds agents 3, 4 (round 1) and 5, 6 (round 3)."""
+    tr = rw.run_coupled_odd(rw.generate_cycle(8), 0, AgentConfig(3),
+                            SimRng(0), min_rounds=6, enable_r_floor=True)
+    assert [(r, g) for r, _u, g in tr.additions] == [(1, 3), (1, 4), (3, 5),
+                                                     (3, 6)]
+    assert tr.visitx_rounds == 6 and rw.verify_transcript(tr).ok
+    return json.loads(rw.transcript_dumps(tr))
+
+
+def _entry(obj, r, size=1):
+    """The first visits entry of round r with at least ``size`` agents."""
+    return next(e for e in obj["visits"][r] if len(e[1]) >= size)
+
+
+def _list_twice_in_list(obj, r):
+    agents = _entry(obj, r)[1]
+    agents.insert(0, agents[0])
+
+
+def _list_twice_elsewhere(obj, r):
+    first, second = obj["visits"][r][:2]
+    second[1] = sorted(second[1] + first[1][:1])
+
+
+def _drop(obj, r):
+    _entry(obj, r)[1].pop()
+
+
+def _split_vertex(obj, r):
+    # [u, [a, b, ...]] becomes [u, [a]], [u, [b, ...]]: the later list wins
+    entry = _entry(obj, r, 2)
+    i = obj["visits"][r].index(entry)
+    obj["visits"][r][i:i + 1] = [[entry[0], entry[1][:1]],
+                                 [entry[0], entry[1][1:]]]
+
+
+NOT_A_PARTITION = {"agent twice in one list": _list_twice_in_list,
+                   "agent at two vertices": _list_twice_elsewhere,
+                   "agent missing": _drop,
+                   "vertex listed twice": _split_vertex}
+
+
+class TestConservation:
+    """A round that does not partition the agents still loads, and the
+    conservation check names the first such round."""
+
+    @staticmethod
+    def flagged(obj) -> str:
+        report = rw.verify_transcript(rw.transcript_from_json(obj))
+        assert not report.checks["conservation"]
+        return report.violations[0]
+
+    @pytest.mark.parametrize("fault", sorted(NOT_A_PARTITION))
+    def test_flags_round(self, fault):
+        obj = _regular64_json()
+        r = next(r for r in range(1, len(obj["visits"]))
+                 if any(len(e[1]) >= 2 for e in obj["visits"][r]))
+        NOT_A_PARTITION[fault](obj, r)
+        assert self.flagged(obj) == \
+            f"conservation: round {r} does not partition the agent population"
+
+    @pytest.mark.parametrize("early,late", [("agent twice in one list",
+                                             "agent missing"),
+                                            ("agent missing",
+                                             "agent twice in one list")])
+    def test_first_round_of_either_kind(self, early, late):
+        obj = _regular64_json()
+        NOT_A_PARTITION[late](obj, 4)
+        NOT_A_PARTITION[early](obj, 2)
+        assert self.flagged(obj).startswith("conservation: round 2 ")
+
+    def test_added_agent_before_arrival(self):
+        obj = _floor_json()
+        obj["visits"][2].append([7, [5]])  # agent 5 arrives at round 3
+        obj["visits"][2].sort()
+        assert self.flagged(obj) == \
+            "conservation: round 2 does not partition the agent population"
+
+
+class TestJsonRoundTrip:
+    """Loading and writing back a transcript gives the same JSON object."""
+
+    @pytest.mark.parametrize("trial", range(2))
+    def test_round_trip_over_corpus(self, trial):
+        added = 0
+        for i, g in enumerate(coupling_corpus(trial)):
+            seed = rw.derive_seed(205, trial, i)
+            runs = [rw.run_coupled_even(g, 0, AgentConfig(g.n), SimRng(seed)),
+                    rw.run_coupled_odd(g, 0, AgentConfig(g.n), SimRng(seed))]
+            if g.is_regular:
+                runs.append(rw.run_coupled_odd(
+                    g, 0, AgentConfig(max(1, g.n // 2)), SimRng(seed),
+                    min_rounds=6, enable_r_floor=True))
+            for tr in runs:
+                obj = json.loads(rw.transcript_dumps(tr))
+                assert rw.transcript_to_json(rw.transcript_from_json(obj)) \
+                    == obj
+                added += len(obj["additions"])
+        assert added > 0
 
 
 # -- fuzzing the untrusted-input boundary ------------------------------------

@@ -10,7 +10,7 @@ import rumorwalks as rw
 from rumorwalks import Graph, InvalidParameterError, LoadError
 from rumorwalks.graphs import _stable_order
 
-from helpers import reference_random_regular
+from helpers import _reference_pairing_attempt, reference_random_regular
 
 
 def check_invariants(g: Graph):
@@ -535,3 +535,27 @@ class TestEdgeListIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             rw.load_edge_list(tmp_path / "nope.el")
+
+
+class TestGenerationFailureMessage:
+    """A failed generation says why its passes failed: a pairing dead end
+    (the leftover stubs cannot form new edges) or a disconnected graph."""
+
+    def test_dense_graph_dead_ends(self):
+        with pytest.raises(rw.GenerationFailureError,
+                           match="after 5 restarts: 5 pairing dead ends, "
+                                 "0 disconnected graphs"):
+            rw.generate_random_regular(100, 97, 1, max_restarts=5)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_counts_match_reference(self, seed):
+        # (12, 2) passes often end in a union of cycles; count both kinds
+        # of failure with the reference pairing, which draws the same stream
+        gen = np.random.Generator(np.random.PCG64(seed))
+        dead = sum(_reference_pairing_attempt(12, 2, gen) is None
+                   for _ in range(3))
+        assert reference_random_regular(12, 2, seed, max_restarts=3) is None
+        with pytest.raises(rw.GenerationFailureError,
+                           match=f"{dead} pairing dead ends, "
+                                 f"{3 - dead} disconnected graphs"):
+            rw.generate_random_regular(12, 2, seed, max_restarts=3)
