@@ -32,7 +32,7 @@ from .experiments import (FAMILIES, PROTOCOLS, agent_config, build_graph,
                           run_protocol, run_trials)
 from .graphs import load_edge_list, save_edge_list
 from .protocols import PLACEMENTS, trace_events
-from .rng import SimRng
+from .rng import SimRng, check_seed
 
 log = logging.getLogger("rumorwalks")
 
@@ -43,6 +43,20 @@ def _resolve_seed(seed: int | None) -> int:
     drawn = secrets.randbits(63)
     log.info("seed not given; using %d", drawn)
     return drawn
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed`` of run, couple and sweep: an int that derived streams can
+    use (argparse names the flag when this raises)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    try:
+        return check_seed(seed)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(obj) -> None:
@@ -214,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=float, default=None,
                    help="replenishment floor for r-visit-exchange")
     p.add_argument("--round-cap", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--trace-out", metavar="PATH",
                    help="write informing events as CSV (kind,id,round)")
     p.set_defaults(func=_cmd_run)
@@ -222,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a config-file sweep, emit CSV")
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--csv", metavar="PATH", help="write the CSV table here")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed_arg, default=None,
                    help="override the config seed")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: config / RUMORWALKS_JOBS)")
@@ -238,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-floor", action="store_true",
                    help="odd mode: replenish thin neighborhoods after odd rounds")
     p.add_argument("--floor", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="transcript JSON path")
     p.set_defaults(func=_cmd_couple)

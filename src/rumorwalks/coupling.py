@@ -167,8 +167,7 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     # push replays the same oracle, regardless of what the walk consumed
     tau, push_rounds, push_complete = _push_replay(n, source, oracle.take,
                                                    cap)
-    choices = {u: list(oracle.materialized(u))
-               for u in oracle.materialized_counts()}
+    choices = oracle.materialized_lists()
     tr = CouplingTranscript(
         graph=graph, source=source, mode=mode, seed=rng.seed,
         agent_count=config.count, placement=config.placement,
@@ -558,10 +557,17 @@ def _positions(visits: list, n: int, population: int):
     """The position matrix of a JSON visits list, whose entries must be
     [vertex, agents] pairs (-1 for an agent no entry lists), and the first
     round listing some agent twice, or None.  A vertex listed twice keeps
-    only its last list, as in a dict."""
+    only its last list, as in a dict.  A matrix of more than four cells
+    per listed id (plus one per round) is refused unallocated."""
     entries = list(itertools.chain.from_iterable(visits))
     us, lists = zip(*entries, strict=True) if entries else ((), ())
     ids = list(itertools.chain.from_iterable(lists))
+    # a written transcript lists nearly every cell: bound the matrix by the
+    # JSON's size before allocating it
+    if len(visits) * population > 4 * (len(ids) + len(visits)):
+        raise TranscriptCorruptError(
+            f"{len(ids)} listed agent ids cannot fill {len(visits)} rounds "
+            f"of {population} agents")
     _check_ids("visited vertex", us, 0, n)
     _check_ids("agent id", ids, 0, population)
     ids = np.fromiter(ids, np.int64, len(ids))
@@ -671,8 +677,15 @@ def _recorded(tr: CouplingTranscript):
     rows = [tr.choices.get(u, []) for u in range(n)]
     length = np.fromiter(map(len, rows), dtype=np.int64, count=n)
     offset = np.cumsum(length) - length
-    flat = np.array([w if 0 <= w < n else -1 for ws in rows for w in ws]
-                    + [-1], dtype=np.int64)  # trailing -1: the missing entry
+    total = int(length.sum())
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                           total)
+    except OverflowError:  # some entry is beyond int64, so out of range
+        flat = np.fromiter((w if 0 <= w < n else -1 for ws in rows
+                            for w in ws), np.int64, total)
+    # trailing -1: the missing entry
+    flat = np.append(np.where((flat >= 0) & (flat < n), flat, -1), -1)
     return lambda us, idx: flat[np.where(idx <= length[us],
                                          offset[us] + idx - 1, -1)]
 

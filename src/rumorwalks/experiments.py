@@ -31,7 +31,7 @@ from .protocols import (AgentConfig, run_meet_exchange, run_push,
                         run_push_pull, run_r_visit_exchange,
                         run_shared_visit_meet, run_t_visit_exchange,
                         run_visit_exchange)
-from .rng import SimRng, derive_seed
+from .rng import SimRng, check_seed, derive_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -110,6 +110,10 @@ class ExperimentConfig:
             raise ConfigError("sweep must list at least one size", "sweep")
         if any(int(s) < 1 for s in self.sweep):
             raise ConfigError("sweep sizes must be positive", "sweep")
+        try:
+            check_seed(self.seed)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc), "seed") from None
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}",
                               "trials")

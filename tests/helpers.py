@@ -1,7 +1,7 @@
 """Shared test utilities: an independent brute-force congestion oracle, the
 small-graph corpus used by the coupling checks, the per-round push
-reference, the stable-argsort stub-pairing reference and a planted
-generation failure."""
+reference, the stable-argsort stub-pairing reference, the per-vertex
+choice-oracle reference and a planted generation failure."""
 from __future__ import annotations
 
 import numpy as np
@@ -204,3 +204,62 @@ def fail_generation(monkeypatch, cfg, size: int, trial: int) -> None:
         return real(family, size, d_spec, seed)
 
     monkeypatch.setattr(experiments, "build_graph", failing)
+
+
+class ReferenceOracle:
+    """``ChoiceOracle`` as it was before the bulk seeding: each vertex's
+    ``PCG64(derive_seed(seed, "vertex", u))`` is built on its first refill,
+    and every refill of a row of degree above 1 is one ``integers`` call on
+    it; a degree-1 row repeats its lone neighbor."""
+
+    _BLOCK = 32
+
+    def __init__(self, graph, seed: int):
+        self.graph = graph
+        self.seed = int(seed)
+        self._rows: dict = {}                  # vertex -> list of entries
+        self._requested = np.zeros(graph.n, dtype=np.int64)
+        self._gens: dict = {}
+
+    def choice(self, u: int, i: int) -> int:
+        return int(self.take([u], [i])[0])
+
+    def take(self, us, idx) -> np.ndarray:
+        us = np.asarray(us, dtype=np.int64)
+        idx = np.asarray(idx, dtype=np.int64)
+        if us.size and (us.min() < 0 or us.max() >= self.graph.n):
+            raise rw.InvalidParameterError("vertex out of range")
+        if (idx < 1).any():
+            raise rw.InvalidParameterError("choice index is 1-based")
+        if (self.graph.degrees[us] < 1).any():
+            raise rw.InvalidParameterError("isolated vertex")
+        out = []
+        for u, i in zip(us.tolist(), idx.tolist()):
+            row = self._rows.setdefault(u, [])
+            if i > len(row):
+                self._refill(u, row, max(i, 2 * len(row), self._BLOCK))
+            out.append(row[i - 1])
+        np.maximum.at(self._requested, us, idx)
+        return np.array(out, dtype=np.int64)
+
+    def _refill(self, u: int, row: list, size: int) -> None:
+        nbrs = self.graph.neighbors(u)
+        if nbrs.shape[0] == 1:
+            row += [int(nbrs[0])] * (size - len(row))
+            return
+        if u not in self._gens:
+            self._gens[u] = np.random.Generator(np.random.PCG64(
+                rw.derive_seed(self.seed, "vertex", u)))
+        row += nbrs[self._gens[u].integers(0, nbrs.shape[0],
+                                           size=size - len(row))].tolist()
+
+    def materialized(self, u: int) -> tuple:
+        return tuple(self._rows.get(u, [])[:self._requested[u]])
+
+    def materialized_counts(self) -> dict:
+        return {u: int(self._requested[u])
+                for u in np.flatnonzero(self._requested).tolist()}
+
+    def materialized_lists(self) -> dict:
+        return {u: list(self.materialized(u))
+                for u in self.materialized_counts()}

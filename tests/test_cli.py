@@ -335,3 +335,40 @@ class TestCoupleVerify:
                      "--out", str(out)])
         capsys.readouterr()
         assert code == 2
+
+
+BIG_SEED = str(2 ** 127)  # the smallest int seed derived streams cannot pack
+
+
+class TestSeedRange:
+    """A seed outside [-2**127, 2**127) is a usage error naming its flag or
+    config line, never a traceback; the edges of the range still run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--family", "star", "--size", "10", "--protocol", "push"],
+        ["couple", "--family", "star", "--size", "10", "--out", "unused.json"],
+        ["sweep", "--config", "unused.cfg"],
+    ], ids=["run", "couple", "sweep"])
+    def test_flag_out_of_range(self, capsys, argv):
+        code, payload, err = run_cli(capsys, *argv, "--seed", BIG_SEED)
+        assert code == 1 and payload is None
+        assert f"argument --seed: seed {BIG_SEED} is outside" in err
+
+    def test_config_line_out_of_range(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TestSweep.CFG.replace("seed = 11", f"seed = {BIG_SEED}"))
+        code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1 and payload is None
+        assert f"line 5: seed {BIG_SEED} is outside" in err
+
+    @pytest.mark.parametrize("seed", [str(2 ** 127 - 1), str(-2 ** 127)])
+    def test_range_edges_run(self, capsys, seed):
+        code, payload, _ = run_cli(capsys, "run", "--family", "star", "--size",
+                                   "10", "--protocol", "push", "--seed", seed)
+        assert code == 0 and payload["seed"] == int(seed)
+
+    def test_not_an_int(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--family", "star", "--size",
+                               "10", "--protocol", "push", "--seed", "abc")
+        assert code == 1
+        assert "argument --seed: invalid int value: 'abc'" in err

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -499,6 +500,61 @@ class TestJsonRoundTrip:
                 assert rw.transcript_to_json(rw.transcript_from_json(obj)) \
                     == obj
                 added += len(obj["additions"])
+        assert added > 0
+
+
+def _corpus_json(trial: int):
+    """Even, odd and (on the regular graph) odd-with-floor transcripts of
+    the coupling corpus, as JSON objects."""
+    for i, g in enumerate(coupling_corpus(trial)):
+        seed = rw.derive_seed(205, trial, i)
+        yield json.loads(rw.transcript_dumps(rw.run_coupled_odd(
+            g, 0, AgentConfig(g.n), SimRng(seed))))
+        if g.is_regular:
+            yield json.loads(rw.transcript_dumps(rw.run_coupled_odd(
+                g, 0, AgentConfig(1), SimRng(seed), min_rounds=6,
+                enable_r_floor=True)))
+
+
+class TestLoaderBound:
+    """The loader refuses a position matrix out of proportion to the agent
+    ids its JSON lists, before allocating it; written transcripts load."""
+
+    def test_sparse_matrix_refused_unallocated(self):
+        obj = _regular64_json()
+        obj["visitx"]["rounds"] = 2999
+        obj["visits"] = [[] for _ in range(3000)]
+        obj["agent_count"] = 3000
+        obj["visitx"]["agent_informed_at"] = [-1] * 3000
+        text = json.dumps(obj)
+        assert len(text) < 40_000  # the matrix would take 69 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(TranscriptCorruptError,
+                               match="^0 listed agent ids cannot fill 3000 "
+                                     "rounds of 3000 agents$"):
+                rw.transcript_from_json(json.loads(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_missing_agent_loads(self):
+        obj = _regular64_json()
+        _drop(obj, 3)
+        assert TestConservation.flagged(obj) == \
+            "conservation: round 3 does not partition the agent population"
+
+    def test_written_transcripts_well_inside(self):
+        # a floor run starting from one agent adds most of its population
+        added = 0
+        for obj in _corpus_json(0):
+            population = obj["agent_count"] + len(obj["additions"])
+            listed = sum(len(e[1]) for r in obj["visits"] for e in r)
+            cells = len(obj["visits"]) * population
+            assert cells <= 2 * (listed + len(obj["visits"]))
+            rw.transcript_from_json(obj)
+            added += len(obj["additions"])
         assert added > 0
 
 

@@ -1,13 +1,19 @@
-"""Determinism, sub-stream isolation, oracle idempotence, and the
-distributional checks on stationary sampling and lazy stepping."""
+"""Determinism, sub-stream isolation, oracle idempotence, the bulk PCG64
+streams against numpy's own, and the distributional checks on stationary
+sampling and lazy stepping."""
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import rumorwalks as rw
-from rumorwalks.protocols import _move
-from rumorwalks.rng import (ChoiceOracle, SimRng, bounded_ahead, derive_seed,
+from rumorwalks.protocols import AgentConfig, _move
+from rumorwalks.rng import (ChoiceOracle, SimRng, _draw_from, _first_blocks,
+                            _pcg64_seed, bounded_ahead, derive_seed,
                             place_stationary)
+
+from helpers import ReferenceOracle, coupling_corpus
 
 
 class TestDeriveSeed:
@@ -31,6 +37,20 @@ class TestDeriveSeed:
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             derive_seed(1, True)
+
+    @pytest.mark.parametrize("part", [2 ** 127, -2 ** 127 - 1, 2 ** 200])
+    def test_rejects_oversized_int(self, part):
+        with pytest.raises(rw.InvalidParameterError, match="outside"):
+            derive_seed(part, "x")
+
+    @pytest.mark.parametrize("part", [0, -1, 2 ** 64, 2 ** 127 - 1,
+                                      -2 ** 127])
+    def test_in_range_streams_unchanged(self, part):
+        # the packing every stream has been derived with
+        h = hashlib.sha256(b"i" + part.to_bytes(16, "little", signed=True)
+                           + b"svertex\x00")
+        assert derive_seed(part, "vertex") == \
+            int.from_bytes(h.digest()[:8], "little")
 
 
 class TestSimRng:
@@ -152,10 +172,13 @@ class TestChoiceOracleContract:
     def test_degree_one_draws_nothing(self):
         g = rw.generate_star(5)
         oracle = ChoiceOracle(g, seed=3)
+        used, center = oracle._used, oracle._pcg[0].copy()
         assert oracle.take([2, 3, 2], [1, 70, 200]).tolist() == [0, 0, 0]
-        assert oracle._gens == {}  # no leaf ever built a stream
-        oracle.choice(0, 1)
-        assert list(oracle._gens) == [0]
+        assert oracle._used == used  # no leaf row grew
+        assert not oracle._pcg[1:].any()  # no leaf ever had a stream
+        oracle.choice(0, 33)  # past its first block, the center regrows
+        assert oracle._used > used
+        assert (oracle._pcg[0] != center).any()
 
     def test_materialized_shows_requested_prefix_only(self):
         g = rw.generate_complete(5)
@@ -302,3 +325,101 @@ class TestBoundedAhead:
             [int(ref.integers(0, 1000))]
         assert got == want
         assert gen.bit_generator.state == ref.bit_generator.state
+
+
+EDGE_SEEDS = [0, 1, 2, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63,
+              2 ** 64 - 2, 2 ** 64 - 1]
+
+
+def _seeds(count: int) -> np.ndarray:
+    gen = np.random.Generator(np.random.PCG64(77))
+    return np.array(EDGE_SEEDS + gen.integers(0, 2 ** 64, size=count,
+                                              dtype=np.uint64).tolist(),
+                    dtype=np.uint64)
+
+
+def _row_state(row) -> dict:
+    s = [int(v) for v in row]
+    return {"bit_generator": "PCG64",
+            "state": {"state": s[0] << 64 | s[1], "inc": s[2] << 64 | s[3]},
+            "has_uint32": s[4], "uinteger": s[5]}
+
+
+class TestBulkStreams:
+    """The oracle's bulk SeedSequence -> PCG64 seeding and first blocks,
+    bit for bit against the installed numpy."""
+
+    BOUNDS = [2, 3, 9, 15, 512, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
+              3 * 2 ** 30, 2 ** 32 - 5, 2 ** 32]
+
+    def test_seeding_equals_pcg64(self):
+        seeds = _seeds(2500)
+        (s_hi, s_lo), (i_hi, i_lo) = _pcg64_seed(seeds)
+        for j, seed in enumerate(seeds.tolist()):
+            want = np.random.PCG64(seed).state["state"]
+            assert int(s_hi[j]) << 64 | int(s_lo[j]) == want["state"], seed
+            assert int(i_hi[j]) << 64 | int(i_lo[j]) == want["inc"], seed
+
+    @pytest.mark.parametrize("count", [32, 31, 7, 2, 1])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_first_block_then_regrowth(self, bound, count):
+        # the bulk words hold 1 or 2 rejected halves: near 2**31 most
+        # streams reject more and are drawn through ``gen``
+        seeds = _seeds(150)
+        gen = np.random.Generator(np.random.PCG64(0))
+        draws, rows = _first_blocks(seeds, np.full(seeds.shape[0], bound),
+                                    count, gen)
+        for j, seed in enumerate(seeds.tolist()):
+            ref = np.random.Generator(np.random.PCG64(seed))
+            assert draws[j].tolist() == \
+                ref.integers(0, bound, size=count).tolist(), seed
+            assert _row_state(rows[j]) == ref.bit_generator.state, seed
+            # one regrowth continues the same stream
+            assert _draw_from(gen, rows[j], bound, 45).tolist() == \
+                ref.integers(0, bound, size=45).tolist()
+            assert _row_state(rows[j]) == ref.bit_generator.state
+
+    def test_bounds_checked(self):
+        gen = np.random.Generator(np.random.PCG64(0))
+        for bound in (1, 2 ** 32 + 1):
+            with pytest.raises(rw.InvalidParameterError):
+                _first_blocks(_seeds(0), np.full(len(EDGE_SEEDS), bound), 32,
+                              gen)
+
+    def test_no_drawing_vertex(self):
+        oracle = ChoiceOracle(rw.generate_complete(2), seed=5)
+        assert not oracle._pcg.any()
+        assert oracle.take([0, 1, 0], [1, 9, 400]).tolist() == [1, 0, 1]
+
+
+class TestOracleAgainstReference:
+    """The bulk-seeded oracle against the per-vertex one it replaced."""
+
+    @pytest.mark.parametrize("trial", range(2))
+    def test_shuffled_queries(self, trial):
+        for i, g in enumerate(coupling_corpus(trial)):
+            seed = derive_seed(31, trial, i)
+            gen = np.random.Generator(np.random.PCG64(seed))
+            us = gen.integers(0, g.n, size=3000)
+            idx = gen.integers(1, 1 + gen.choice([40, 100, 300], size=3000))
+            a, b = ChoiceOracle(g, seed), ReferenceOracle(g, seed)
+            for part in np.array_split(gen.permutation(3000), 25):
+                assert a.take(us[part], idx[part]).tolist() == \
+                    b.take(us[part], idx[part]).tolist()
+            assert a.materialized_counts() == b.materialized_counts()
+            assert a.materialized_lists() == b.materialized_lists()
+            assert all(a.materialized(u) == b.materialized(u)
+                       for u in range(g.n))
+
+    @pytest.mark.parametrize("run", [rw.run_coupled_even,
+                                     rw.run_coupled_odd])
+    def test_coupled_transcripts(self, monkeypatch, run):
+        import rumorwalks.coupling as cp
+
+        def runs():
+            return [rw.transcript_dumps(run(g, 0, AgentConfig(g.n), SimRng(i)))
+                    for i, g in enumerate(coupling_corpus(0))]
+
+        bulk = runs()
+        monkeypatch.setattr(cp, "ChoiceOracle", ReferenceOracle)
+        assert runs() == bulk
