@@ -46,8 +46,8 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _seed_arg(text: str) -> int:
-    """``--seed`` of run, couple and sweep: an int that derived streams can
-    use (argparse names the flag when this raises)."""
+    """``--seed`` of every command that takes one: an int that derived
+    streams can use (argparse names the flag when this raises)."""
     try:
         seed = int(text)
     except ValueError:
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--d", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_generate)
 

@@ -48,7 +48,7 @@ __all__ = [
     "run_coupled_even", "run_coupled_odd", "compute_s_sets",
     "compute_c_counters", "verify_tau_leq_c", "reconstruct_min_chain_walk",
     "max_congestion_dp", "transcript_to_json", "transcript_from_json",
-    "verify_transcript",
+    "transcript_dumps", "verify_transcript",
 ]
 
 

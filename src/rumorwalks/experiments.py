@@ -8,13 +8,14 @@ a fresh graph per (size, trial), whose seed leaves out the protocol, so it is
 built once and shared by every protocol of the trial.  Deterministic families
 share one immutable graph per size, built once in each process that runs the
 sweep.  With ``jobs > 1`` one process pool runs all trials of the sweep,
-whatever the family.
+whatever the family; shared-walk domination runs its trials through the
+same loop and pool.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
@@ -252,30 +253,42 @@ def _trial_graph(cfg: ExperimentConfig, size: int, trial: int) -> Graph:
     return build_graph(cfg.family, size, cfg.d, gseed)
 
 
-def _run_trial(cfg: ExperimentConfig, size: int, trial: int):
+def _run_trial(cfg: ExperimentConfig, size: int, trial: int, labels: tuple):
     """One trial: build the trial's graph, or take the family's shared one,
-    and run every protocol of the config on it, each from its own seed.
+    and run each label on it from its own seed: a protocol of the config, or
+    ``"shared"`` for visit- and meet-exchange over shared walks.
 
-    Returns ``(vertex_count, times)`` with one broadcast time (None when
-    capped) per protocol; a failed generation gives a None count.
+    Returns ``(vertex_count, outs)``, one out per label: a broadcast time,
+    or for ``"shared"`` the pair (round visit-exchange informed every agent,
+    meet-exchange broadcast time); None when a run did not complete.  A
+    failed generation gives a None count.
     """
     try:
         graph = _trial_graph(cfg, size, trial)
     except GenerationFailureError:
-        return None, [None] * len(cfg.protocols)
-    times = []
-    for protocol in cfg.protocols:
-        rng = SimRng(derive_seed(cfg.seed, "run", cfg.family, size, protocol,
+        return None, [None] * len(labels)
+    outs = []
+    for label in labels:
+        rng = SimRng(derive_seed(cfg.seed, "run", cfg.family, size, label,
                                  trial))
         source = resolve_source(cfg.source, graph, rng.stream("source"))
-        times.append(run_protocol(
-            protocol, graph, source, rng, alpha=cfg.alpha, agents=cfg.agents,
-            placement=cfg.placement, lazy=cfg.lazy, gamma=cfg.gamma,
-            floor=cfg.floor, round_cap=cfg.round_cap).broadcast_time)
-    return graph.n, times
+        if label == "shared":
+            acfg = agent_config(graph, cfg.alpha, cfg.agents, cfg.placement,
+                                cfg.lazy)
+            out = run_shared_visit_meet(graph, source, acfg, rng,
+                                        cfg.round_cap)
+            done = out.meetx.complete and out.visitx_agents_round is not None
+            outs.append((out.visitx_agents_round, out.meetx.broadcast_time)
+                        if done else None)
+        else:
+            outs.append(run_protocol(
+                label, graph, source, rng, alpha=cfg.alpha, agents=cfg.agents,
+                placement=cfg.placement, lazy=cfg.lazy, gamma=cfg.gamma,
+                floor=cfg.floor, round_cap=cfg.round_cap).broadcast_time)
+    return graph.n, outs
 
 
-def _sweep_outcomes(config: ExperimentConfig):
+def _sweep_outcomes(config: ExperimentConfig, labels: tuple):
     """Yield ``(size, outcomes)`` in sweep order, one ``_run_trial`` outcome
     per trial in trial order.
 
@@ -286,13 +299,13 @@ def _sweep_outcomes(config: ExperimentConfig):
     """
     sizes = [size for size in config.sweep for _ in range(config.trials)]
     trials = [i for _ in config.sweep for i in range(config.trials)]
+    tasks = (_run_trial, repeat(config), sizes, trials, repeat(labels))
     try:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                outcomes = list(pool.map(_run_trial, repeat(config), sizes,
-                                         trials))
+                outcomes = list(pool.map(*tasks))
         else:
-            outcomes = list(map(_run_trial, repeat(config), sizes, trials))
+            outcomes = list(map(*tasks))
     finally:
         _fixed_graph.cache_clear()
     for k, size in enumerate(config.sweep):
@@ -367,7 +380,7 @@ def run_trials(config: ExperimentConfig) -> ExperimentResult:
     """Run the full sweep.  Trials are seeded by identity, so the result is
     byte-identical regardless of ``jobs``."""
     rows = []
-    for size, outcomes in _sweep_outcomes(config):
+    for size, outcomes in _sweep_outcomes(config, config.protocols):
         built = [n for n, _ in outcomes if n is not None]
         failed = len(outcomes) - len(built)
         if not built:
@@ -472,40 +485,20 @@ class DominationRow:
     violations: tuple
 
 
-def _domination_row(config: ExperimentConfig, size: int) -> DominationRow:
-    completed = holds = n_seen = 0
-    violations = []
-    for i in range(config.trials):
-        try:
-            graph = _trial_graph(config, size, i)
-        except GenerationFailureError:
-            continue
-        n_seen = graph.n
-        rng = SimRng(derive_seed(config.seed, "run", config.family, size,
-                                 "shared", i))
-        source = resolve_source(config.source, graph, rng.stream("source"))
-        acfg = agent_config(graph, config.alpha, config.agents,
-                            config.placement, config.lazy)
-        out = run_shared_visit_meet(graph, source, acfg, rng, config.round_cap)
-        if out.meetx.complete and out.visitx_agents_round is not None:
-            completed += 1
-            if out.visitx_agents_round <= out.meetx.broadcast_time:
-                holds += 1
-            else:
-                violations.append((i, out.visitx_agents_round,
-                                   out.meetx.broadcast_time))
-    return DominationRow(size=size, n=n_seen, trials=config.trials,
-                         completed=completed, holds=holds,
-                         violations=tuple(violations))
-
-
 def shared_walk_domination(config: ExperimentConfig) -> list:
     """Per-trial check that, over shared walks, visit-exchange informs all
     agents no later than meet-exchange completes."""
-    try:
-        return [_domination_row(config, size) for size in config.sweep]
-    finally:
-        _fixed_graph.cache_clear()
+    rows = []
+    for size, outcomes in _sweep_outcomes(config, ("shared",)):
+        built = [n for n, _ in outcomes if n is not None]
+        done = [(i, *outs[0]) for i, (_, outs) in enumerate(outcomes)
+                if outs[0] is not None]
+        violations = tuple(v for v in done if v[1] > v[2])
+        rows.append(DominationRow(
+            size=size, n=built[-1] if built else 0, trials=config.trials,
+            completed=len(done), holds=len(done) - len(violations),
+            violations=violations))
+    return rows
 
 
 # -- growth-model fitting -----------------------------------------------------------
@@ -583,9 +576,28 @@ def empirical_min(result: ExperimentResult) -> dict:
 
 # -- flat config files ----------------------------------------------------------------
 
-_CONFIG_KEYS = ("family", "protocols", "sweep", "trials", "seed", "alpha",
-                "agents", "placement", "lazy", "source", "d", "gamma",
-                "floor", "round_cap", "jobs", "bootstrap")
+def _to_bool(v: str) -> bool:
+    if v.lower() in ("true", "yes", "1"):
+        return True
+    if v.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {v!r}")
+
+
+def _to_list(v: str) -> tuple:
+    return tuple(part.strip() for part in v.split(",") if part.strip())
+
+
+def _to_int_list(v: str) -> tuple:
+    return tuple(int(part) for part in _to_list(v))
+
+
+# how the value of each non-``str`` key is read; the keys, their order, which
+# are required and their defaults are the fields of ExperimentConfig
+_READERS = {"protocols": _to_list, "sweep": _to_int_list, "trials": int,
+            "seed": int, "alpha": float, "agents": int, "lazy": _to_bool,
+            "gamma": float, "floor": float, "round_cap": int, "jobs": int,
+            "bootstrap": int}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -594,6 +606,7 @@ def parse_config(text: str) -> ExperimentConfig:
     Blank lines and ``#`` comments are ignored; keys may appear once.
     Errors carry the offending line number.
     """
+    spec = {f.name: f for f in fields(ExperimentConfig)}
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -603,7 +616,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in spec:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -611,49 +624,19 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         raw[key] = (value, lineno)
 
-    def take(key, conv, default=None, required=False):
+    values = {}
+    for key, field in spec.items():
         if key not in raw:
-            if required:
+            if field.default is MISSING:
                 raise ConfigError(f"missing required key {key!r}")
-            return default
+            continue
         value, lineno = raw[key]
         try:
-            return conv(value)
+            values[key] = _READERS.get(key, str)(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-
-    def to_bool(v: str) -> bool:
-        if v.lower() in ("true", "yes", "1"):
-            return True
-        if v.lower() in ("false", "no", "0"):
-            return False
-        raise ValueError(f"expected true/false, got {v!r}")
-
-    def to_list(v: str) -> tuple:
-        return tuple(part.strip() for part in v.split(",") if part.strip())
-
-    def to_int_list(v: str) -> tuple:
-        return tuple(int(part) for part in to_list(v))
-
     try:
-        return ExperimentConfig(
-            family=take("family", str, required=True),
-            protocols=take("protocols", to_list, required=True),
-            sweep=take("sweep", to_int_list, required=True),
-            trials=take("trials", int, required=True),
-            seed=take("seed", int, required=True),
-            alpha=take("alpha", float, default=1.0),
-            agents=take("agents", int),
-            placement=take("placement", str, default="stationary"),
-            lazy=take("lazy", to_bool, default=False),
-            source=take("source", str, default="0"),
-            d=take("d", str),
-            gamma=take("gamma", float),
-            floor=take("floor", float),
-            round_cap=take("round_cap", int),
-            jobs=take("jobs", int, default=1),
-            bootstrap=take("bootstrap", int, default=1000),
-        )
+        return ExperimentConfig(**values)
     except ConfigError as exc:
         if exc.key not in raw:
             raise
@@ -671,31 +654,18 @@ def parse_config_file(path) -> ExperimentConfig:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Inverse of :func:`parse_config`: parse(format(cfg)) == cfg."""
-    def num(x):
-        return repr(float(x)) if isinstance(x, float) else str(x)
-
-    lines = [
-        f"family = {cfg.family}",
-        f"protocols = {', '.join(cfg.protocols)}",
-        f"sweep = {', '.join(str(s) for s in cfg.sweep)}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"alpha = {num(cfg.alpha)}",
-    ]
-    if cfg.agents is not None:
-        lines.append(f"agents = {cfg.agents}")
-    lines.append(f"placement = {cfg.placement}")
-    lines.append(f"lazy = {'true' if cfg.lazy else 'false'}")
-    lines.append(f"source = {cfg.source}")
-    if cfg.d is not None:
-        lines.append(f"d = {cfg.d}")
-    if cfg.gamma is not None:
-        lines.append(f"gamma = {num(cfg.gamma)}")
-    if cfg.floor is not None:
-        lines.append(f"floor = {num(cfg.floor)}")
-    if cfg.round_cap is not None:
-        lines.append(f"round_cap = {cfg.round_cap}")
-    lines.append(f"jobs = {cfg.jobs}")
-    lines.append(f"bootstrap = {cfg.bootstrap}")
+    """Inverse of :func:`parse_config`: parse(format(cfg)) == cfg.  Keys come
+    in field order; an optional key left at None is not written."""
+    lines = []
+    for field in fields(cfg):
+        value, reader = getattr(cfg, field.name), _READERS.get(field.name)
+        if value is None and field.default is None:
+            continue
+        if reader is _to_bool:
+            text = "true" if value else "false"
+        elif reader in (_to_list, _to_int_list):
+            text = ", ".join(str(v) for v in value)
+        else:
+            text = repr(float(value)) if isinstance(value, float) else str(value)
+        lines.append(f"{field.name} = {text}")
     return "\n".join(lines) + "\n"

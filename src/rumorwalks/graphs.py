@@ -412,6 +412,8 @@ def generate_random_regular(n: int, d: int, seed: int,
         raise InvalidParameterError(f"degree must satisfy 1 <= d < n, got d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n} d={d}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     gen = np.random.Generator(np.random.PCG64(seed))
     tag = f"regular(n={n},d={d})"
     dead_ends = 0

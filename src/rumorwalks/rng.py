@@ -356,35 +356,21 @@ class ChoiceOracle:
 
 def bounded_ahead(gen: np.random.Generator, bound: int, count: int):
     """``(draws, leave)``: the next ``count`` values of ``gen.integers(0,
-    bound)``, 2 <= bound <= 2**32, read ahead from a PCG64 generator, and
-    ``leave(used)``, which puts it where ``used`` scalar draws would.
-    numpy uses Lemire's method on ``next_uint32`` (a half word left over,
-    then the low and the high half of each word): a half h is kept when
-    ``h*bound mod 2**32 >= (2**32 - bound) % bound``, giving h*bound >> 32.
+    bound)``, read ahead as one ``gen.integers(0, bound, size=count)`` call,
+    which draws exactly what ``count`` scalar calls would, and
+    ``leave(used)``, which puts ``gen`` where ``used`` scalar draws would: it
+    rewinds to the state before the block and redraws ``used`` values.
     """
     bitgen = gen.bit_generator
     start = bitgen.state
-    b, floor = np.uint64(bound), np.uint64((2 ** 32 - bound) % bound)
-    low, w32 = np.uint64(2 ** 32 - 1), np.uint64(32)
-    pending = int(start["has_uint32"])
-    words = at = np.empty(0, dtype=np.uint64)
-    while at.shape[0] < count:  # read more after too many rejections
-        words = np.concatenate([words, bitgen.random_raw(
-            count * 2 ** 31 // (2 ** 32 - int(floor)) + 8)])
-        scaled = np.concatenate([
-            np.full(pending, start["uinteger"], dtype=np.uint64),
-            np.stack([words & low, words >> w32], 1).ravel()]) * b
-        at = np.flatnonzero((scaled & low) >= floor)
+    draws = gen.integers(0, bound, size=count)
 
     def leave(used: int) -> None:
-        end = (int(at[used - 1]) + 1 if used else 0) + pending  # halves
-        taken = (end + 1) // 2 - pending                        # new words
-        bitgen.state = start
-        bitgen.advance(taken)
-        bitgen.state = {**bitgen.state, "has_uint32": end % 2, "uinteger": int(
-            words[taken - 1] >> w32) if taken else start["uinteger"]}
+        if used < count:
+            bitgen.state = start
+            gen.integers(0, bound, size=used)
 
-    return (scaled[at[:count]] >> w32).astype(np.int64), leave
+    return draws, leave
 
 
 def place_stationary(graph: Graph, gen: np.random.Generator,

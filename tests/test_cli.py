@@ -348,7 +348,8 @@ class TestSeedRange:
         ["run", "--family", "star", "--size", "10", "--protocol", "push"],
         ["couple", "--family", "star", "--size", "10", "--out", "unused.json"],
         ["sweep", "--config", "unused.cfg"],
-    ], ids=["run", "couple", "sweep"])
+        ["generate", "--family", "star", "--size", "10", "--out", "unused.el"],
+    ], ids=["run", "couple", "sweep", "generate"])
     def test_flag_out_of_range(self, capsys, argv):
         code, payload, err = run_cli(capsys, *argv, "--seed", BIG_SEED)
         assert code == 1 and payload is None
@@ -366,6 +367,19 @@ class TestSeedRange:
         code, payload, _ = run_cli(capsys, "run", "--family", "star", "--size",
                                    "10", "--protocol", "push", "--seed", seed)
         assert code == 0 and payload["seed"] == int(seed)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocol", "push"],
+        ["couple", "--out", "unused.json"],
+        ["generate", "--out", "unused.el"],
+    ], ids=["run", "couple", "generate"])
+    def test_negative_seed_regular(self, capsys, argv):
+        # a regular graph is seeded by the seed itself, which must be >= 0
+        code, payload, err = run_cli(capsys, *argv, "--family", "regular",
+                                     "--size", "10", "--d", "3", "--seed",
+                                     "-1")
+        assert code == 1 and payload is None
+        assert err == "ERROR seed must be >= 0, got -1\n"
 
     def test_not_an_int(self, capsys):
         code, _, err = run_cli(capsys, "run", "--family", "star", "--size",

@@ -3,6 +3,7 @@ and the parallel path."""
 import hashlib
 import math
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from rumorwalks import ConfigError, ExperimentConfig, FitError
 from rumorwalks.experiments import CSV_HEADER, GROWTH_MODELS, build_graph
 
 from helpers import fail_generation
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent
+                  / "experiments").glob("*.cfg"))
 
 
 def small_config(**overrides):
@@ -51,8 +55,43 @@ source = center
             small_config(alpha=0.5, agents=7, lazy=True, source="leaf",
                          gamma=2 * math.e, floor=1.25, round_cap=999,
                          jobs=3, bootstrap=50),
+            *(rw.parse_config_file(path) for path in SHIPPED),
         ]:
             assert rw.parse_config(rw.format_config(cfg)) == cfg
+        assert len(SHIPPED) == 15
+
+    def test_format_every_field(self):
+        # every key, in ExperimentConfig's field order, one per line
+        cfg = small_config(family="regular", protocols=("push", "t-visit-exchange"),
+                           sweep=(64, 128), alpha=0.5, agents=7,
+                           placement="one-per-vertex", lazy=True,
+                           source="leaf", d="log2ceil", gamma=2 * math.e,
+                           floor=1.25, round_cap=999, jobs=3, bootstrap=50)
+        assert rw.format_config(cfg) == (
+            "family = regular\n"
+            "protocols = push, t-visit-exchange\n"
+            "sweep = 64, 128\n"
+            "trials = 5\n"
+            "seed = 77\n"
+            "alpha = 0.5\n"
+            "agents = 7\n"
+            "placement = one-per-vertex\n"
+            "lazy = true\n"
+            "source = leaf\n"
+            "d = log2ceil\n"
+            "gamma = 5.43656365691809\n"
+            "floor = 1.25\n"
+            "round_cap = 999\n"
+            "jobs = 3\n"
+            "bootstrap = 50\n")
+        assert rw.parse_config(rw.format_config(cfg)) == cfg
+
+    def test_format_defaults(self):
+        # optional keys left at None are not written; the rest always are
+        assert rw.format_config(small_config()) == (
+            "family = star\nprotocols = push\nsweep = 16\ntrials = 5\n"
+            "seed = 77\nalpha = 1.0\nplacement = stationary\nlazy = false\n"
+            "source = 0\njobs = 1\nbootstrap = 1000\n")
 
     @pytest.mark.parametrize("line,fragment", [
         ("familly = star", "line 1: unknown key"),
@@ -402,3 +441,24 @@ class TestComparisons:
         assert rows[0].completed == 20
         assert rows[0].holds == 20
         assert rows[0].violations == ()
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(family="star", sweep=(16, 32), trials=6, seed=3,
+                         protocols=("visit-exchange",), lazy=True),
+        ExperimentConfig(family="regular", d="3", sweep=(16, 32), trials=6,
+                         seed=3, protocols=("visit-exchange",), lazy=True,
+                         round_cap=20),  # some trials hit the cap
+    ], ids=["star", "regular"])
+    def test_shared_walk_domination_jobs_invariant(self, cfg):
+        one = rw.shared_walk_domination(cfg)
+        assert [r.size for r in one] == [16, 32]
+        assert one == rw.shared_walk_domination(replace(cfg, jobs=2))
+
+    def test_shared_walk_domination_skips_failed_generation(self,
+                                                             monkeypatch):
+        cfg = ExperimentConfig(family="regular", d="3", sweep=(16,), trials=5,
+                               seed=8, protocols=("visit-exchange",),
+                               lazy=True)
+        fail_generation(monkeypatch, cfg, 16, 2)
+        row = rw.shared_walk_domination(cfg)[0]
+        assert (row.n, row.trials, row.completed, row.holds) == (16, 5, 4, 4)

@@ -217,6 +217,8 @@ class TestRandomRegular:
             rw.generate_random_regular(5, 3, seed=1)  # odd n*d
         with pytest.raises(InvalidParameterError):
             rw.generate_random_regular(4, 4, seed=1)  # d >= n
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+            rw.generate_random_regular(10, 3, seed=-1)
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
