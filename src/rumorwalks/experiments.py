@@ -28,8 +28,8 @@ from .graphs import (Graph, generate_clique_path, generate_complete,
                      generate_double_star, generate_heavy_binary_tree,
                      generate_random_regular, generate_siamese_trees,
                      generate_star)
-from .protocols import (AgentConfig, run_meet_exchange, run_push,
-                        run_push_pull, run_r_visit_exchange,
+from .protocols import (PLACEMENTS, AgentConfig, run_meet_exchange,
+                        run_push, run_push_pull, run_r_visit_exchange,
                         run_shared_visit_meet, run_t_visit_exchange,
                         run_visit_exchange)
 from .rng import SimRng, check_seed, derive_seed
@@ -118,6 +118,9 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}",
                               "trials")
+        if self.placement not in PLACEMENTS:
+            raise ConfigError(f"placement must be one of {PLACEMENTS}, "
+                              f"got {self.placement!r}", "placement")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}", "alpha")
         if self.jobs < 1:

@@ -33,18 +33,6 @@ __all__ = [
 ]
 
 
-def _csr_arrays(n: int, u: np.ndarray, v: np.ndarray):
-    """CSR ``(indptr, indices)`` of the undirected edges ``(u[i], v[i])``,
-    plus the sorted directed keys ``src * n + dst`` both are read from.
-
-    One sort of the keys orders every row and its neighbors at once; the
-    caller checks the keys for duplicates when the edges are untrusted.
-    """
-    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, keys % n, keys
-
-
 class Graph:
     """Undirected simple connected graph in compressed sparse row form.
 
@@ -92,14 +80,17 @@ class Graph:
                     f"edge endpoint out of range for n={n}")
             if (e[:, 0] == e[:, 1]).any():
                 raise InvalidParameterError("self-loops are not allowed")
-        indptr, indices, keys = _csr_arrays(n, e[:, 0], e[:, 1])
-        # a duplicate in either orientation repeats a directed key
+        # one sort of the directed keys src * n + dst orders every row and
+        # its neighbors; a duplicate in either orientation repeats a key
+        u, v = e[:, 0], e[:, 1]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
         if (keys[1:] == keys[:-1]).any():
             raise InvalidParameterError("duplicate edges are not allowed")
         if n > 1 and m == 0:
             raise InvalidParameterError("graph with n > 1 vertices has no edges")
 
-        g = cls(n, indptr, indices, family_tag)
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        g = cls(n, indptr, keys % n, family_tag)
         if not g.is_connected():
             raise InvalidParameterError("graph is not connected")
         return g
@@ -422,9 +413,17 @@ def generate_random_regular(n: int, d: int, seed: int,
         if keys is None:
             dead_ends += 1
             continue
-        # simple by construction, so only connectivity is left to check
-        indptr, indices, _ = _csr_arrays(n, keys // n, keys % n)
-        g = Graph(n, indptr, indices, tag)
+        # simple by construction, so only connectivity is left to check; the
+        # sorted directed keys hold row u at [u * d, (u + 1) * d)
+        m = keys.shape[0]
+        both = np.empty(2 * m, dtype=np.int64)
+        both[:m] = keys
+        lo, hi = np.divmod(keys, n)
+        np.multiply(hi, n, out=both[m:])
+        both[m:] += lo
+        both.sort()
+        both -= np.repeat(np.arange(n, dtype=np.int64) * n, d)
+        g = Graph(n, np.arange(n + 1, dtype=np.int64) * d, both, tag)
         if g.is_connected():
             return g
         # disconnected: restart from scratch

@@ -146,6 +146,18 @@ def place_agents(graph: Graph, config: AgentConfig, rng: SimRng) -> np.ndarray:
     return place_stationary(graph, rng.stream("placement"), config.count)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` from one sort and a neighbour mask, with no hash
+    pass, so its cost follows ``x.size``."""
+    x = np.sort(x)
+    if x.shape[0] < 2:
+        return x
+    keep = np.empty(x.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
                     degs: np.ndarray | None) -> np.ndarray:
     """One uniform neighbor of each row: ``graph.indices[starts +
@@ -188,10 +200,14 @@ def _move(graph: Graph, pos: np.ndarray, walk_gen, lazy: bool, lazy_gen) -> np.n
     """Advance every walker one synchronous step."""
     if pos.size == 0 or graph.n == 1:
         return pos
-    degs = None if graph.is_regular else graph.degrees[pos]
-    new = _draw_neighbors(graph, walk_gen, graph.indptr[pos], degs)
+    if graph.is_regular:  # row u starts at u * d
+        new = _draw_neighbors(graph, walk_gen, pos * graph.degrees[0], None)
+    else:
+        new = _draw_neighbors(graph, walk_gen, graph.indptr[pos],
+                              graph.degrees[pos])
     if lazy:
-        stay = lazy_gen.random(pos.shape[0]) < 0.5
+        # random() < 0.5 exactly when its raw word's top bit is clear
+        stay = lazy_gen.bit_generator.random_raw(pos.shape[0]) < 2 ** 63
         new = np.where(stay, pos, new)
     return new
 
@@ -250,7 +266,7 @@ def run_push(graph: Graph, source: int, rng: SimRng,
                 targets, forced = np.concatenate([targets, forced]), forced[:0]
             fresh = targets[informed_at[targets] == -1]
             if fresh.size > 1:
-                fresh = np.unique(fresh)
+                fresh = _distinct(fresh)
             informed_at[fresh] = t
             count += fresh.size
         if leafy:
@@ -285,7 +301,7 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
         pushed = targets[was]
         pushed = pushed[informed_at[pushed] == -1]
         pulled = np.nonzero(~was & was[targets])[0]
-        fresh = np.unique(np.concatenate([pushed, pulled]))
+        fresh = _distinct(np.concatenate([pushed, pulled]))
         if fresh.size:
             informed_at[fresh] = t
             count += fresh.size
@@ -361,7 +377,7 @@ class _Visit:
         if self.alive is not None:
             carriers &= self.alive
         landed = pos[carriers]
-        fresh_v = np.unique(landed[v_inf[landed] == -1])
+        fresh_v = _distinct(landed[v_inf[landed] == -1])
         if fresh_v.size:
             v_inf[fresh_v] = t
             self.uninformed -= fresh_v.size

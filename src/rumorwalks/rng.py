@@ -381,4 +381,6 @@ def place_stationary(graph: Graph, gen: np.random.Generator,
     if graph.n == 1:
         return np.zeros(count, dtype=np.int64)
     draws = gen.integers(0, 2 * graph.m, size=count)
+    if graph.is_regular:  # the cumulative degrees are d, 2d, ...
+        return draws // graph.degrees[0]
     return np.searchsorted(graph.cumulative_degrees, draws, side="right")

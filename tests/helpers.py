@@ -1,6 +1,7 @@
 """Shared test utilities: an independent brute-force congestion oracle, the
-small-graph corpus used by the coupling checks, the per-round push
-reference, the stable-argsort stub-pairing reference, the per-vertex
+small-graph corpus used by the coupling checks, the per-round push,
+push-pull and visit-exchange references (which keep ``np.unique`` and the
+``indptr`` gathers), the stable-argsort stub-pairing reference, the per-vertex
 choice-oracle reference and a planted generation failure."""
 from __future__ import annotations
 
@@ -125,6 +126,65 @@ def push_per_round(graph, source: int, rng, round_cap=None):
             starts = np.concatenate([starts, indptr[fresh]])
             degs = np.concatenate([degs, fdeg])
     return informed_at, t
+
+
+def push_pull_per_round(graph, source: int, rng, round_cap=None):
+    """Reference push-pull: the round loop of ``run_push_pull`` with
+    ``np.unique`` of each round's fresh vertices.
+
+    Returns ``(vertex_informed_at, rounds)``.
+    """
+    n = graph.n
+    cap = rw.default_round_cap(n) if round_cap is None else int(round_cap)
+    gen = rng.stream("pushpull")
+    informed_at = np.full(n, -1, dtype=np.int64)
+    informed_at[source] = 0
+    count, t = 1, 0
+    while count < n and t < cap:
+        t += 1
+        targets = graph.indices[graph.indptr[:-1]
+                                + gen.integers(0, graph.degrees)]
+        was = informed_at >= 0
+        pushed = targets[was]
+        pushed = pushed[informed_at[pushed] == -1]
+        pulled = np.nonzero(~was & was[targets])[0]
+        fresh = np.unique(np.concatenate([pushed, pulled]))
+        informed_at[fresh] = t
+        count += fresh.size
+    return informed_at, t
+
+
+def visit_exchange_per_round(graph, source: int, count: int, rng,
+                             lazy=False, round_cap=None):
+    """Reference visit-exchange with stationary placement: positions by a
+    ``searchsorted`` on the cumulative degrees, each step one array-bounded
+    ``integers`` call from the ``indptr`` row starts, the lazy coin from
+    ``random() < 0.5``, and ``np.unique`` of each round's fresh vertices.
+
+    Returns ``(vertex_informed_at, agent_informed_at, rounds)``.
+    """
+    n = graph.n
+    cap = rw.default_round_cap(n) if round_cap is None else int(round_cap)
+    draws = rng.stream("placement").integers(0, 2 * graph.m, size=count)
+    pos = np.searchsorted(graph.cumulative_degrees, draws, side="right")
+    walk_gen, lazy_gen = rng.stream("walks"), rng.stream("lazy")
+    v_inf = np.full(n, -1, dtype=np.int64)
+    v_inf[source] = 0
+    a_inf = np.full(count, -1, dtype=np.int64)
+    a_inf[pos == source] = 0
+    t = 0
+    while (v_inf == -1).any() and t < cap:
+        t += 1
+        if count:
+            new = graph.indices[graph.indptr[pos]
+                                + walk_gen.integers(0, graph.degrees[pos])]
+            if lazy:
+                new = np.where(lazy_gen.random(count) < 0.5, pos, new)
+            pos = new
+        landed = pos[a_inf != -1]
+        v_inf[np.unique(landed[v_inf[landed] == -1])] = t
+        a_inf[(a_inf == -1) & (v_inf[pos] != -1)] = t
+    return v_inf, a_inf, t
 
 
 def _reference_known(edge_keys, keys):

@@ -216,6 +216,19 @@ seed = 11
         assert code == 1 and payload is None
         assert fragment in err
 
+    @pytest.mark.parametrize("protocol", ["push", "visit-exchange"])
+    def test_bad_placement_names_line(self, tmp_path, capsys, protocol):
+        # placement is checked with the config, whether or not a protocol
+        # of the sweep places agents
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = star\nprotocols = {protocol}\nsweep = 16\n"
+                       f"trials = 2\nseed = 5\nplacement = weird\n")
+        code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1 and payload is None
+        assert err.strip().splitlines() == [
+            "ERROR line 6: placement must be one of "
+            "('stationary', 'one-per-vertex'), got 'weird'"]
+
     def test_bad_jobs_env_exit_one(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(self.CFG)

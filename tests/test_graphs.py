@@ -312,6 +312,16 @@ class TestPairingDifferential:
         g = rw.generate_random_regular(2048, 11, seed)
         assert g == reference_random_regular(2048, 11, seed)
 
+    @pytest.mark.parametrize("n,d,seed", [(1024, 10, 21), (4096, 12, 22),
+                                          (16384, 14, 23)])
+    def test_matches_reference_at_regular_sweep_sizes(self, n, d, seed):
+        # the CSR is built straight from the pairing's keys: indptr is
+        # arange(n + 1) * d, with no search
+        g = rw.generate_random_regular(n, d, seed)
+        ref = reference_random_regular(n, d, seed)
+        assert g == ref
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+
     @given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 400),
            distinct=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)

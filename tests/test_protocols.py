@@ -11,7 +11,8 @@ from rumorwalks import AgentConfig, Graph, InvalidParameterError, protocols
 from rumorwalks.protocols import default_round_cap, place_agents
 from rumorwalks.rng import SimRng
 
-from helpers import push_per_round
+from helpers import (push_per_round, push_pull_per_round,
+                     visit_exchange_per_round)
 
 K2 = rw.generate_complete(2)
 
@@ -149,6 +150,94 @@ class TestPushBlocks:
         # graph adds drawing rows nearly every round, so it rarely does
         if blocky is not None:
             assert bool(blocks) == blocky
+
+
+class TestDistinct:
+    """``protocols._distinct`` gives what ``np.unique`` gives."""
+
+    I64 = np.iinfo(np.int64)
+
+    @pytest.mark.parametrize("values", [
+        [], [7], [3] * 9, [I64.max, I64.min, 0, I64.max, I64.min, -1],
+    ], ids=["empty", "single", "all-equal", "extremes"])
+    def test_edge_cases(self, values):
+        x = np.array(values, dtype=np.int64)
+        got, want = protocols._distinct(x), np.unique(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random(self, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.integers(0, 1 + gen.integers(1, 2 ** 16),
+                         size=gen.integers(0, 2 ** 15 + 1))
+        assert np.array_equal(protocols._distinct(x), np.unique(x))
+
+
+class TestRegularPlacement:
+    """On a regular graph stationary placement is ``draws // d``; it must
+    equal the ``searchsorted`` on the cumulative degrees."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_searchsorted(self, seed):
+        g = rw.generate_random_regular(256 + seed, 6 + seed % 3 * 2, seed)
+        got = rw.place_stationary(g, np.random.default_rng(seed), 5000)
+        draws = np.random.default_rng(seed).integers(0, 2 * g.m, size=5000)
+        want = np.searchsorted(g.cumulative_degrees, draws, side="right")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestAgainstPerRoundReferences:
+    """Push, push-pull and visit-exchange against per-round loops that keep
+    ``np.unique``, the ``indptr`` gathers, the ``searchsorted`` placement
+    and the ``random()`` lazy coin (``helpers``), on graphs large enough
+    for rounds to inform thousands of vertices at once."""
+
+    GRAPHS = {
+        "regular": rw.generate_random_regular(1024, 10, seed=5),
+        "star": rw.generate_star(1999),
+        "heavy-tree": rw.generate_heavy_binary_tree(1023),
+        "double-star": rw.generate_double_star(2000),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_push(self, name, seed):
+        g = self.GRAPHS[name]
+        want, rounds = push_per_round(g, 0, SimRng(seed))
+        got = rw.run_push(g, 0, SimRng(seed))
+        assert got.rounds == rounds
+        assert np.array_equal(got.trace.vertex_informed_at, want)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_push_pull(self, name, seed):
+        g = self.GRAPHS[name]
+        want_rng, got_rng = SimRng(seed), SimRng(seed)
+        want, rounds = push_pull_per_round(g, 1, want_rng)
+        got = rw.run_push_pull(g, 1, got_rng)
+        assert got.rounds == rounds
+        assert np.array_equal(got.trace.vertex_informed_at, want)
+        assert got_rng.stream("pushpull").bit_generator.state == \
+            want_rng.stream("pushpull").bit_generator.state
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+    @pytest.mark.parametrize("name", GRAPHS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_visit_exchange(self, name, seed, lazy):
+        g = self.GRAPHS[name]
+        want_rng, got_rng = SimRng(seed), SimRng(seed)
+        v_want, a_want, rounds = visit_exchange_per_round(
+            g, 0, g.n, want_rng, lazy)
+        got = rw.run_visit_exchange(g, 0, AgentConfig(g.n, lazy=lazy),
+                                    got_rng)
+        assert got.rounds == rounds
+        assert np.array_equal(got.trace.vertex_informed_at, v_want)
+        assert np.array_equal(got.trace.agent_informed_at, a_want)
+        for label in ("placement", "walks", "lazy"):
+            assert got_rng.stream(label).bit_generator.state == \
+                want_rng.stream(label).bit_generator.state, label
 
 
 class TestPushPull:

@@ -260,6 +260,18 @@ class TestStepWalk:
         stays = int((dest == 2).sum())
         assert abs(stays / n_steps - 0.5) < 3 * np.sqrt(0.25 / n_steps)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lazy_coin_is_random_below_half(self, seed):
+        # the coin reads the raw word's top bit: the same booleans as
+        # random() < 0.5, and the generator left in the same state
+        for k in (0, 1, 7, 1001, 16384):
+            by_float = np.random.Generator(np.random.PCG64(seed))
+            by_word = np.random.Generator(np.random.PCG64(seed))
+            assert np.array_equal(
+                by_float.random(k) < 0.5,
+                by_word.bit_generator.random_raw(k) < 2 ** 63)
+            assert by_float.bit_generator.state == by_word.bit_generator.state
+
     def test_c4_two_neighbors(self):
         g = rw.generate_cycle(4)
         gen = np.random.Generator(np.random.PCG64(9))
