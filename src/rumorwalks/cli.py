@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .coupling import (run_coupled_even, run_coupled_odd, transcript_dumps,
                        transcript_from_json, verify_transcript)
-from .errors import (ConfigError, FitError, GenerationFailureError,
-                     InvalidParameterError, LoadError, RumorWalksError,
+from .errors import (ConfigError, GenerationFailureError,
+                     InvalidParameterError, RumorWalksError,
                      TranscriptCorruptError)
 from .experiments import (FAMILIES, PROTOCOLS, agent_config, build_graph,
                           parse_config_file, resolve_source, result_to_csv,
@@ -186,8 +186,6 @@ def _cmd_couple(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         obj = json.loads(Path(args.transcript).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.transcript}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TranscriptCorruptError(f"not valid JSON: {exc}") from exc
     tr = transcript_from_json(obj)
@@ -286,16 +284,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, LoadError, FitError, InvalidParameterError) as exc:
-        log.error("%s", exc)
-        return 1
     except GenerationFailureError as exc:
         log.error("%s", exc)
         return 2
     except TranscriptCorruptError as exc:
         log.error("transcript corrupt: %s", exc)
         return 3
-    except RumorWalksError as exc:
+    except (RumorWalksError, OSError) as exc:  # OSError: a file to read or write
         log.error("%s", exc)
         return 1
 

@@ -592,7 +592,8 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
     source, visited vertices, S-sets, additions), agent ids outside [0,
     agent_count + len(additions)), added agents below agent_count or
     listed twice, informing and addition rounds outside [-1, rounds] and
-    [0, rounds], and tables or round lists of the wrong length.  A round
+    [0, rounds], a mode other than even and odd (the checks to run depend
+    on it), and tables or round lists of the wrong length.  A round
     that does not partition the agents loads (conservation flags it).
     Recorded choices are not range-checked here: an out-of-range choice is
     a push-replay violation.  Every fault raises TranscriptCorruptError.
@@ -603,6 +604,9 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         if obj.get("format") != TRANSCRIPT_FORMAT:
             raise TranscriptCorruptError(
                 f"unknown transcript format {obj.get('format')!r}")
+        if obj.get("mode") not in ("even", "odd"):
+            raise TranscriptCorruptError(
+                f"unknown coupling mode {obj.get('mode')!r}")
         n, edges = int(obj["graph"]["n"]), obj["graph"]["edges"]
         if n > len(edges) + 1:  # checked before any array of size n exists
             raise TranscriptCorruptError(

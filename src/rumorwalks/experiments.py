@@ -7,13 +7,14 @@ independent of execution order or worker count.  Random graph families draw
 a fresh graph per (size, trial), whose seed leaves out the protocol, so it is
 built once and shared by every protocol of the trial.  Deterministic families
 share one immutable graph per size, built once in each process that runs the
-sweep.  With ``jobs > 1`` one process pool runs all trials of the sweep,
-whatever the family; shared-walk domination runs its trials through the
-same loop and pool.
+sweep.  With ``jobs > 1`` one process pool, no larger than the tasks or
+CPUs, runs all trials of the sweep, whatever the family; shared-walk
+domination runs its trials through the same loop and pool.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
@@ -121,6 +122,10 @@ class ExperimentConfig:
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, "
                               f"got {self.placement!r}", "placement")
+        for key in ("alpha", "gamma", "floor"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}", key)
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}", "alpha")
         if self.jobs < 1:
@@ -207,8 +212,12 @@ def agent_config(graph: Graph, alpha: float = 1.0, agents: int | None = None,
                  lazy: bool = False) -> AgentConfig:
     """The walkers of one run: ``agents`` of them when given, else
     round(alpha * n)."""
-    count = agents if agents is not None else round(alpha * graph.n)
-    return AgentConfig(count=count, placement=placement, lazy=lazy)
+    if agents is None:
+        if not math.isfinite(alpha * graph.n):
+            raise InvalidParameterError(
+                f"alpha * n must be finite, got alpha={alpha}, n={graph.n}")
+        agents = round(alpha * graph.n)
+    return AgentConfig(count=agents, placement=placement, lazy=lazy)
 
 
 def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
@@ -295,17 +304,19 @@ def _sweep_outcomes(config: ExperimentConfig, labels: tuple):
     """Yield ``(size, outcomes)`` in sweep order, one ``_run_trial`` outcome
     per trial in trial order.
 
-    Every (size, trial) pair is one task; with ``jobs > 1`` one process pool
-    serves every task of the sweep.  A random family builds each graph once
-    per (size, trial); a deterministic family builds its one graph per size
-    once in each process.
+    Every (size, trial) pair is one task; one process pool serves every
+    task of the sweep, with ``jobs`` workers but no more than there are
+    tasks or CPUs, and none when that leaves one.  A random family builds
+    each graph once per (size, trial); a deterministic family builds its
+    one graph per size once in each process.
     """
     sizes = [size for size in config.sweep for _ in range(config.trials)]
     trials = [i for _ in config.sweep for i in range(config.trials)]
     tasks = (_run_trial, repeat(config), sizes, trials, repeat(labels))
+    workers = min(config.jobs, len(sizes), os.cpu_count() or 1)
     try:
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(*tasks))
         else:
             outcomes = list(map(*tasks))

@@ -511,6 +511,8 @@ def run_t_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     """
     d = _regular_degree(graph, "t-visit-exchange")
     n = graph.n
+    if not math.isfinite(gamma):
+        raise InvalidParameterError(f"gamma must be finite, got {gamma}")
     if gamma < 2 * math.e * config.count / n:
         raise InvalidParameterError(
             f"gamma must be >= 2e*|A|/n = {2 * math.e * config.count / n:.4f}, "
@@ -548,7 +550,11 @@ def _floor_level(graph: Graph, count: int, floor: float | None,
                  what: str) -> float:
     """The occupancy floor, by default count * d / (2n) (regular graphs)."""
     d = _regular_degree(graph, what)
-    return count * d / (2 * graph.n) if floor is None else floor
+    if floor is None:
+        return count * d / (2 * graph.n)
+    if not math.isfinite(floor):
+        raise InvalidParameterError(f"floor must be finite, got {floor}")
+    return floor
 
 
 def _occupancy_floor(graph: Graph, floor: float, visit: _Visit,

@@ -59,6 +59,10 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(_hasher(*parts).digest()[:8], "little")
 
 
+def _stream(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 class SimRng:
     """Bundle of named, independently seeded generators for one run."""
 
@@ -69,8 +73,7 @@ class SimRng:
     def stream(self, *labels) -> np.random.Generator:
         """Generator for the given label path (cached per instance)."""
         if labels not in self._streams:
-            sub = derive_seed(self.seed, *labels)
-            self._streams[labels] = np.random.Generator(np.random.PCG64(sub))
+            self._streams[labels] = _stream(derive_seed(self.seed, *labels))
         return self._streams[labels]
 
     def child_seed(self, *labels) -> int:
@@ -170,40 +173,18 @@ def _jumps(words: int):
                  for col in zip(*jumps))
 
 
-def _draw_from(gen: np.random.Generator, row: np.ndarray, bound: int,
-               count: int) -> np.ndarray:
-    """``integers(0, bound, size=count)`` from the PCG64 stream whose state
-    ``row`` holds (state and inc as high and low words, has_uint32,
-    uinteger), read through ``gen``; ``row`` moves to the new state."""
-    s = row.tolist()
-    bitgen = gen.bit_generator
-    bitgen.state = {"bit_generator": "PCG64",
-                    "state": {"state": s[0] << 64 | s[1],
-                              "inc": s[2] << 64 | s[3]},
-                    "has_uint32": s[4], "uinteger": s[5]}
-    draws = gen.integers(0, bound, size=count)
-    st = bitgen.state
-    state = st["state"]["state"]
-    row[:] = [state >> 64, state & _M64, s[2], s[3],
-              st["has_uint32"], st["uinteger"]]
-    return draws
-
-
-def _first_blocks(seeds: np.ndarray, bounds, count: int,
-                  gen: np.random.Generator):
-    """``(draws, rows)``: for each uint64 seed s and bound d in [2, 2**32],
-    the values of ``Generator(PCG64(s)).integers(0, d, size=count)`` and the
-    state row (see :func:`_draw_from`) it leaves.  The first ``count // 2 +
-    1`` words of every stream are made at once.  numpy reads a word's low
+def _first_blocks(seeds: np.ndarray, bounds, count: int) -> np.ndarray:
+    """For each uint64 seed s and bound d in [2, 2**32], the values of
+    ``Generator(PCG64(s)).integers(0, d, size=count)``.  The first ``count //
+    2 + 1`` words of every stream are made at once.  numpy reads a word's low
     half, then its high half, and keeps half h when ``h * d mod 2**32 >=
     (2**32 - d) % d`` (Lemire's method), as ``h * d >> 32``; a stream that
-    rejects too many halves for those words is drawn through ``gen``."""
+    rejects too many halves for those words is drawn by numpy itself."""
     bounds = np.asarray(bounds, dtype=np.uint64)
     if bounds.size and not (bounds.min() >= 2 and bounds.max() <= 2 ** 32):
         raise InvalidParameterError("bulk draws need bounds in [2, 2**32]")
     a, c = _jumps(count // 2 + 1)
     draws = np.empty((seeds.shape[0], count), dtype=np.int64)
-    rows = np.empty((seeds.shape[0], 6), dtype=np.uint64)
     for at in range(0, seeds.shape[0], _CHUNK):
         state, inc = _pcg64_seed(seeds[at:at + _CHUNK])
         hi, lo = _add(_mul([w[:, None] for w in state], a),
@@ -216,17 +197,13 @@ def _first_blocks(seeds: np.ndarray, bounds, count: int,
         keep = (scaled & _M32) >= (2 ** 32 - d) % d
         kept = np.cumsum(keep, axis=1)
         full = kept[:, -1] >= count
-        half = np.argmax(kept >= count, axis=1)  # the last half drawn
-        r, end = np.arange(d.shape[0]), half // 2
-        block, row = draws[at:at + _CHUNK], rows[at:at + _CHUNK]
+        block = draws[at:at + _CHUNK]
         block[full] = (scaled[keep & (kept <= count) & full[:, None]]
                        >> 32).reshape(-1, count)
-        row[:, 0], row[:, 1], row[:, 4] = hi[r, end], lo[r, end], half % 2 == 0
-        row[:, 2], row[:, 3], row[:, 5] = *inc, out[r, end] >> 32
         for j in np.flatnonzero(~full).tolist():
-            row[j, :2], row[j, 4:] = (state[0][j], state[1][j]), 0
-            block[j] = _draw_from(gen, row[j], int(d[j, 0]), count)
-    return draws, rows
+            block[j] = _stream(int(seeds[at + j])).integers(
+                0, int(d[j, 0]), size=count)
+    return draws
 
 
 class ChoiceOracle:
@@ -243,14 +220,16 @@ class ChoiceOracle:
     Entries live in one flat ``int64`` buffer, each vertex's row contiguous.
     The oracle starts with the first 32 entries of every vertex of degree
     above 1, made for all of them at once by :func:`_first_blocks`; they
-    equal, and leave each stream where, ``integers(0, deg, size=32)`` on the
-    vertex's own ``PCG64(derive_seed(seed, "vertex", u))`` would.  A row
-    that needs more regrows, at least doubling, by one such call on its own
-    stream, and moves to the end of the buffer.  A degree-1 vertex draws
-    nothing (a bounded draw of range 0 consumes no randomness): its row is
-    its lone neighbor, read for every index.  Drawing ahead is invisible:
-    :meth:`materialized` and :meth:`materialized_counts` report exactly the
-    prefix up to the highest index requested so far.
+    equal ``integers(0, deg, size=32)`` on the vertex's own
+    ``PCG64(derive_seed(seed, "vertex", u))``.  The oracle keeps each such
+    vertex's seed and no generator state: a row that needs more entries
+    regrows, at least doubling, by drawing the whole longer row again from
+    the start of the vertex's stream.  It keeps the entries it already gave
+    out, takes only the new ones from the redraw, and moves to the end of
+    the buffer.  A degree-1 vertex draws nothing (a bounded draw of range 0
+    consumes no randomness): its row is its lone neighbor, read for every
+    index.  Drawing ahead is invisible: :meth:`materialized_lists` reports
+    exactly the prefix up to the highest index requested so far.
     """
 
     _BLOCK = 32  # entries drawn for every vertex at the start
@@ -267,8 +246,7 @@ class ChoiceOracle:
         self._stride = (deg > 1).astype(np.int64)     # 0: one entry serves all
         self._drawn = np.where(deg == 1, np.iinfo(np.int64).max, width)
         self._requested = np.zeros(graph.n, dtype=np.int64)  # highest index
-        self._pcg = np.zeros((graph.n, 6), dtype=np.uint64)  # stream states
-        self._gen = np.random.Generator(np.random.PCG64(0))  # reads them
+        self._seeds = np.zeros(graph.n, dtype=np.uint64)  # of drawing vertices
         lone = deg == 1
         self._buf[self._row[lone]] = graph.indices[graph.indptr[:-1][lone]]
         if draws.size:
@@ -278,9 +256,8 @@ class ChoiceOracle:
                 h = prefix.copy()
                 h.update(b"i" + u.to_bytes(16, "little", signed=True))
                 digests.append(h.digest()[:8])
-            seeds = np.frombuffer(b"".join(digests), dtype="<u8")
-            vals, self._pcg[draws] = _first_blocks(seeds, deg[draws],
-                                                   self._BLOCK, self._gen)
+            self._seeds[draws] = np.frombuffer(b"".join(digests), dtype="<u8")
+            vals = _first_blocks(self._seeds[draws], deg[draws], self._BLOCK)
             self._buf[self._row[draws, None] + np.arange(self._BLOCK)] = \
                 graph.indices[graph.indptr[draws, None] + vals]
 
@@ -316,8 +293,7 @@ class ChoiceOracle:
             raise InvalidParameterError(f"vertex {u} has no neighbors")
         size = max(need, 2 * old)
         a, b = int(self.graph.indptr[u]), int(self.graph.indptr[u + 1])
-        fresh = self.graph.indices[
-            a + _draw_from(self._gen, self._pcg[u], b - a, size - old)]
+        redraw = _stream(int(self._seeds[u])).integers(0, b - a, size=size)
         start = self._used
         if start + size > self._buf.size:
             grown = np.empty(max(2 * self._buf.size, start + size),
@@ -326,24 +302,16 @@ class ChoiceOracle:
             self._buf = grown
         src = int(self._row[u])
         self._buf[start:start + old] = self._buf[src:src + old]
-        self._buf[start + old:start + size] = fresh
+        self._buf[start + old:start + size] = \
+            self.graph.indices[a + redraw[old:]]
         self._row[u] = start
         self._drawn[u] = size
         self._used = start + size
 
-    def materialized(self, u: int) -> tuple:
-        """The choices requested so far for vertex u: entries 1..max index."""
-        at = self._row[u] + np.arange(self._requested[u]) * self._stride[u]
-        return tuple(self._buf[at].tolist())
-
-    def materialized_counts(self) -> dict:
-        """Highest index requested, for every vertex with one."""
-        return {u: int(self._requested[u])
-                for u in np.flatnonzero(self._requested).tolist()}
-
     def materialized_lists(self) -> dict:
-        """``{u: list(materialized(u))}`` for every vertex with a requested
-        index, read off the buffer in one pass."""
+        """The choices requested so far, ``{u: [entries 1 .. highest index
+        requested]}`` for every vertex with one, read off the buffer in one
+        pass."""
         us = np.flatnonzero(self._requested)
         count = self._requested[us]
         first = np.cumsum(count) - count

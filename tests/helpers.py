@@ -313,13 +313,6 @@ class ReferenceOracle:
         row += nbrs[self._gens[u].integers(0, nbrs.shape[0],
                                            size=size - len(row))].tolist()
 
-    def materialized(self, u: int) -> tuple:
-        return tuple(self._rows.get(u, [])[:self._requested[u]])
-
-    def materialized_counts(self) -> dict:
-        return {u: int(self._requested[u])
-                for u in np.flatnonzero(self._requested).tolist()}
-
     def materialized_lists(self) -> dict:
-        return {u: list(self.materialized(u))
-                for u in self.materialized_counts()}
+        return {u: self._rows[u][:int(self._requested[u])]
+                for u in np.flatnonzero(self._requested).tolist()}

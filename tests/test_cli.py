@@ -121,6 +121,23 @@ class TestRun:
         assert code == 1 and payload is None
         assert "gamma" in err
 
+    @pytest.mark.parametrize("argv,what", [
+        (("visit-exchange", "--alpha", "nan"), "alpha * n must be finite"),
+        (("visit-exchange", "--alpha", "inf"), "alpha * n must be finite"),
+        (("visit-exchange", "--alpha", "1e308"), "alpha * n must be finite"),
+        (("t-visit-exchange", "--gamma", "nan"), "gamma must be finite"),
+        (("t-visit-exchange", "--gamma", "inf"), "gamma must be finite"),
+        (("r-visit-exchange", "--floor", "nan"), "floor must be finite"),
+        (("r-visit-exchange", "--floor", "inf"), "floor must be finite"),
+    ])
+    def test_non_finite_exit_one(self, capsys, argv, what):
+        code, payload, err = run_cli(capsys, "run", "--family", "cycle",
+                                     "--size", "8", "--seed", "1",
+                                     "--protocol", *argv)
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert what in err
+
     def test_graph_file_input(self, tmp_path, capsys):
         el = tmp_path / "g.el"
         rw.save_edge_list(rw.generate_cycle(5), el)
@@ -208,6 +225,8 @@ seed = 11
         ("d = foo\n", "d must be"),
         ("round_cap = -5\n", "round_cap must be >= 1"),
         ("bootstrap = 0\n", "bootstrap must be >= 1"),
+        ("alpha = nan\n", "line 6: alpha must be finite"),
+        ("alpha = inf\n", "line 6: alpha must be finite"),
     ])
     def test_bad_value_exit_one(self, tmp_path, capsys, extra, fragment):
         cfg = tmp_path / "exp.cfg"
@@ -309,6 +328,15 @@ class TestCoupleVerify:
         assert code == 3 and payload is None
         assert "transcript corrupt" in err
 
+    def test_verify_unknown_mode_exits_three(self, tmp_path, capsys):
+        _, out = self.couple(tmp_path, capsys)
+        obj = json.loads(out.read_text())
+        obj["mode"] = "bogus"
+        out.write_text(json.dumps(obj))
+        code, payload, err = run_cli(capsys, "verify", "--transcript", str(out))
+        assert code == 3 and payload is None
+        assert "unknown coupling mode 'bogus'" in err
+
     def test_verify_unparseable_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"
         bad.write_text("{nope")
@@ -351,6 +379,23 @@ class TestCoupleVerify:
 
 
 BIG_SEED = str(2 ** 127)  # the smallest int seed derived streams cannot pack
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "star", "--size", "4", "--out", "{missing}/g.el"),
+    ("couple", "--family", "cycle", "--size", "8", "--seed", "21",
+     "--out", "{missing}/t.json"),
+    ("run", "--family", "cycle", "--size", "8", "--protocol", "push",
+     "--seed", "1", "--trace-out", "{missing}/trace.csv"),
+    ("sweep", "--config", "{tmp}/exp.cfg", "--csv", "{missing}/out.csv"),
+])
+def test_unwritable_output_exits_one(tmp_path, capsys, argv):
+    (tmp_path / "exp.cfg").write_text(TestSweep.CFG)
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "absent") for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    assert "No such file or directory" in err.strip().splitlines()[-1]
 
 
 class TestSeedRange:

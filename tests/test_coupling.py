@@ -306,6 +306,15 @@ class TestTranscriptJson:
         with pytest.raises(TranscriptCorruptError):
             rw.transcript_from_json(obj)
 
+    @pytest.mark.parametrize("mode", ["bogus", "Even", None, 0])
+    def test_mode_checked(self, mode):
+        # the mode picks the checks verification runs, so an unknown one
+        # cannot load
+        obj = rw.transcript_to_json(k2_transcript())
+        obj["mode"] = mode
+        with pytest.raises(TranscriptCorruptError, match="coupling mode"):
+            rw.transcript_from_json(obj)
+
     def test_planted_violation_survives_round_trip(self):
         tr = rw.run_coupled_even(rw.generate_cycle(6), 0, AgentConfig(count=6),
                                  SimRng(45))

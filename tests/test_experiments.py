@@ -145,6 +145,12 @@ source = center
         ("bootstrap", "0", "bootstrap must be >= 1"),
         ("jobs", "0", "jobs must be >= 1"),
         ("alpha", "-1", "alpha must be >= 0"),
+        ("alpha", "nan", "alpha must be finite"),
+        ("alpha", "inf", "alpha must be finite"),
+        ("gamma", "nan", "gamma must be finite"),
+        ("gamma", "-inf", "gamma must be finite"),
+        ("floor", "nan", "floor must be finite"),
+        ("floor", "inf", "floor must be finite"),
     ])
     def test_value_errors_name_their_line(self, key, value, fragment):
         lines = ["# sweep", "family = regular", "protocols = push",
@@ -174,6 +180,13 @@ class TestBuildGraph:
         assert all(int(d) == 6 for d in g.degrees)
         g = build_graph("regular", 16, "4", seed=5)
         assert all(int(d) == 4 for d in g.degrees)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
+                                       1e308])
+    def test_agent_config_rejects_non_finite(self, alpha):
+        with pytest.raises(rw.InvalidParameterError, match="alpha"):
+            rw.agent_config(rw.generate_cycle(8), alpha)
+        assert rw.agent_config(rw.generate_cycle(8), alpha, agents=3).count == 3
 
     def test_resolve_source(self):
         g = rw.generate_star(5)
@@ -235,6 +248,33 @@ class TestRunTrials:
                                       "meet-exchange"))
         assert rw.result_to_csv(rw.run_trials(cfg)) == \
             rw.result_to_csv(rw.run_trials(replace(cfg, jobs=2)))
+
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (2, 2, 2), (8, 2, 2), (8, 64, 6), (3, None, None), (1, 64, None)])
+    def test_pool_size(self, monkeypatch, jobs, cpus, workers):
+        # the pool has no more workers than tasks (6 here) or CPUs, and a
+        # sweep left with one worker runs in this process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = small_config(sweep=(8, 16), trials=3, jobs=jobs)
+        csv = rw.result_to_csv(rw.run_trials(cfg))
+        assert sizes == ([] if workers is None else [workers])
+        assert csv == rw.result_to_csv(rw.run_trials(replace(cfg, jobs=1)))
 
     def test_fixed_graph_built_once_per_size(self, monkeypatch):
         calls = []

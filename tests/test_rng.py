@@ -8,10 +8,10 @@ import pytest
 from scipy import stats
 
 import rumorwalks as rw
+import rumorwalks.rng as rng_mod
 from rumorwalks.protocols import AgentConfig, _move
-from rumorwalks.rng import (ChoiceOracle, SimRng, _draw_from, _first_blocks,
-                            _pcg64_seed, bounded_ahead, derive_seed,
-                            place_stationary)
+from rumorwalks.rng import (ChoiceOracle, SimRng, _first_blocks, _pcg64_seed,
+                            bounded_ahead, derive_seed, place_stationary)
 
 from helpers import ReferenceOracle, coupling_corpus
 
@@ -118,8 +118,16 @@ class TestChoiceOracle:
         g = rw.generate_complete(3)
         oracle = ChoiceOracle(g, seed=2)
         oracle.choice(1, 4)
-        assert oracle.materialized_counts()[1] == 4
-        assert len(oracle.materialized(1)) == 4
+        assert list(oracle.materialized_lists()) == [1]
+        assert len(oracle.materialized_lists()[1]) == 4
+
+
+def _record_streams(monkeypatch) -> list:
+    """Seeds of the streams the oracle makes from now on, in order."""
+    seeds, real = [], rng_mod._stream
+    monkeypatch.setattr(rng_mod, "_stream",
+                        lambda seed: seeds.append(seed) or real(seed))
+    return seeds
 
 
 def _scalar_entries(graph, seed, u, count):
@@ -169,30 +177,51 @@ class TestChoiceOracleContract:
             assert [got[u, i] for i in range(1, count + 1)] == \
                 _scalar_entries(g, seed, u, count)
 
-    def test_degree_one_draws_nothing(self):
+    def test_degree_one_draws_nothing(self, monkeypatch):
         g = rw.generate_star(5)
         oracle = ChoiceOracle(g, seed=3)
-        used, center = oracle._used, oracle._pcg[0].copy()
+        used, streams = oracle._used, _record_streams(monkeypatch)
         assert oracle.take([2, 3, 2], [1, 70, 200]).tolist() == [0, 0, 0]
         assert oracle._used == used  # no leaf row grew
-        assert not oracle._pcg[1:].any()  # no leaf ever had a stream
-        oracle.choice(0, 33)  # past its first block, the center regrows
+        assert streams == []  # and no leaf stream was drawn from
+        # past its first block, the center regrows from its own seed
+        assert oracle.choice(0, 33) == _scalar_entries(g, 3, 0, 33)[-1]
         assert oracle._used > used
-        assert (oracle._pcg[0] != center).any()
+        assert streams == [derive_seed(3, "vertex", 0)]
+
+    def test_regrowth_keeps_given_entries(self, monkeypatch):
+        # a row regrows by redrawing from its seed; even when the redraw
+        # disagrees with the entries given out (here: another stream), those
+        # entries stay as they were and only the new ones come from it
+        g = rw.generate_star(4)
+        oracle = ChoiceOracle(g, seed=12)
+        real = rng_mod._stream
+        monkeypatch.setattr(rng_mod, "_stream", lambda seed: real(seed ^ 1))
+        given = oracle.take([0] * 32, np.arange(1, 33)).tolist()
+        assert given == _scalar_entries(g, 12, 0, 32)
+        for need in (33, 65, 129, 300):  # regrows to 64, 128, 256 and 512
+            before = oracle._used
+            oracle.choice(0, need)
+            assert oracle._used > before
+            again = oracle.take([0] * len(given), np.arange(1, len(given) + 1))
+            assert again.tolist() == given
+            given = oracle.take([0] * need, np.arange(1, need + 1)).tolist()
+        other = np.random.Generator(np.random.PCG64(
+            derive_seed(12, "vertex", 0) ^ 1)).integers(0, 4, size=64)
+        assert given[32:64] == (other[32:] + 1).tolist()
+        assert oracle.materialized_lists() == {0: given}
 
     def test_materialized_shows_requested_prefix_only(self):
         g = rw.generate_complete(5)
         oracle = ChoiceOracle(g, seed=6)
         oracle.take([1, 1, 3], [2, 5, 1])
         # whole blocks were drawn, but only the requested prefix shows
-        assert oracle.materialized_counts() == {1: 5, 3: 1}
-        assert oracle.materialized(1) == tuple(_scalar_entries(g, 6, 1, 5))
-        assert oracle.materialized(3) == tuple(_scalar_entries(g, 6, 3, 1))
-        assert oracle.materialized(0) == ()
+        assert oracle.materialized_lists() == {
+            1: _scalar_entries(g, 6, 1, 5), 3: _scalar_entries(g, 6, 3, 1)}
         oracle.choice(1, 3)  # a lower index does not shrink the prefix
-        assert oracle.materialized_counts()[1] == 5
+        assert oracle.materialized_lists()[1] == _scalar_entries(g, 6, 1, 5)
         oracle.choice(1, 40)  # past the first block
-        assert oracle.materialized(1) == tuple(_scalar_entries(g, 6, 1, 40))
+        assert oracle.materialized_lists()[1] == _scalar_entries(g, 6, 1, 40)
 
     def test_rejections(self):
         k1 = ChoiceOracle(rw.Graph.from_edges(1, []), seed=1)
@@ -204,7 +233,7 @@ class TestChoiceOracleContract:
                 oracle.choice(u, i)
         with pytest.raises(rw.InvalidParameterError):
             oracle.take([0, 1], [1, 0])
-        assert oracle.materialized_counts() == {}
+        assert oracle.materialized_lists() == {}
 
 
 class TestStationarySampling:
@@ -350,13 +379,6 @@ def _seeds(count: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _row_state(row) -> dict:
-    s = [int(v) for v in row]
-    return {"bit_generator": "PCG64",
-            "state": {"state": s[0] << 64 | s[1], "inc": s[2] << 64 | s[3]},
-            "has_uint32": s[4], "uinteger": s[5]}
-
-
 class TestBulkStreams:
     """The oracle's bulk SeedSequence -> PCG64 seeding and first blocks,
     bit for bit against the installed numpy."""
@@ -376,32 +398,30 @@ class TestBulkStreams:
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_first_block_then_regrowth(self, bound, count):
         # the bulk words hold 1 or 2 rejected halves: near 2**31 most
-        # streams reject more and are drawn through ``gen``
+        # streams reject more and are drawn by numpy
         seeds = _seeds(150)
-        gen = np.random.Generator(np.random.PCG64(0))
-        draws, rows = _first_blocks(seeds, np.full(seeds.shape[0], bound),
-                                    count, gen)
+        draws = _first_blocks(seeds, np.full(seeds.shape[0], bound), count)
         for j, seed in enumerate(seeds.tolist()):
             ref = np.random.Generator(np.random.PCG64(seed))
             assert draws[j].tolist() == \
                 ref.integers(0, bound, size=count).tolist(), seed
-            assert _row_state(rows[j]) == ref.bit_generator.state, seed
-            # one regrowth continues the same stream
-            assert _draw_from(gen, rows[j], bound, 45).tolist() == \
-                ref.integers(0, bound, size=45).tolist()
-            assert _row_state(rows[j]) == ref.bit_generator.state
+            # a regrowth redraws the longer row, which starts with the block
+            longer = np.random.Generator(np.random.PCG64(seed)).integers(
+                0, bound, size=count + 45)
+            assert longer[:count].tolist() == draws[j].tolist(), seed
+            assert longer[count:].tolist() == \
+                ref.integers(0, bound, size=45).tolist(), seed
 
     def test_bounds_checked(self):
-        gen = np.random.Generator(np.random.PCG64(0))
         for bound in (1, 2 ** 32 + 1):
             with pytest.raises(rw.InvalidParameterError):
-                _first_blocks(_seeds(0), np.full(len(EDGE_SEEDS), bound), 32,
-                              gen)
+                _first_blocks(_seeds(0), np.full(len(EDGE_SEEDS), bound), 32)
 
-    def test_no_drawing_vertex(self):
+    def test_no_drawing_vertex(self, monkeypatch):
+        streams = _record_streams(monkeypatch)
         oracle = ChoiceOracle(rw.generate_complete(2), seed=5)
-        assert not oracle._pcg.any()
         assert oracle.take([0, 1, 0], [1, 9, 400]).tolist() == [1, 0, 1]
+        assert streams == []  # no vertex has a stream to read
 
 
 class TestOracleAgainstReference:
@@ -418,10 +438,7 @@ class TestOracleAgainstReference:
             for part in np.array_split(gen.permutation(3000), 25):
                 assert a.take(us[part], idx[part]).tolist() == \
                     b.take(us[part], idx[part]).tolist()
-            assert a.materialized_counts() == b.materialized_counts()
             assert a.materialized_lists() == b.materialized_lists()
-            assert all(a.materialized(u) == b.materialized(u)
-                       for u in range(g.n))
 
     @pytest.mark.parametrize("run", [rw.run_coupled_even,
                                      rw.run_coupled_odd])
