@@ -186,6 +186,8 @@ def _cmd_couple(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         obj = json.loads(Path(args.transcript).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TranscriptCorruptError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TranscriptCorruptError(f"not valid JSON: {exc}") from exc
     tr = transcript_from_json(obj)

@@ -27,10 +27,13 @@ at the end of round r, or -1 while g is absent (before an agent added by the
 occupancy floor arrives).  Every table and check reads it as arrays, over
 all (round, agent) steps at once; verification replays push over a flat
 table of the recorded choices and checks every chain walk in one pass over
-a cumulative occupancy table.
+a cumulative occupancy table.  The JSON ``visits`` text is written straight
+from the position matrix into one byte buffer, with no Python list per
+(round, vertex) cell.
 """
 from __future__ import annotations
 
+import collections
 import json
 from dataclasses import dataclass, field
 import itertools
@@ -492,7 +495,14 @@ TRANSCRIPT_FORMAT = "rumorwalks-transcript-v1"
 
 
 def transcript_to_json(tr: CouplingTranscript) -> dict:
-    obj = {
+    return json.loads(transcript_dumps(tr))
+
+
+def transcript_dumps(tr: CouplingTranscript) -> str:
+    """The transcript's JSON text.  Every field but ``visits`` is encoded by
+    :func:`json.dumps`; the visits text is written from the position matrix
+    and spliced in between ``push`` and ``choices``."""
+    head = {
         "format": TRANSCRIPT_FORMAT, "mode": tr.mode, "seed": tr.seed,
         "source": tr.source, "agent_count": tr.agent_count,
         "placement": tr.placement, "round_cap": tr.round_cap,
@@ -504,34 +514,78 @@ def transcript_to_json(tr: CouplingTranscript) -> dict:
                    "agent_informed_at": tr.agent_informed_at.tolist()},
         "push": {"rounds": tr.push_rounds, "complete": tr.push_complete,
                  "tau": tr.tau_push.tolist()},
-        "visits": _visit_lists(tr.positions, tr.graph.n),
+    }
+    tail = {
         "choices": [[u, list(ws)] for u, ws in sorted(tr.choices.items())],
         "walk_consumed": [list(e) for e in sorted(tr.walk_consumed.items())],
         "additions": [list(a) for a in tr.additions],
         "floor": tr.floor,
     }
     if tr.s_sets is not None:
-        obj["s_sets"] = [[u, list(vs)] for u, vs in sorted(tr.s_sets.items())]
+        tail["s_sets"] = [[u, list(vs)] for u, vs in sorted(tr.s_sets.items())]
     if tr.c_table is not None:
-        obj["c_table"] = tr.c_table.tolist()
-    return obj
+        tail["c_table"] = tr.c_table.tolist()
+    # fresh objects hold no cycles, so the encoder need not track them
+    head, tail = (json.dumps(part, separators=(",", ":"), check_circular=False)
+                  for part in (head, tail))
+    visits = _visits_text(tr.positions, tr.graph.n)
+    return f'{head[:-1]},"visits":{visits},{tail[1:]}'
 
 
-def _visit_lists(pos: np.ndarray, n: int) -> list:
-    """The JSON visits of a position matrix: per round, ``[u, agents]`` for
-    each occupied vertex u in ascending order, agents ascending.  One
-    stable sort of the keys ``r * n + u``, taken in (round, agent) order,
-    orders them all."""
+def _visits_text(pos: np.ndarray, n: int) -> str:
+    """The JSON visits of a position matrix: per round, ``[u,[agents]]`` for
+    each occupied vertex u in ascending order, agents ascending.  One stable
+    sort of the keys ``r * n + u``, taken in (round, agent) order, orders
+    them all.  The text is a sequence of items, each occupied cell's vertex
+    followed by its agents, written into one byte buffer: each item is its
+    punctuation, then its digits, at an offset summed from the widths of
+    the items before it."""
     r, g = np.nonzero(pos != -1)
     cells = r * n + pos[r, g]
     order = np.argsort(cells, kind="stable")
-    cells, ids = cells[order], g[order].tolist()
-    starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    bounds = np.append(starts, cells.shape[0]).tolist()
-    groups = [[u, ids[a:b]] for u, a, b in
-              zip((cells[starts] % n).tolist(), bounds, bounds[1:])]
-    cut = np.searchsorted(cells[starts], np.arange(pos.shape[0] + 1) * n)
-    return [groups[a:b] for a, b in zip(cut.tolist(), cut[1:].tolist())]
+    cells, ids = cells[order], g[order]
+    opens = np.diff(cells, prepend=-1) != 0  # the first agent of its cell
+    agent_at = np.arange(ids.shape[0]) + np.cumsum(opens)
+    vertex_at = agent_at[opens] - 1
+    rounds, vertices = np.divmod(cells[opens], n)
+    values = np.empty(ids.shape[0] + vertex_at.shape[0], dtype=np.int64)
+    values[agent_at], values[vertex_at] = ids, vertices
+    punct = np.ones_like(values)  # "," before an agent
+    punct[agent_at[opens]] = 2  # ",[" after a vertex
+    punct[vertex_at] = 4  # "]],[" before a vertex in the same round
+
+    # the first vertex of a round closes the last occupied round (or opens
+    # the list), writes the empty rounds in between, then opens its own
+    def bridge(before: int, now: int) -> str:
+        return ("]]]," if before >= 0 else "[") + "[]," * (now - before - 1)
+
+    firsts = np.flatnonzero(np.diff(rounds, prepend=-1))
+    occupied = [-1] + rounds[firsts].tolist()
+    openers = [bridge(*pair) + "[[" for pair in zip(occupied, occupied[1:])]
+    closer = bridge(occupied[-1], pos.shape[0]).removesuffix(",") + "]"
+    punct[vertex_at[firsts]] = list(map(len, openers))
+    width = np.ones_like(values)
+    rest = values // 10
+    while rest.any():
+        width += rest > 0
+        rest //= 10
+    end = np.cumsum(punct + width)
+    lead = end - width - punct
+    size = int(end[-1]) if end.shape[0] else 0
+    buf = np.empty(size + len(closer), dtype=np.uint8)
+    for text, length in ((b",", 1), (b",[", 2), (b"]],[", 4)):
+        at = lead[punct == length]  # openers are rewritten below
+        for k, char in enumerate(text):
+            buf[at + k] = char
+    for at, text in zip(lead[vertex_at[firsts]].tolist(), openers):
+        buf[at:at + len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
+    buf[size:] = np.frombuffer(closer.encode(), dtype=np.uint8)
+    at = end - 1
+    while values.shape[0]:
+        buf[at] = values % 10 + 48
+        more = values >= 10
+        values, at = values[more] // 10, at[more] - 1
+    return buf.tobytes().decode("ascii")
 
 
 def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
@@ -560,7 +614,8 @@ def _positions(visits: list, n: int, population: int):
     only its last list, as in a dict.  A matrix of more than four cells
     per listed id (plus one per round) is refused unallocated."""
     entries = list(itertools.chain.from_iterable(visits))
-    us, lists = zip(*entries, strict=True) if entries else ((), ())
+    # unpacking rejects an entry that is not a pair
+    us, lists = [u for u, _ in entries], [a for _, a in entries]
     ids = list(itertools.chain.from_iterable(lists))
     # a written transcript lists nearly every cell: bound the matrix by the
     # JSON's size before allocating it
@@ -623,9 +678,10 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         _check_ids("addition round", add_rounds, 0, rounds + 1)
         _check_ids("addition vertex", add_vertices, 0, n)
         _check_ids("added agent id", added, agent_count, population)
-        for g in added:
-            if added.count(g) > 1:
-                raise TranscriptCorruptError(f"added agent id {g} is repeated")
+        counts = collections.Counter(added)
+        if len(counts) < len(added):
+            g = next(g for g in added if counts[g] > 1)
+            raise TranscriptCorruptError(f"added agent id {g} is repeated")
         # sized by the JSON lists before the matrix is allocated
         informed_at = _vector("visitx.agent_informed_at",
                               obj["visitx"]["agent_informed_at"], population)
@@ -662,12 +718,6 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         return tr
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TranscriptCorruptError(f"malformed transcript: {exc}") from exc
-
-
-def transcript_dumps(tr: CouplingTranscript) -> str:
-    # a fresh object holds no cycles, so the encoder need not track them
-    return json.dumps(transcript_to_json(tr), separators=(",", ":"),
-                      check_circular=False)
 
 
 # -- offline verification -----------------------------------------------------------

@@ -63,8 +63,9 @@ class AgentConfig:
     lazy: bool = False
 
     def __post_init__(self):
-        if self.count < 0:
-            raise InvalidParameterError(f"agent count must be >= 0, got {self.count}")
+        if not 0 <= self.count < 2 ** 63:
+            raise InvalidParameterError(
+                f"agent count must be in [0, 2**63), got {self.count}")
         if self.placement not in PLACEMENTS:
             raise InvalidParameterError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}")

@@ -2,7 +2,8 @@
 small-graph corpus used by the coupling checks, the per-round push,
 push-pull and visit-exchange references (which keep ``np.unique`` and the
 ``indptr`` gathers), the stable-argsort stub-pairing reference, the per-vertex
-choice-oracle reference and a planted generation failure."""
+choice-oracle reference, the per-cell transcript visits reference and a
+planted generation failure."""
 from __future__ import annotations
 
 import numpy as np
@@ -250,6 +251,24 @@ def reference_random_regular(n, d, seed, max_restarts=1000):
                                 return_labels=False) == 1:
             return rw.Graph(n, indptr, cols)
     return None
+
+
+def visit_lists(pos: np.ndarray, n: int) -> list:
+    """The JSON visits of a position matrix as Python lists, the way the
+    transcript writer built them before it wrote the text from the matrix:
+    per round, ``[u, agents]`` for each occupied vertex u in ascending
+    order, agents ascending, grouped after one stable sort of the keys
+    ``r * n + u``."""
+    r, g = np.nonzero(pos != -1)
+    cells = r * n + pos[r, g]
+    order = np.argsort(cells, kind="stable")
+    cells, ids = cells[order], g[order].tolist()
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    bounds = np.append(starts, cells.shape[0]).tolist()
+    groups = [[u, ids[a:b]] for u, a, b in
+              zip((cells[starts] % n).tolist(), bounds, bounds[1:])]
+    cut = np.searchsorted(cells[starts], np.arange(pos.shape[0] + 1) * n)
+    return [groups[a:b] for a, b in zip(cut.tolist(), cut[1:].tolist())]
 
 
 def fail_generation(monkeypatch, cfg, size: int, trial: int) -> None:

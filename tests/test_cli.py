@@ -2,6 +2,7 @@
 couple/verify loop."""
 import json
 
+import numpy as np
 import pytest
 
 import rumorwalks as rw
@@ -137,6 +138,18 @@ class TestRun:
         assert code == 1 and payload is None
         assert len(err.strip().splitlines()) == 1
         assert what in err
+
+    @pytest.mark.parametrize("argv", [("--alpha", "1e300"),
+                                      ("--agents", str(2 ** 63)),
+                                      ("--agents", str(2 ** 70))])
+    def test_huge_agent_count_exit_one(self, capsys, argv):
+        # refused before any array is allocated
+        code, payload, err = run_cli(capsys, "run", "--family", "cycle",
+                                     "--size", "8", "--seed", "1",
+                                     "--protocol", "visit-exchange", *argv)
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert "agent count must be in [0, 2**63)" in err
 
     def test_graph_file_input(self, tmp_path, capsys):
         el = tmp_path / "g.el"
@@ -342,6 +355,27 @@ class TestCoupleVerify:
         bad.write_text("{nope")
         code, _, _ = run_cli(capsys, "verify", "--transcript", str(bad))
         assert code == 3
+
+    def test_verify_not_utf8_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "noise.json"
+        noise = np.random.default_rng(0).bytes(200)
+        with pytest.raises(UnicodeDecodeError):
+            noise.decode("utf-8")
+        bad.write_bytes(noise)
+        code, payload, err = run_cli(capsys, "verify", "--transcript", str(bad))
+        assert code == 3 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert "transcript corrupt: not UTF-8 text" in err
+
+    def test_no_agents_round_trip(self, tmp_path, capsys):
+        # every round of the walk is empty
+        code, out = self.couple(tmp_path, capsys, "--agents", "0",
+                                "--round-cap", "5")
+        assert code == 2
+        obj = json.loads(out.read_text())
+        assert obj["visits"] == [[]] * 6
+        vcode, payload, _ = run_cli(capsys, "verify", "--transcript", str(out))
+        assert vcode == 0 and payload["ok"] and payload["incomplete"]
 
     def test_verify_missing_file_exits_one(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "verify", "--transcript",

@@ -2,9 +2,11 @@
 and transcript serialization/verification: range checks on load, a fuzz of
 the JSON boundary, and golden verify reports."""
 import copy
+import dataclasses
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,8 @@ from rumorwalks import AgentConfig, InvalidParameterError, TranscriptCorruptErro
 from rumorwalks.coupling import TRANSCRIPT_FORMAT
 from rumorwalks.rng import SimRng
 
-from helpers import brute_max_congestion, coupling_corpus, small_instance_graphs
+from helpers import (brute_max_congestion, coupling_corpus,
+                     small_instance_graphs, visit_lists)
 
 K2 = rw.generate_complete(2)
 OPV2 = AgentConfig(count=2, placement="one-per-vertex")
@@ -396,6 +399,9 @@ class TestTranscriptRanges:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda a: a[1].__setitem__(2, a[0][2]), "added agent id 3 is repeated"),
+        # the first id, in list order, that is listed more than once
+        (lambda a: [e.__setitem__(2, g) for e, g in zip(a, [5, 6, 6, 5])],
+         "added agent id 5 is repeated"),
         (lambda a: a[0].__setitem__(2, 2), r"added agent id 2 is not \[3, 7\)"),
         (lambda a: a[0].__setitem__(2, 7), r"added agent id 7 is not \[3, 7\)"),
         (lambda a: a[0].__setitem__(0, 7), r"addition round 7 is not \[0, 7\)"),
@@ -406,6 +412,31 @@ class TestTranscriptRanges:
         obj = _floor_json()
         edit(obj["additions"])
         with pytest.raises(TranscriptCorruptError, match=f"^{message}$"):
+            rw.transcript_from_json(obj)
+
+    def test_many_additions_checked_in_linear_time(self):
+        # 50,000 distinct ids pass the repeat check and fail on the length
+        # of agent_informed_at; counting each id in the whole list took
+        # tens of seconds
+        obj = _floor_json()
+        obj["additions"] = [[0, 0, 3 + i] for i in range(50_000)]
+        t0 = time.perf_counter()
+        with pytest.raises(TranscriptCorruptError,
+                           match="^visitx.agent_informed_at has shape"):
+            rw.transcript_from_json(obj)
+        assert time.perf_counter() - t0 < 1.0
+        obj["additions"].append([0, 0, 40_000])
+        obj["additions"].append([0, 0, 7])
+        with pytest.raises(TranscriptCorruptError,
+                           match="^added agent id 7 is repeated$"):
+            rw.transcript_from_json(obj)
+
+    @pytest.mark.parametrize("entry", [[0, [1], 2], [0], 5, [0, 1], [0, None],
+                                       [0, {"1": 2}], [0, "12"]])
+    def test_malformed_visits_entry(self, entry):
+        obj = _regular64_json()
+        obj["visits"][2][0] = entry
+        with pytest.raises(TranscriptCorruptError):
             rw.transcript_from_json(obj)
 
 
@@ -510,6 +541,68 @@ class TestJsonRoundTrip:
                     == obj
                 added += len(obj["additions"])
         assert added > 0
+
+
+def _graph_of(n: int):
+    """A path on n vertices: the writer reads only n and the edge list."""
+    return rw.Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+
+
+@st.composite
+def _position_matrices(draw):
+    """(n, position matrix) pairs: -1 entries, empty rounds (first and last
+    included), n = 1, and ids and vertices across 9/10, 99/100 and 999/1000."""
+    n = draw(st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]))
+    rounds = draw(st.integers(1, 5))
+    population = draw(st.sampled_from([0, 1, 3, 10, 11, 101, 1001]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    shape = (rounds, population)
+    # vertices near n (and so across the digit boundaries below it) as often
+    # as the low ones
+    pos = np.where(gen.random(shape) < 0.5, gen.integers(0, n, size=shape),
+                   n - 1 - gen.integers(0, min(n, 3), size=shape))
+    pos[gen.random(shape) < draw(st.sampled_from([0, 0.3, 1]))] = -1
+    for r in draw(st.lists(st.integers(0, rounds - 1), max_size=2)):
+        pos[r] = -1
+    if draw(st.booleans()):
+        pos[draw(st.sampled_from([0, -1]))] = -1
+    return n, pos
+
+
+def _visits_of(text: str) -> str:
+    return text.split(',"visits":', 1)[1].split(',"choices":', 1)[0]
+
+
+class TestVisitsWriter:
+    """The visits text written from the position matrix is the JSON of the
+    per-cell lists, at the same place in the document."""
+
+    BASE = rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                               SimRng(3))
+
+    @given(case=_position_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_lists(self, case):
+        n, pos = case
+        tr = dataclasses.replace(self.BASE, graph=_graph_of(n), positions=pos)
+        text = rw.transcript_dumps(tr)
+        want = json.dumps(visit_lists(pos, n), separators=(",", ":"))
+        assert _visits_of(text) == want
+        assert json.loads(text)["visits"] == visit_lists(pos, n)
+
+    def test_no_agents(self):
+        tr = rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(0),
+                                 SimRng(1), round_cap=4)
+        assert tr.positions.shape == (5, 0)
+        assert _visits_of(rw.transcript_dumps(tr)) == "[[],[],[],[],[]]"
+
+    def test_written_transcripts(self):
+        for obj in _corpus_json(1):
+            tr = rw.transcript_from_json(obj)
+            text = rw.transcript_dumps(tr)
+            assert json.loads(text) == obj
+            assert _visits_of(text) == json.dumps(
+                visit_lists(tr.positions, tr.graph.n), separators=(",", ":"))
 
 
 def _corpus_json(trial: int):

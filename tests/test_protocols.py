@@ -43,8 +43,9 @@ class TestAgentConfigAndPlacement:
                          SimRng(3))
 
     def test_bad_config(self):
-        with pytest.raises(InvalidParameterError):
-            AgentConfig(count=-1)
+        for count in (-1, 2 ** 63, 2 ** 70):
+            with pytest.raises(InvalidParameterError):
+                AgentConfig(count=count)
         with pytest.raises(InvalidParameterError):
             AgentConfig(count=3, placement="everywhere")
 
