@@ -598,6 +598,19 @@ def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
     raise TranscriptCorruptError(f"{what} {bad} is not {span}")
 
 
+def _id_array(what: str, ids: list, low: int, high: int) -> np.ndarray:
+    """``ids`` as an int64 array, each in [low, high).  A list of ints in
+    int64 is checked in numpy; any other (empty, ids beyond int64, floats,
+    strings) is checked by :func:`_check_ids`, which names the first id
+    out of range, and converted one by one."""
+    arr = np.array(ids)
+    if arr.dtype != np.int64 or arr.ndim != 1 or arr.size and (
+            arr.min() < low or arr.max() >= high):
+        _check_ids(what, ids, low, high)
+        arr = np.fromiter(ids, np.int64, len(ids))
+    return arr
+
+
 def _vector(what: str, values, length: int) -> np.ndarray:
     """``values`` as an int64 array, which must have shape (length,)."""
     arr = np.asarray(values, dtype=np.int64)
@@ -623,12 +636,10 @@ def _positions(visits: list, n: int, population: int):
         raise TranscriptCorruptError(
             f"{len(ids)} listed agent ids cannot fill {len(visits)} rounds "
             f"of {population} agents")
-    _check_ids("visited vertex", us, 0, n)
-    _check_ids("agent id", ids, 0, population)
-    ids = np.fromiter(ids, np.int64, len(ids))
+    us = _id_array("visited vertex", us, 0, n)
+    ids = _id_array("agent id", ids, 0, population)
     counts = np.fromiter(map(len, lists), np.int64, len(lists))
-    keys = np.repeat(np.arange(len(visits)) * n, list(map(len, visits))) \
-        + np.fromiter(us, np.int64, len(us))
+    keys = np.repeat(np.arange(len(visits)) * n, list(map(len, visits))) + us
     if (np.diff(keys) <= 0).any():  # out of JSON order: drop repeated keys
         last = keys.shape[0] - 1 - np.unique(keys[::-1], return_index=True)[1]
         kept = np.isin(np.arange(keys.shape[0]), last)
@@ -663,9 +674,6 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
             raise TranscriptCorruptError(
                 f"unknown coupling mode {obj.get('mode')!r}")
         n, edges = int(obj["graph"]["n"]), obj["graph"]["edges"]
-        if n > len(edges) + 1:  # checked before any array of size n exists
-            raise TranscriptCorruptError(
-                f"{len(edges)} edges cannot connect {n} vertices")
         graph = Graph.from_edges(n, edges, obj["graph"].get("family"))
         rounds = int(obj["visitx"]["rounds"])
         _check_ids("walk round count", [rounds], 0)

@@ -216,6 +216,9 @@ def agent_config(graph: Graph, alpha: float = 1.0, agents: int | None = None,
         if not math.isfinite(alpha * graph.n):
             raise InvalidParameterError(
                 f"alpha * n must be finite, got alpha={alpha}, n={graph.n}")
+        if alpha * graph.n >= 2 ** 63:  # name alpha: the count may have 300 digits
+            raise InvalidParameterError("agent count must be in [0, 2**63), "
+                                        f"got alpha={alpha} times n={graph.n}")
         agents = round(alpha * graph.n)
     return AgentConfig(count=agents, placement=placement, lazy=lazy)
 
@@ -316,6 +319,9 @@ def _sweep_outcomes(config: ExperimentConfig, labels: tuple):
     workers = min(config.jobs, len(sizes), os.cpu_count() or 1)
     try:
         if workers > 1:
+            # trials use numpy's lazily loaded random and ma (np.unique)
+            # submodules: load them once here, not in every forked worker
+            import numpy.ma, numpy.random  # noqa: E401, F401
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(*tasks))
         else:

@@ -12,8 +12,6 @@ from collections import deque
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import GenerationFailureError, InvalidParameterError, LoadError
 
@@ -31,6 +29,17 @@ __all__ = [
     "load_edge_list",
     "save_edge_list",
 ]
+
+
+_SEARCH_LEVELS = 32  # breadth-first levels before is_connected turns to hooking
+
+
+def _row_entries(indptr, degrees, rows):
+    """Where the non-empty ``rows``' entries lie in ``indices``, and start."""
+    deg = degrees[rows]
+    ends = np.cumsum(deg)
+    starts = ends - deg
+    return np.repeat(indptr[rows] - starts, deg) + np.arange(ends[-1]), starts
 
 
 class Graph:
@@ -80,14 +89,15 @@ class Graph:
                     f"edge endpoint out of range for n={n}")
             if (e[:, 0] == e[:, 1]).any():
                 raise InvalidParameterError("self-loops are not allowed")
+        if n > m + 1:  # checked before any array of size n exists
+            raise InvalidParameterError(
+                f"graph is not connected: {m} edges cannot connect {n} vertices")
         # one sort of the directed keys src * n + dst orders every row and
         # its neighbors; a duplicate in either orientation repeats a key
         u, v = e[:, 0], e[:, 1]
         keys = np.sort(np.concatenate([u * n + v, v * n + u]))
         if (keys[1:] == keys[:-1]).any():
             raise InvalidParameterError("duplicate edges are not allowed")
-        if n > 1 and m == 0:
-            raise InvalidParameterError("graph with n > 1 vertices has no edges")
 
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         g = cls(n, indptr, keys % n, family_tag)
@@ -133,17 +143,48 @@ class Graph:
         return self.distinct_degrees.shape[0] == 1
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        if self.m == 0:
-            return False
-        csg = csr_matrix((np.ones(self.indices.shape[0]), self.indices,
-                          self.indptr), shape=(self.n, self.n))
-        # the matrix is symmetric, so a directed search from vertex 0 reaches
-        # its whole component, without the transpose the undirected mode makes
-        reached = breadth_first_order(csg, 0, directed=True,
-                                      return_predecessors=False)
-        return reached.shape[0] == self.n
+        """Whether every vertex is reachable from vertex 0.
+
+        Up to ``_SEARCH_LEVELS`` levels of a direction-optimizing search from
+        vertex 0 (Beamer, Asanovic and Patterson, SC 2012), then, on long
+        paths, min-label hooking with full pointer jumping (Shiloach and
+        Vishkin, J. Algorithms 1982): connected iff every label ends at 0.
+        """
+        n, indptr, indices, degrees = self.n, self.indptr, self.indices, self.degrees
+        if n == 1 or not degrees.all():
+            return n == 1  # else a vertex is isolated
+        seen = np.zeros(n, dtype=bool)
+        frontier = np.zeros(1, dtype=np.int64)
+        left, unreached = n, indices.shape[0]  # vertices; their degree sum
+        for _ in range(_SEARCH_LEVELS):
+            if frontier.shape[0] == 0:
+                return False
+            seen[frontier] = True
+            left -= frontier.shape[0]
+            if left == 0:
+                return True
+            spent = int(degrees[frontier].sum())
+            unreached -= spent
+            if spent <= unreached:  # top-down: mark the frontier's neighbors
+                reached = np.zeros(n, dtype=bool)
+                reached[indices[_row_entries(indptr, degrees, frontier)[0]]] = True
+                frontier = np.flatnonzero(reached > seen)
+            else:  # bottom-up: an unreached vertex with a seen neighbor joins
+                rest = np.flatnonzero(~seen)
+                at, starts = _row_entries(indptr, degrees, rest)
+                frontier = rest[np.logical_or.reduceat(seen[indices[at]], starts)]
+        # labels are roots in their component; apart ones hook larger to smaller
+        label = np.where(seen, 0, np.arange(n))
+        src, dst = self.edges().T
+        while True:
+            a, b = label[src], label[dst]
+            apart = a != b
+            if not apart.any():
+                return not label.any()
+            src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(up := label[label], label):
+                label = up
 
     def is_bipartite(self) -> bool:
         color = np.full(self.n, -1, dtype=np.int8)

@@ -150,6 +150,20 @@ class TestRun:
         assert code == 1 and payload is None
         assert len(err.strip().splitlines()) == 1
         assert "agent count must be in [0, 2**63)" in err
+        # alpha and n are named, not the 301 digits of the rounded count
+        assert len(err) < 80
+        if argv[0] == "--alpha":
+            assert "got alpha=1e+300 times n=8" in err
+
+    def test_unconnectable_graph_file_exit_one(self, tmp_path, capsys):
+        # n = 10**10 with one edge: refused before any n-sized allocation
+        el = tmp_path / "g.el"
+        el.write_text("10000000000 1\n0 1\n")
+        code, payload, err = run_cli(capsys, "run", "--graph", str(el),
+                                     "--protocol", "push", "--seed", "1")
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert "1 edges cannot connect 10000000000 vertices" in err
 
     def test_graph_file_input(self, tmp_path, capsys):
         el = tmp_path / "g.el"

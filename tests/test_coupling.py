@@ -397,6 +397,15 @@ class TestTranscriptRanges:
                            match=rf"^agent id {value} is not \[0, 64\)$"):
             rw.transcript_from_json(obj)
 
+    @pytest.mark.parametrize("value", ["3", -0.5, None, [3]])
+    def test_agent_id_not_an_int(self, value):
+        # a list that is not all ints is checked one id at a time, so a
+        # string is not read as its digits
+        obj = _regular64_json()
+        obj["visits"][2][0][1][0] = value
+        with pytest.raises(TranscriptCorruptError):
+            rw.transcript_from_json(obj)
+
     @pytest.mark.parametrize("edit,message", [
         (lambda a: a[1].__setitem__(2, a[0][2]), "added agent id 3 is repeated"),
         # the first id, in list order, that is listed more than once

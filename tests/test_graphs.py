@@ -1,5 +1,8 @@
 """Generator post-conditions, structural invariants, and edge-list I/O."""
 import hashlib
+import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 
 import rumorwalks as rw
 from rumorwalks import Graph, InvalidParameterError, LoadError
-from rumorwalks.graphs import _stable_order
+from rumorwalks import graphs
+from rumorwalks.graphs import _pairing_attempt, _stable_order
 
 from helpers import _reference_pairing_attempt, reference_random_regular
 
@@ -495,6 +499,144 @@ class TestGraphType:
         assert g.is_connected() == (len(seen) == n)
 
 
+def _undirected(n, edges):
+    """A Graph straight from CSR arrays, which may be disconnected, and its
+    neighbor sets."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    g = Graph(n, np.cumsum([0] + [len(x) for x in nbrs]),
+              [v for x in nbrs for v in sorted(x)])
+    return g, nbrs
+
+
+def _dfs_reached(nbrs, source=0):
+    """The vertices a depth-first search from ``source`` reaches."""
+    seen, stack = {source}, [source]
+    while stack:
+        for v in nbrs[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _eccentricity(nbrs, source=0):
+    """Levels of a breadth-first search from ``source`` in its component."""
+    level, frontier, seen = 0, {source}, {source}
+    while frontier:
+        frontier = {v for u in frontier for v in nbrs[u]} - seen
+        seen |= frontier
+        level += bool(frontier)
+    return level
+
+
+@st.composite
+def _shaped_graphs(draw):
+    """(n, edges) of one family, vertex ids shuffled: paths and cycles
+    longer than the search's level budget, random 2-regular pairings (most
+    are disconnected), stars, complete graphs, sparse random graphs and
+    forests; optionally vertex 0 or one other vertex is cut off."""
+    kind = draw(st.sampled_from(["path", "cycles", "pairing", "star",
+                                 "complete", "random", "forest"]))
+    n = draw(st.integers(1, 60 if kind == "complete" else 500))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    if kind == "path":
+        edges = list(zip(perm, perm[1:]))
+    elif kind == "cycles":  # one cycle, or two (a disconnected 2-regular graph)
+        cut = draw(st.sampled_from([n, n // 2]))
+        edges = [(part[i - 1], part[i]) for part in (perm[:cut], perm[cut:])
+                 if len(part) >= 3 for i in range(len(part))]
+    elif kind == "pairing":
+        keys = None
+        if n >= 3:
+            gen = np.random.Generator(np.random.PCG64(rnd.getrandbits(32)))
+            keys = _pairing_attempt(n, 2, gen)
+        edges = [] if keys is None else [divmod(k, n) for k in keys.tolist()]
+    elif kind == "star":
+        edges = [(perm[0], v) for v in perm[1:]]
+    elif kind == "complete":
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif kind == "random":
+        edges = [tuple(rnd.sample(range(n), 2)) for _ in
+                 range(rnd.randint(0, 2 * n))] if n >= 2 else []
+    else:  # forest: each vertex but the first joins an earlier one, or not
+        edges = [(perm[i], perm[rnd.randrange(i)]) for i in range(1, n)
+                 if rnd.random() < 0.995]
+    cut_off = draw(st.sampled_from([None, 0, n - 1]))
+    if cut_off is not None:
+        edges = [e for e in edges if cut_off not in e]
+    return n, edges
+
+
+class TestConnectivity:
+    """``Graph.is_connected`` against a depth-first search in plain Python.
+
+    The check has two phases: a breadth-first search of at most
+    ``_SEARCH_LEVELS`` levels, then min-label hooking.  Running it with no
+    levels and with no bound on levels tests each phase alone."""
+
+    @given(shape=_shaped_graphs(),
+           levels=st.sampled_from([graphs._SEARCH_LEVELS, 0, 1, 10 ** 9]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dfs(self, shape, levels):
+        n, edges = shape
+        g, nbrs = _undirected(n, edges)
+        with mock.patch.object(graphs, "_SEARCH_LEVELS", levels):
+            assert g.is_connected() == (len(_dfs_reached(nbrs)) == n)
+
+    # the search decides: top-down levels only (a star from its center),
+    # bottom-up levels that join the last vertices (a cycle) or find none
+    # (K20 and a triangle)
+    SEARCH_CASES = [
+        ("star", 51, [(0, v) for v in range(1, 51)], True),
+        ("cycle", 40, [(i, (i + 1) % 40) for i in range(40)], True),
+        ("k20+triangle", 23, [(u, v) for u in range(20) for v in range(u + 1, 20)]
+         + [(20, 21), (21, 22), (20, 22)], False),
+    ]
+
+    @pytest.mark.parametrize("name,n,edges,connected", SEARCH_CASES,
+                             ids=[c[0] for c in SEARCH_CASES])
+    def test_search_phase(self, name, n, edges, connected):
+        g, nbrs = _undirected(n, edges)
+        assert _eccentricity(nbrs) < graphs._SEARCH_LEVELS
+        assert g.is_connected() is connected
+
+    # hooking decides: vertex 0 is further than the level budget from some
+    # vertex of its component; shuffled so that labels do not follow the path
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_hooking_phase(self, connected):
+        rnd = random.Random(5)
+        rest = list(range(1, 300))
+        rnd.shuffle(rest)
+        path = [0] + rest
+        edges = list(zip(path, path[1:]))
+        if not connected:
+            del edges[200]  # 0's component keeps 200 levels
+        g, nbrs = _undirected(300, edges)
+        assert _eccentricity(nbrs) > graphs._SEARCH_LEVELS
+        assert g.is_connected() is connected
+
+    @pytest.mark.parametrize("pairing", [False, True],
+                             ids=["cycle", "2-regular-pairing"])
+    def test_long_cycles_are_fast(self, pairing):
+        # 100,000 vertices: both take tens of ms, where a search of one
+        # numpy step per level would take seconds
+        n = 100_000
+        g = rw.generate_cycle(n)
+        if pairing:  # random 2-regular: disjoint cycles, almost surely
+            keys = _pairing_attempt(n, 2, np.random.Generator(np.random.PCG64(3)))
+            lo, hi = np.divmod(keys, n)
+            both = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+            g = Graph(n, np.arange(n + 1) * 2, both % n)
+        t0 = time.perf_counter()
+        assert g.is_connected() is not pairing
+        assert time.perf_counter() - t0 < 1.0
+
+
 class TestEdgeListIO:
     FAMILIES = [
         rw.generate_star(6),
@@ -536,6 +678,9 @@ class TestEdgeListIO:
         ("2 1\n0 one\n", ":2"),
         ("3 2\n0 1\n\n1 1\n", ":4: edges must satisfy u < v"),
         ("", "empty"),
+        # refused before an array of 10**10 entries is allocated
+        ("10000000000 1\n0 1\n",
+         "graph is not connected: 1 edges cannot connect 10000000000 vertices"),
     ])
     def test_load_errors(self, tmp_path, text, fragment):
         path = tmp_path / "bad.el"

@@ -1,7 +1,17 @@
-"""The package's exports agree with its modules' own."""
+"""The package's exports agree with its modules' own, and it runs on its
+declared dependencies alone."""
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
 
 import rumorwalks as rw
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_exports_are_their_modules_exports():
@@ -10,3 +20,57 @@ def test_exports_are_their_modules_exports():
             continue
         module = importlib.import_module(getattr(rw, name).__module__)
         assert name in module.__all__, (name, module.__name__)
+
+
+def test_runtime_dependency_is_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in
+               project["optional-dependencies"]["test"])
+
+
+def _env():
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+NO_SCIPY = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    sys.modules["scipy"] = None  # any import of scipy now fails
+    from rumorwalks.cli import main
+    from rumorwalks.experiments import FAMILIES, build_graph
+
+    sizes = {"star": 8, "double-star": 8, "heavy-tree": 7, "siamese": 7,
+             "cycle-stars-cliques": 3, "regular": 16, "clique-path": 3,
+             "complete": 5, "cycle": 6}
+    assert sorted(sizes) == sorted(FAMILIES)
+    for family, size in sizes.items():
+        assert build_graph(family, size, "3", 1).is_connected()
+    Path("c.cfg").write_text("family = cycle\\nprotocols = push\\n"
+                             "sweep = 8\\ntrials = 2\\nseed = 1\\n")
+    for argv in (["run", "--family", "regular", "--size", "32", "--d", "4",
+                  "--protocol", "visit-exchange", "--seed", "1"],
+                 ["sweep", "--config", "c.cfg", "--jobs", "2"],
+                 ["couple", "--family", "cycle", "--size", "8", "--seed", "2",
+                  "--out", "t.json"],
+                 ["verify", "--transcript", "t.json"]):
+        assert main(argv) == 0, argv
+    assert not [m for m in sys.modules if m.startswith("scipy.")]
+""")
+
+
+def test_runs_without_scipy(tmp_path):
+    # a fresh interpreter, so that no test's import of scipy is inherited
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path,
+                          env=_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rumorwalks; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
