@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     except (RumorWalksError, OSError) as exc:  # OSError: a file to read or write
         log.error("%s", exc)
         return 1
+    except MemoryError as exc:  # a graph size no host can allocate
+        log.error("out of memory: %s", exc)
+        return 1
 
 
 def entry() -> None:

@@ -92,15 +92,19 @@ class Graph:
         if n > m + 1:  # checked before any array of size n exists
             raise InvalidParameterError(
                 f"graph is not connected: {m} edges cannot connect {n} vertices")
-        # one sort of the directed keys src * n + dst orders every row and
-        # its neighbors; a duplicate in either orientation repeats a key
-        u, v = e[:, 0], e[:, 1]
-        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        # one buffer of the directed keys src * n + dst, sorted in place, orders
+        # every row; a duplicate edge repeats a key, and key % n is a neighbor
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(e[:, 0], n, out=keys[:m])
+        keys[:m] += e[:, 1]
+        np.multiply(e[:, 1], n, out=keys[m:])
+        keys[m:] += e[:, 0]
+        keys.sort()
         if (keys[1:] == keys[:-1]).any():
             raise InvalidParameterError("duplicate edges are not allowed")
 
         indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        g = cls(n, indptr, keys % n, family_tag)
+        g = cls(n, indptr, np.remainder(keys, n, out=keys), family_tag)
         if not g.is_connected():
             raise InvalidParameterError("graph is not connected")
         return g
@@ -216,12 +220,31 @@ class Graph:
 
 
 # -- deterministic families -------------------------------------------------
+#
+# Each family is one (m, 2) int64 edge array, built from aranges and
+# triu_indices with no Python object per edge; from_edges sorts it, so the
+# order of the edges and of their endpoints is free.
+
+def _cliques(blocks: np.ndarray) -> np.ndarray:
+    """Edges of a clique on each row of the (B, s) vertex-id array ``blocks``."""
+    a, b = np.triu_indices(blocks.shape[1], k=1)
+    e = np.empty((blocks.shape[0], a.shape[0], 2), dtype=np.int64)
+    # a and b are in range; mode "clip" writes into out unbuffered, "raise" copies
+    np.take(blocks, a, axis=1, out=e[:, :, 0], mode="clip")
+    np.take(blocks, b, axis=1, out=e[:, :, 1], mode="clip")
+    return e.reshape(-1, 2)
+
+
+def _ring(n: int) -> np.ndarray:
+    """Edges (i, i + 1 mod n) of a cycle on 0..n-1."""
+    return np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
+
 
 def generate_star(leaves: int) -> Graph:
     """Star: center is vertex 0, leaves are 1..leaves."""
     if leaves < 1:
         raise InvalidParameterError(f"star needs >= 1 leaf, got {leaves}")
-    edges = [(0, i) for i in range(1, leaves + 1)]
+    edges = np.column_stack([np.zeros(leaves, np.int64), np.arange(1, leaves + 1)])
     return Graph.from_edges(leaves + 1, edges, f"star(leaves={leaves})")
 
 
@@ -233,40 +256,27 @@ def generate_double_star(n: int) -> Graph:
     if n < 4 or n % 2 != 0:
         raise InvalidParameterError(
             f"double star needs even vertex count >= 4, got {n}")
-    half = n // 2
-    edges = [(0, 1)]
-    edges += [(0, i) for i in range(2, half + 1)]
-    edges += [(1, i) for i in range(half + 1, n)]
+    v = np.arange(1, n, dtype=np.int64)
+    edges = np.column_stack([v > n // 2, v])  # 1..n/2 hang from 0, the rest from 1
     return Graph.from_edges(n, edges, f"double-star(n={n})")
 
 
-def _heavy_tree_edges(n: int, vmap) -> list:
-    """Complete binary tree in heap order plus a clique on its leaves.
-
-    ``vmap`` maps a heap index (0 = root) to a final vertex id, which lets
-    the same construction serve both the standalone tree and the two halves
-    of the glued variant.
-    """
-    edges = [(vmap((i - 1) // 2), vmap(i)) for i in range(1, n)]
-    first_leaf = (n - 1) // 2
-    leaves = np.array([vmap(i) for i in range(first_leaf, n)], dtype=np.int64)
-    a, b = np.triu_indices(leaves.shape[0], k=1)
-    edges += list(zip(leaves[a].tolist(), leaves[b].tolist()))
-    return edges
-
-
-def _check_complete_tree_size(n: int, what: str) -> None:
+def _heavy_tree(n: int, what: str) -> np.ndarray:
+    """Complete binary tree in heap order (root 0) plus a clique on its
+    leaves; ``what`` names the family if n is not 2^h - 1 with h >= 2."""
     if n < 3 or (n + 1) & n != 0:
         raise InvalidParameterError(
             f"{what} needs n = 2^h - 1 with h >= 2, got {n}")
+    child = np.arange(1, n, dtype=np.int64)
+    tree = np.column_stack([(child - 1) // 2, child])
+    return np.concatenate([tree, _cliques(np.arange((n - 1) // 2, n)[None, :])])
 
 
 def generate_heavy_binary_tree(n: int) -> Graph:
     """Complete binary tree on n = 2^h - 1 vertices whose (n+1)/2 leaves are
     additionally joined into a clique.  Root is vertex 0, heap numbering.
     """
-    _check_complete_tree_size(n, "heavy binary tree")
-    edges = _heavy_tree_edges(n, lambda i: i)
+    edges = _heavy_tree(n, "heavy binary tree")
     return Graph.from_edges(n, edges, f"heavy-tree(n={n})")
 
 
@@ -277,10 +287,10 @@ def generate_siamese_trees(n: int) -> Graph:
     vertices 1..n-1 and the second n..2n-2, both in heap order.  Total
     vertex count is 2n - 1.
     """
-    _check_complete_tree_size(n, "siamese trees")
-    edges = _heavy_tree_edges(n, lambda i: i)
-    edges += _heavy_tree_edges(n, lambda i: 0 if i == 0 else (n - 1) + i)
-    return Graph.from_edges(2 * n - 1, edges, f"siamese(n={n})")
+    first = _heavy_tree(n, "siamese trees")
+    second = np.where(first == 0, 0, first + (n - 1))  # heap index i > 0: n - 1 + i
+    return Graph.from_edges(2 * n - 1, np.concatenate([first, second]),
+                            f"siamese(n={n})")
 
 
 def generate_cycle_stars_cliques(m: int) -> Graph:
@@ -293,33 +303,24 @@ def generate_cycle_stars_cliques(m: int) -> Graph:
     """
     if m < 3:
         raise InvalidParameterError(f"ring length must be >= 3, got {m}")
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    leaf0 = m
-    cliq0 = m + m * m
-    for i in range(m):
-        for j in range(m):
-            leaf = leaf0 + i * m + j
-            edges.append((i, leaf))
-            block = [leaf] + [cliq0 + (i * m + j) * m + k for k in range(m)]
-            for a in range(len(block)):
-                for b in range(a + 1, len(block)):
-                    edges.append((block[a], block[b]))
     nverts = m + m * m + m ** 3
+    leaves = np.arange(m, m + m * m, dtype=np.int64)  # m + i*m + j hangs from c_i
+    own = np.arange(m + m * m, nverts, dtype=np.int64).reshape(m * m, m)
+    edges = np.concatenate([_ring(m), np.column_stack([leaves // m - 1, leaves]),
+                            _cliques(np.column_stack([leaves, own]))])
     return Graph.from_edges(nverts, edges, f"cycle-stars-cliques(m={m})")
 
 
 def generate_complete(n: int) -> Graph:
     if n < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
-    a, b = np.triu_indices(n, k=1)
-    return Graph.from_edges(n, np.column_stack([a, b]), f"complete(n={n})")
+    return Graph.from_edges(n, _cliques(np.arange(n)[None, :]), f"complete(n={n})")
 
 
 def generate_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges, f"cycle(n={n})")
+    return Graph.from_edges(n, _ring(n), f"cycle(n={n})")
 
 
 def generate_clique_path(k: int, d: int) -> Graph:
@@ -330,14 +331,10 @@ def generate_clique_path(k: int, d: int) -> Graph:
     if k < 1 or d < 2:
         raise InvalidParameterError(
             f"clique path needs k >= 1 cliques of d >= 2 vertices, got k={k} d={d}")
-    edges = []
-    for i in range(k):
-        base = i * d
-        a, b = np.triu_indices(d, k=1)
-        edges += list(zip((base + a).tolist(), (base + b).tolist()))
-        if i + 1 < k:
-            edges.append((base + d - 1, base + d))
-    return Graph.from_edges(k * d, edges, f"clique-path(k={k},d={d})")
+    blocks = np.arange(k * d, dtype=np.int64).reshape(k, d)
+    bridges = np.column_stack([blocks[:-1, -1], blocks[1:, 0]])
+    return Graph.from_edges(k * d, np.concatenate([_cliques(blocks), bridges]),
+                            f"clique-path(k={k},d={d})")
 
 
 # -- random regular graphs ---------------------------------------------------

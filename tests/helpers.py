@@ -2,8 +2,10 @@
 small-graph corpus used by the coupling checks, the per-round push,
 push-pull and visit-exchange references (which keep ``np.unique`` and the
 ``indptr`` gathers), the stable-argsort stub-pairing reference, the per-vertex
-choice-oracle reference, the per-cell transcript visits reference and a
-planted generation failure."""
+choice-oracle reference, the per-cell transcript visits reference, a
+planted generation failure, and list-based references of the deterministic
+graph families (one Python tuple per edge, CSR built by concatenate, sort and
+searchsorted)."""
 from __future__ import annotations
 
 import numpy as np
@@ -335,3 +337,81 @@ class ReferenceOracle:
     def materialized_lists(self) -> dict:
         return {u: self._rows[u][:int(self._requested[u])]
                 for u in np.flatnonzero(self._requested).tolist()}
+
+
+# -- list-based references of the deterministic families ---------------------
+
+def reference_from_edges(n: int, edges: list, tag: str) -> rw.Graph:
+    """The CSR of ``edges`` as built by concatenating both orientations'
+    keys, sorting a copy and searching the row starts; no checks."""
+    e = np.asarray(edges, dtype=np.int64)
+    u, v = e[:, 0], e[:, 1]
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return rw.Graph(n, indptr, keys % n, tag)
+
+
+def _reference_heavy_tree_edges(n: int, vmap) -> list:
+    edges = [(vmap((i - 1) // 2), vmap(i)) for i in range(1, n)]
+    leaves = [vmap(i) for i in range((n - 1) // 2, n)]
+    edges += [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
+    return edges
+
+
+def _reference_clique(block: list) -> list:
+    return [(a, b) for i, a in enumerate(block) for b in block[i + 1:]]
+
+
+def reference_star(leaves: int) -> rw.Graph:
+    return reference_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)],
+                                f"star(leaves={leaves})")
+
+
+def reference_double_star(n: int) -> rw.Graph:
+    half = n // 2
+    edges = [(0, 1)] + [(0, i) for i in range(2, half + 1)]
+    edges += [(1, i) for i in range(half + 1, n)]
+    return reference_from_edges(n, edges, f"double-star(n={n})")
+
+
+def reference_heavy_binary_tree(n: int) -> rw.Graph:
+    return reference_from_edges(n, _reference_heavy_tree_edges(n, lambda i: i),
+                                f"heavy-tree(n={n})")
+
+
+def reference_siamese_trees(n: int) -> rw.Graph:
+    edges = _reference_heavy_tree_edges(n, lambda i: i)
+    edges += _reference_heavy_tree_edges(n, lambda i: 0 if i == 0 else (n - 1) + i)
+    return reference_from_edges(2 * n - 1, edges, f"siamese(n={n})")
+
+
+def reference_cycle_stars_cliques(m: int) -> rw.Graph:
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    cliq0 = m + m * m
+    for i in range(m):
+        for j in range(m):
+            leaf = m + i * m + j
+            edges.append((i, leaf))
+            edges += _reference_clique(
+                [leaf] + [cliq0 + (i * m + j) * m + k for k in range(m)])
+    return reference_from_edges(m + m * m + m ** 3, edges,
+                                f"cycle-stars-cliques(m={m})")
+
+
+def reference_clique_path(k: int, d: int) -> rw.Graph:
+    edges = []
+    for i in range(k):
+        edges += _reference_clique(list(range(i * d, (i + 1) * d)))
+        if i + 1 < k:
+            edges.append((i * d + d - 1, (i + 1) * d))
+    return reference_from_edges(k * d, edges, f"clique-path(k={k},d={d})")
+
+
+def reference_complete(n: int) -> rw.Graph:
+    return reference_from_edges(n, _reference_clique(list(range(n))),
+                                f"complete(n={n})")
+
+
+def reference_cycle(n: int) -> rw.Graph:
+    return reference_from_edges(n, [(i, (i + 1) % n) for i in range(n)],
+                                f"cycle(n={n})")

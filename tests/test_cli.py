@@ -48,6 +48,22 @@ class TestGenerate:
                              "--size", "4", "--frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--family", "complete", "--size", str(10 ** 15)),
+        ("generate", "--family", "clique-path", "--size", "1",
+         "--d", str(10 ** 15)),
+        ("run", "--family", "complete", "--size", str(10 ** 15),
+         "--protocol", "push"),
+    ], ids=["complete", "clique-path", "run-complete"])
+    def test_unallocatable_size_exit_one(self, tmp_path, capsys, argv):
+        # petabytes: the first allocation fails at once, touching no memory
+        code, payload, err = run_cli(capsys, *argv, "--seed", "1",
+                                     *(["--out", str(tmp_path / "g.el")]
+                                       if argv[0] == "generate" else []))
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert "out of memory: Unable to allocate" in err
+
 
 class TestRun:
     def test_push_k2(self, capsys):

@@ -3,6 +3,7 @@ and transcript serialization/verification: range checks on load, a fuzz of
 the JSON boundary, and golden verify reports."""
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -22,12 +23,17 @@ from rumorwalks.rng import SimRng
 from helpers import (brute_max_congestion, coupling_corpus,
                      small_instance_graphs, visit_lists)
 
-K2 = rw.generate_complete(2)
+
+def k2():
+    """The complete graph on two vertices, built where a test needs it."""
+    return rw.generate_complete(2)
+
+
 OPV2 = AgentConfig(count=2, placement="one-per-vertex")
 
 
 def k2_transcript(min_rounds=0):
-    return rw.run_coupled_even(K2, 0, OPV2, SimRng(11), min_rounds=min_rounds)
+    return rw.run_coupled_even(k2(), 0, OPV2, SimRng(11), min_rounds=min_rounds)
 
 
 class TestEvenCouplingK2:
@@ -106,7 +112,7 @@ class TestEvenCouplingFamilies:
         assert report.checks["oracle-consistency"]
 
     def test_zero_agents(self):
-        tr = rw.run_coupled_even(K2, 0, AgentConfig(count=0), SimRng(4),
+        tr = rw.run_coupled_even(k2(), 0, AgentConfig(count=0), SimRng(4),
                                  round_cap=40)
         assert not tr.visitx_complete
         assert tr.push_complete
@@ -114,7 +120,8 @@ class TestEvenCouplingFamilies:
 
     def test_rejects_lazy(self):
         with pytest.raises(InvalidParameterError):
-            rw.run_coupled_even(K2, 0, AgentConfig(count=2, lazy=True), SimRng(0))
+            rw.run_coupled_even(k2(), 0, AgentConfig(count=2, lazy=True),
+                                SimRng(0))
 
 
 class TestChainWalks:
@@ -181,7 +188,7 @@ class TestCongestionDP:
 
 class TestOddCoupling:
     def test_k2_even_visit_consumes(self):
-        tr = rw.run_coupled_odd(K2, 0, OPV2, SimRng(31), min_rounds=4)
+        tr = rw.run_coupled_odd(k2(), 0, OPV2, SimRng(31), min_rounds=4)
         # agent 0 is on the source at round 0 (even), so its round-1 step
         # consumed w_s(1), which is forced to the other vertex
         assert tr.choices[0][0] == 1
@@ -586,14 +593,17 @@ class TestVisitsWriter:
     """The visits text written from the position matrix is the JSON of the
     per-cell lists, at the same place in the document."""
 
-    BASE = rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
-                               SimRng(3))
+    @staticmethod
+    @functools.cache
+    def base():
+        return rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                                   SimRng(3))
 
     @given(case=_position_matrices())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_cell_lists(self, case):
         n, pos = case
-        tr = dataclasses.replace(self.BASE, graph=_graph_of(n), positions=pos)
+        tr = dataclasses.replace(self.base(), graph=_graph_of(n), positions=pos)
         text = rw.transcript_dumps(tr)
         want = json.dumps(visit_lists(pos, n), separators=(",", ":"))
         assert _visits_of(text) == want
@@ -671,6 +681,7 @@ class TestLoaderBound:
 
 # -- fuzzing the untrusted-input boundary ------------------------------------
 
+@functools.cache
 def _fuzz_bases():
     runs = [rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
                                 SimRng(3)),
@@ -682,8 +693,6 @@ def _fuzz_bases():
                                 SimRng(2), round_cap=3)]
     return [rw.transcript_dumps(tr) for tr in runs]
 
-
-FUZZ_BASES = _fuzz_bases()
 
 FUZZ_VALUES = st.one_of(
     st.integers(-3, 70),
@@ -699,7 +708,7 @@ FUZZ_VALUES = st.one_of(
 @st.composite
 def _mutated_transcript(draw):
     """A transcript's JSON with one field replaced, removed or resized."""
-    obj = json.loads(draw(st.sampled_from(FUZZ_BASES)))
+    obj = json.loads(draw(st.sampled_from(_fuzz_bases())))
     parent, key = None, None
     node = obj
     while isinstance(node, (dict, list)) and node:

@@ -1,7 +1,10 @@
-"""Generator post-conditions, structural invariants, and edge-list I/O."""
+"""Generator post-conditions, structural invariants, edge-list I/O, the
+deterministic families against their list-based references, and the memory a
+build takes."""
 import hashlib
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +17,7 @@ from rumorwalks import Graph, InvalidParameterError, LoadError
 from rumorwalks import graphs
 from rumorwalks.graphs import _pairing_attempt, _stable_order
 
+import helpers
 from helpers import _reference_pairing_attempt, reference_random_regular
 
 
@@ -638,18 +642,21 @@ class TestConnectivity:
 
 
 class TestEdgeListIO:
+    # builders, so that a broken generator fails its own case at run time
     FAMILIES = [
-        rw.generate_star(6),
-        rw.generate_double_star(8),
-        rw.generate_heavy_binary_tree(7),
-        rw.generate_siamese_trees(7),
-        rw.generate_cycle_stars_cliques(3),
-        rw.generate_clique_path(3, 3),
-        rw.generate_random_regular(12, 3, seed=2),
+        ("star(leaves=6)", lambda: rw.generate_star(6)),
+        ("double-star(n=8)", lambda: rw.generate_double_star(8)),
+        ("heavy-tree(n=7)", lambda: rw.generate_heavy_binary_tree(7)),
+        ("siamese(n=7)", lambda: rw.generate_siamese_trees(7)),
+        ("cycle-stars-cliques(m=3)", lambda: rw.generate_cycle_stars_cliques(3)),
+        ("clique-path(k=3,d=3)", lambda: rw.generate_clique_path(3, 3)),
+        ("regular(n=12,d=3)", lambda: rw.generate_random_regular(12, 3, seed=2)),
     ]
 
-    @pytest.mark.parametrize("g", FAMILIES, ids=lambda g: g.family_tag)
-    def test_round_trip(self, g, tmp_path):
+    @pytest.mark.parametrize("tag,build", FAMILIES, ids=[t for t, _ in FAMILIES])
+    def test_round_trip(self, tag, build, tmp_path):
+        g = build()
+        assert g.family_tag == tag
         path = tmp_path / "g.el"
         rw.save_edge_list(g, path)
         assert rw.load_edge_list(path) == g
@@ -692,6 +699,69 @@ class TestEdgeListIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             rw.load_edge_list(tmp_path / "nope.el")
+
+
+# each family at its smallest legal size and at the sizes the sweeps use
+FAMILY_CASES = [
+    ("star", (1,)), ("star", (256,)), ("star", (1000,)), ("star", (8192,)),
+    ("double_star", (4,)), ("double_star", (6,)), ("double_star", (512,)),
+    ("heavy_binary_tree", (3,)), ("heavy_binary_tree", (15,)),
+    ("heavy_binary_tree", (1023,)),
+    ("siamese_trees", (3,)), ("siamese_trees", (15,)), ("siamese_trees", (511,)),
+    *[("cycle_stars_cliques", (m,)) for m in range(3, 11)],
+    ("clique_path", (1, 2)), ("clique_path", (2, 2)), ("clique_path", (1, 5)),
+    ("clique_path", (5, 7)),
+    ("complete", (2,)), ("complete", (3,)), ("complete", (64,)),
+    ("cycle", (3,)), ("cycle", (4,)), ("cycle", (100,)),
+]
+
+
+class TestFamiliesAgainstReference:
+    """Every deterministic family, built from numpy edge arrays, is the graph
+    its list-based reference builds: same vertex count, CSR arrays, tag and
+    edge-list bytes."""
+
+    @pytest.mark.parametrize("family,args", FAMILY_CASES,
+                             ids=[f"{f}({','.join(map(str, a))})"
+                                  for f, a in FAMILY_CASES])
+    def test_matches_reference(self, family, args, tmp_path):
+        got = getattr(rw, "generate_" + family)(*args)
+        want = getattr(helpers, "reference_" + family)(*args)
+        assert (got.n, got.family_tag) == (want.n, want.family_tag)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        rw.save_edge_list(got, tmp_path / "got.el")
+        rw.save_edge_list(want, tmp_path / "want.el")
+        assert (tmp_path / "got.el").read_bytes() == \
+            (tmp_path / "want.el").read_bytes()
+
+
+def _traced_peak(build):
+    """``(build(), peak bytes that tracemalloc saw while it ran)``."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """tracemalloc peaks on heavy-tree(1023), 131,838 edges. ``from_edges``
+    needs one buffer of 2m keys (16 B per edge) beyond its input, and a
+    family adds its (m, 2) edge array (16 B per edge); a list of per-edge
+    tuples (183 B per edge) or sorting a concatenated copy of the keys
+    (32 B per edge) breaks these bounds."""
+
+    def test_from_edges_bytes_per_edge(self):
+        edges = rw.generate_heavy_binary_tree(1023).edges()
+        g, peak = _traced_peak(lambda: Graph.from_edges(1023, edges))
+        assert peak <= 20 * g.m
+
+    def test_heavy_tree_bytes_per_edge(self):
+        rw.generate_heavy_binary_tree(15)  # warm up any first-call state
+        g, peak = _traced_peak(lambda: rw.generate_heavy_binary_tree(1023))
+        assert peak <= 64 * g.m
 
 
 class TestGenerationFailureMessage:

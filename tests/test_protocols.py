@@ -1,5 +1,6 @@
 """Round semantics of the four protocols and the two capped/replenished
 variants, checked against hand traces, closed forms, and re-simulation."""
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,15 @@ from rumorwalks.rng import SimRng
 from helpers import (push_per_round, push_pull_per_round,
                      visit_exchange_per_round)
 
-K2 = rw.generate_complete(2)
+
+def k2():
+    """The complete graph on two vertices, built where a test needs it."""
+    return rw.generate_complete(2)
+
+
+def _path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
 
 # placement seeds located by direct search (stationary draws are seeded,
 # so these are stable): see the corresponding asserts below
@@ -57,19 +66,19 @@ class TestAgentConfigAndPlacement:
         assert abs(frac - 0.5) < 3 * np.sqrt(0.25 / 100_000)
 
     def test_placement_seeds_hold(self):
-        assert place_agents(K2, AgentConfig(count=1),
+        assert place_agents(k2(), AgentConfig(count=1),
                             SimRng(SEED_ONE_AGENT_AT_0))[0] == 0
-        assert place_agents(K2, AgentConfig(count=1),
+        assert place_agents(k2(), AgentConfig(count=1),
                             SimRng(SEED_ONE_AGENT_AT_1))[0] == 1
         assert np.array_equal(
-            place_agents(K2, AgentConfig(count=2),
+            place_agents(k2(), AgentConfig(count=2),
                          SimRng(SEED_TWO_AGENTS_AT_0)), [0, 0])
 
 
 class TestPush:
     @pytest.mark.parametrize("seed", range(5))
     def test_k2_always_one_round(self, seed):
-        res = rw.run_push(K2, 0, SimRng(seed))
+        res = rw.run_push(k2(), 0, SimRng(seed))
         assert res.broadcast_time == 1
 
     def test_single_vertex(self):
@@ -103,25 +112,26 @@ class TestPushBlocks:
     ahead; it must give what the per-round loop gives, and leave the
     ``push`` stream where that loop leaves it."""
 
-    PATH = Graph.from_edges(40, [(i, i + 1) for i in range(39)])
-    CASES = [
-        ("star-center", rw.generate_star(1000), 0, True),
-        ("star-leaf", rw.generate_star(1000), 1000, True),
-        ("star-small", rw.generate_star(5), 0, True),
-        ("double-star-center", rw.generate_double_star(64), 0, True),
-        ("double-star-leaf", rw.generate_double_star(64), 63, True),
-        ("path-end", PATH, 0, True),
-        ("path-middle", PATH, 20, True),
-        ("heavy-tree", rw.generate_heavy_binary_tree(63), 0, False),
-        ("regular", rw.generate_random_regular(256, 8, seed=3), 0, None),
-        ("regular-sparse", rw.generate_random_regular(64, 3, seed=4), 5,
+    CASES = [  # graphs are built in the test, so a broken one fails its case
+        ("star-center", lambda: rw.generate_star(1000), 0, True),
+        ("star-leaf", lambda: rw.generate_star(1000), 1000, True),
+        ("star-small", lambda: rw.generate_star(5), 0, True),
+        ("double-star-center", lambda: rw.generate_double_star(64), 0, True),
+        ("double-star-leaf", lambda: rw.generate_double_star(64), 63, True),
+        ("path-end", lambda: _path(40), 0, True),
+        ("path-middle", lambda: _path(40), 20, True),
+        ("heavy-tree", lambda: rw.generate_heavy_binary_tree(63), 0, False),
+        ("regular", lambda: rw.generate_random_regular(256, 8, seed=3), 0,
          None),
+        ("regular-sparse", lambda: rw.generate_random_regular(64, 3, seed=4),
+         5, None),
     ]
 
-    @pytest.mark.parametrize("name,graph,source,blocky", CASES,
+    @pytest.mark.parametrize("name,build,source,blocky", CASES,
                              ids=[c[0] for c in CASES])
-    def test_matches_per_round_loop(self, monkeypatch, name, graph, source,
+    def test_matches_per_round_loop(self, monkeypatch, name, build, source,
                                     blocky):
+        graph = build()
         blocks = []
         real = protocols.bounded_ahead
 
@@ -195,17 +205,22 @@ class TestAgainstPerRoundReferences:
     and the ``random()`` lazy coin (``helpers``), on graphs large enough
     for rounds to inform thousands of vertices at once."""
 
-    GRAPHS = {
-        "regular": rw.generate_random_regular(1024, 10, seed=5),
-        "star": rw.generate_star(1999),
-        "heavy-tree": rw.generate_heavy_binary_tree(1023),
-        "double-star": rw.generate_double_star(2000),
+    GRAPHS = {  # each built on first use, in a test
+        "regular": lambda: rw.generate_random_regular(1024, 10, seed=5),
+        "star": lambda: rw.generate_star(1999),
+        "heavy-tree": lambda: rw.generate_heavy_binary_tree(1023),
+        "double-star": lambda: rw.generate_double_star(2000),
     }
+
+    @classmethod
+    @functools.cache
+    def graph(cls, name):
+        return cls.GRAPHS[name]()
 
     @pytest.mark.parametrize("name", GRAPHS)
     @pytest.mark.parametrize("seed", range(3))
     def test_push(self, name, seed):
-        g = self.GRAPHS[name]
+        g = self.graph(name)
         want, rounds = push_per_round(g, 0, SimRng(seed))
         got = rw.run_push(g, 0, SimRng(seed))
         assert got.rounds == rounds
@@ -214,7 +229,7 @@ class TestAgainstPerRoundReferences:
     @pytest.mark.parametrize("name", GRAPHS)
     @pytest.mark.parametrize("seed", range(3))
     def test_push_pull(self, name, seed):
-        g = self.GRAPHS[name]
+        g = self.graph(name)
         want_rng, got_rng = SimRng(seed), SimRng(seed)
         want, rounds = push_pull_per_round(g, 1, want_rng)
         got = rw.run_push_pull(g, 1, got_rng)
@@ -227,7 +242,7 @@ class TestAgainstPerRoundReferences:
     @pytest.mark.parametrize("name", GRAPHS)
     @pytest.mark.parametrize("seed", range(3))
     def test_visit_exchange(self, name, seed, lazy):
-        g = self.GRAPHS[name]
+        g = self.graph(name)
         want_rng, got_rng = SimRng(seed), SimRng(seed)
         v_want, a_want, rounds = visit_exchange_per_round(
             g, 0, g.n, want_rng, lazy)
@@ -244,7 +259,7 @@ class TestAgainstPerRoundReferences:
 class TestPushPull:
     @pytest.mark.parametrize("seed", range(5))
     def test_k2(self, seed):
-        assert rw.run_push_pull(K2, 1, SimRng(seed)).broadcast_time == 1
+        assert rw.run_push_pull(k2(), 1, SimRng(seed)).broadcast_time == 1
 
     @pytest.mark.parametrize("source", [0, 5])
     def test_star_at_most_two(self, source):
@@ -275,19 +290,19 @@ class TestPushPull:
 class TestVisitExchange:
     def test_k2_agent_at_each_vertex(self):
         res = rw.run_visit_exchange(
-            K2, 0, AgentConfig(count=2, placement="one-per-vertex"), SimRng(0))
+            k2(), 0, AgentConfig(count=2, placement="one-per-vertex"), SimRng(0))
         assert res.broadcast_time == 1
         assert list(res.trace.agent_informed_at) == [0, 1]
         assert res.completion_kind == "all-vertices"
 
     def test_k2_single_agent_at_source(self):
-        res = rw.run_visit_exchange(K2, 0, AgentConfig(count=1),
+        res = rw.run_visit_exchange(k2(), 0, AgentConfig(count=1),
                                     SimRng(SEED_ONE_AGENT_AT_0))
         assert res.broadcast_time == 1
 
     def test_k2_single_agent_opposite(self):
         # agent must first walk onto the source, then carry the rumor back
-        res = rw.run_visit_exchange(K2, 0, AgentConfig(count=1),
+        res = rw.run_visit_exchange(k2(), 0, AgentConfig(count=1),
                                     SimRng(SEED_ONE_AGENT_AT_1))
         assert res.broadcast_time == 2
         assert res.trace.agent_informed_at[0] == 1
@@ -328,7 +343,7 @@ class TestVisitExchange:
                 assert tv[pos[t][a]] <= t
 
     def test_min_rounds_keeps_running(self):
-        res = rw.run_visit_exchange(K2, 0,
+        res = rw.run_visit_exchange(k2(), 0,
                                     AgentConfig(count=2, placement="one-per-vertex"),
                                     SimRng(0), min_rounds=9)
         assert res.rounds >= 9
@@ -349,7 +364,7 @@ class TestVisitExchange:
 
 class TestMeetExchange:
     def test_k2_both_agents_at_source(self):
-        res = rw.run_meet_exchange(K2, 0, AgentConfig(count=2),
+        res = rw.run_meet_exchange(k2(), 0, AgentConfig(count=2),
                                    SimRng(SEED_TWO_AGENTS_AT_0))
         assert res.broadcast_time == 0
         assert res.completion_kind == "all-agents"
@@ -357,14 +372,14 @@ class TestMeetExchange:
 
     def test_k2_opposite_parity_never_meets(self):
         res = rw.run_meet_exchange(
-            K2, 0, AgentConfig(count=2, placement="one-per-vertex"),
+            k2(), 0, AgentConfig(count=2, placement="one-per-vertex"),
             SimRng(3), round_cap=128)
         assert not res.complete
         assert res.broadcast_time is None
 
     def test_k2_lazy_breaks_parity(self):
         res = rw.run_meet_exchange(
-            K2, 0, AgentConfig(count=2, placement="one-per-vertex", lazy=True),
+            k2(), 0, AgentConfig(count=2, placement="one-per-vertex", lazy=True),
             SimRng(3))
         assert res.complete
 
