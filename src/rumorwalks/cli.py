@@ -22,8 +22,8 @@ import secrets
 import sys
 from pathlib import Path
 
-from .coupling import (run_coupled_even, run_coupled_odd, transcript_dumps,
-                       transcript_from_json, verify_transcript)
+from .coupling import (_coupled_run, transcript_dumps, transcript_from_json,
+                       verify_transcript)
 from .errors import (ConfigError, GenerationFailureError,
                      InvalidParameterError, RumorWalksError,
                      TranscriptCorruptError)
@@ -78,7 +78,8 @@ def _start_run(args):
                                             rng.stream("source"))
 
 
-def _add_graph_args(p: argparse.ArgumentParser) -> None:
+def _add_start_args(p: argparse.ArgumentParser) -> None:
+    """Flags of a run or couple: graph, source, seed, round cap, floor."""
     p.add_argument("--graph", metavar="PATH",
                    help="edge-list file to load instead of generating")
     p.add_argument("--family", choices=FAMILIES)
@@ -87,6 +88,13 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", default=None,
                    help="degree for regular / clique size for clique-path; "
                         "'log2ceil' scales with size")
+    p.add_argument("--source", default="0",
+                   help="vertex id, or center / leaf / uniform")
+    p.add_argument("--seed", type=_seed_arg, default=None)
+    p.add_argument("--round-cap", type=int, default=None)
+    p.add_argument("--floor", type=float, default=None,
+                   help="occupancy floor of r-visit-exchange and couple "
+                        "--r-floor")
 
 
 def _add_agent_args(p: argparse.ArgumentParser) -> None:
@@ -166,13 +174,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_couple(args) -> int:
     seed, graph, rng, source = _start_run(args)
     acfg = agent_config(graph, args.alpha, args.agents, args.placement)
-    if args.mode == "even":
-        tr = run_coupled_even(graph, source, acfg, rng, args.round_cap,
-                              args.min_rounds)
-    else:
-        tr = run_coupled_odd(graph, source, acfg, rng, args.round_cap,
-                             args.min_rounds, enable_r_floor=args.r_floor,
-                             floor=args.floor)
+    tr = _coupled_run(graph, source, acfg, rng, args.round_cap,
+                      args.min_rounds, args.mode, args.r_floor, args.floor)
     Path(args.out).write_text(transcript_dumps(tr), encoding="utf-8")
     log.info("wrote %s", args.out)
     _emit({"mode": args.mode, "n": graph.n, "source": source, "seed": seed,
@@ -216,19 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("run", help="run one protocol once")
-    _add_graph_args(p)
+    _add_start_args(p)
     _add_agent_args(p)
     p.add_argument("--lazy", action="store_true",
                    help="walks stay put with probability 1/2 each round")
     p.add_argument("--protocol", choices=PROTOCOLS, required=True)
-    p.add_argument("--source", default="0",
-                   help="vertex id, or center / leaf / uniform")
     p.add_argument("--gamma", type=float, default=None,
                    help="congestion cap multiplier for t-visit-exchange")
-    p.add_argument("--floor", type=float, default=None,
-                   help="replenishment floor for r-visit-exchange")
-    p.add_argument("--round-cap", type=int, default=None)
-    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--trace-out", metavar="PATH",
                    help="write informing events as CSV (kind,id,round)")
     p.set_defaults(func=_cmd_run)
@@ -243,16 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("couple", help="coupled agents + per-vertex sampler run")
-    _add_graph_args(p)
+    _add_start_args(p)
     p.add_argument("--mode", choices=("even", "odd"), default="even")
     _add_agent_args(p)
-    p.add_argument("--source", default="0")
-    p.add_argument("--round-cap", type=int, default=None)
     p.add_argument("--min-rounds", type=int, default=0)
     p.add_argument("--r-floor", action="store_true",
                    help="odd mode: replenish thin neighborhoods after odd rounds")
-    p.add_argument("--floor", type=float, default=None)
-    p.add_argument("--seed", type=_seed_arg, default=None)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="transcript JSON path")
     p.set_defaults(func=_cmd_couple)

@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, TranscriptCorruptError
 from .graphs import Graph, _known
-from .protocols import (AgentConfig, _floor_level, _move, _occupancy_floor,
-                        _start, _Visit, _walk)
+from .protocols import (AgentConfig, _floor_level, _occupancy_floor, _start,
+                        _Visit, _walk)
 from .rng import ChoiceOracle, SimRng
 
 __all__ = [
@@ -121,21 +121,24 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         raise InvalidParameterError(
             "coupled runs require non-lazy walks: a stayed step is not a "
             "neighbor choice, so it cannot be shared with push")
-    if enable_r_floor and mode != "odd":
-        raise InvalidParameterError("the occupancy floor pairs with the odd coupling")
     if enable_r_floor:
+        if mode != "odd":
+            raise InvalidParameterError(
+                "the occupancy floor (enable_r_floor, --r-floor) is odd-mode only")
         floor = _floor_level(graph, config.count, floor, "occupancy floor")
+    elif floor is not None:
+        raise InvalidParameterError(
+            "a floor level needs the occupancy floor (enable_r_floor, --r-floor)")
     n = graph.n
-    source, cap, pos, _ = _start(graph, source, config, rng, round_cap)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
     oracle = ChoiceOracle(graph, rng.child_seed("oracle"))
-    walk_gen = rng.stream("walks")
     visit = _Visit(n, source, pos)
     v_inf = visit.v_inf
     consumed = np.zeros(n, dtype=np.int64)  # informed departures per vertex
 
     def oracle_step(pos: np.ndarray, t: int) -> np.ndarray:
         if mode == "odd" and t % 2 == 0:
-            return _move(graph, pos, walk_gen, False, None)
+            return step(pos, t)
         # informed departures consume the oracle in (round, agent) order:
         # the k-th informed agent on u (in agent order) this round takes
         # entry consumed[u] + k; u is informed here iff it was informed by
@@ -149,7 +152,7 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
             consumed[:] += counts
         free = ~informed
         if free.any():
-            new_pos[free] = _move(graph, pos[free], walk_gen, False, None)
+            new_pos[free] = step(pos[free], t)
         return new_pos
 
     rows = [pos]  # no round changes a position array once it is made
@@ -181,7 +184,7 @@ def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         positions=positions, choices=choices,
         walk_consumed={u: int(consumed[u])
                        for u in np.flatnonzero(consumed).tolist()},
-        additions=additions, floor=floor if enable_r_floor else None)
+        additions=additions, floor=floor)
     if visitx_complete:
         tr.s_sets = compute_s_sets(tr)
         tr.c_table = compute_c_counters(tr)
@@ -377,8 +380,11 @@ def _min_chains(tr: CouplingTranscript):
         if not members:
             fault[w] = f"empty S-set at vertex {w}"
             continue
-        pred[w] = v = min(members, key=lambda v: (c[tw][v], v))
-        fault[w] = fault[v]
+        v = min(members, key=lambda v: (c[tw][v], v))
+        if not 0 <= tv[v] < tw:
+            fault[w] = f"S-set member {v} of vertex {w} is informed at round {tv[v]}"
+            continue
+        pred[w], fault[w] = v, fault[v]
         if (v, w) in movers:
             follow[w] = movers[v, w]
         elif fault[w] is None:

@@ -51,7 +51,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "family_tag", "indptr", "indices", "degrees",
-                 "_cumdeg", "_distinct")
+                 "distinct_degrees", "cumulative_degrees")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  family_tag: str | None = None):
@@ -59,11 +59,12 @@ class Graph:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.degrees = np.diff(self.indptr)
+        self.distinct_degrees = np.unique(self.degrees)  # ascending
+        self.cumulative_degrees = np.cumsum(self.degrees)  # stationary sampling
         self.m = int(self.indices.shape[0] // 2)
         self.family_tag = family_tag
-        self._cumdeg = None
-        self._distinct = None
-        for arr in (self.indptr, self.indices, self.degrees):
+        for arr in (self.indptr, self.indices, self.degrees,
+                    self.distinct_degrees, self.cumulative_degrees):
             arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
@@ -118,29 +119,11 @@ class Graph:
         """Sorted neighbor ids of u (read-only view)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    @property
-    def cumulative_degrees(self) -> np.ndarray:
-        """cumsum(degrees); used for exact stationary sampling."""
-        if self._cumdeg is None:
-            cd = np.cumsum(self.degrees)
-            cd.setflags(write=False)
-            self._cumdeg = cd
-        return self._cumdeg
-
     def edges(self) -> np.ndarray:
         """Canonical (m, 2) edge array with u < v, sorted lexicographically."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         mask = rows < self.indices
         return np.column_stack([rows[mask], self.indices[mask]])
-
-    @property
-    def distinct_degrees(self) -> np.ndarray:
-        """The degrees that occur, ascending; computed once."""
-        if self._distinct is None:
-            dd = np.unique(self.degrees)
-            dd.setflags(write=False)
-            self._distinct = dd
-        return self._distinct
 
     @property
     def is_regular(self) -> bool:
@@ -371,8 +354,6 @@ def _suitable(stubs: np.ndarray, taken, n: int) -> bool:
     non-loop edges; ``taken(keys)`` flags the edge keys already used.
     Mirrors the standard stub-matching feasibility test.
     """
-    if stubs.size == 0:
-        return True
     vals = np.unique(stubs)
     a, b = np.triu_indices(vals.shape[0], k=1)
     return not taken(vals[a] * n + vals[b]).all()

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: JSON on stdout, exit-code taxonomy, and the
 couple/verify loop."""
+import hashlib
 import json
 
 import numpy as np
@@ -316,6 +317,39 @@ class TestSweepOutcomes:
             (3, 1, 4)
         assert csv_path.read_text().splitlines()[1].split(",")[6] == "4"
 
+    def test_every_generation_failed_exits_two(self, tmp_path, capsys,
+                                               monkeypatch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("family = regular\nd = 3\nprotocols = push\n"
+                       "sweep = 16\ntrials = 2\nseed = 5\n")
+        for trial in range(2):
+            fail_generation(monkeypatch, rw.parse_config_file(cfg), 16, trial)
+        code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                                     "--jobs", "1")
+        assert code == 2 and payload is None
+        assert "all 2 generations failed for regular size 16" in err
+
+
+# sha256 of the transcript ``couple`` writes at seed 0 for each flag
+# combination it honours: how the flags reach the coupled run is no part of
+# the transcript, so these bytes stay fixed
+COUPLE_DIGESTS = [
+    ("regular", "even", (),
+     "735b86544189a10f6db1ad5efc7312071d9cbb95e2fcedbde61b76e9139781ac"),
+    ("regular", "odd", (),
+     "2128d7878f7f2cbe45081547458a7f3ef1c463b92892fae690f0bc4f1a193835"),
+    ("regular", "odd", ("--r-floor",),
+     "d96290399835b4301d3d711d2359f6386aeaf51a872df26b430118edf421d310"),
+    ("regular", "odd", ("--r-floor", "--floor", "2"),
+     "71b5b99171c177ec1b20a81338bfc35366253c0dac094ae27f83d857abccfb2c"),
+    ("star", "even", (),
+     "2a611ec0b7b3175e288aeaff7b0a3290c063289774088e12ba25a03dbc72bf01"),
+    ("star", "odd", (),
+     "75dbf2646356825ce2c92b083a503d99a2200f78f0b97b9960f8a001001893a9"),
+]
+COUPLE_GRAPHS = {"regular": ("--family", "regular", "--size", "64", "--d", "8"),
+                 "star": ("--family", "star", "--size", "16")}
+
 
 class TestCoupleVerify:
     def couple(self, tmp_path, capsys, *extra):
@@ -430,6 +464,35 @@ class TestCoupleVerify:
                                      "--round-cap", cap, "--out", str(out))
         assert code == 1 and payload is None
         assert f"round_cap must be >= 1, got {cap}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("graph,mode,extra,digest", COUPLE_DIGESTS,
+                             ids=[f"{g}-{m}{''.join(e)}"
+                                  for g, m, e, _ in COUPLE_DIGESTS])
+    def test_transcript_bytes(self, tmp_path, capsys, graph, mode, extra,
+                              digest):
+        out = tmp_path / "tr.json"
+        code, _, _ = run_cli(capsys, "couple", *COUPLE_GRAPHS[graph],
+                             "--mode", mode, *extra, "--seed", "0",
+                             "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--mode", "even", "--r-floor"), "is odd-mode only"),
+        (("--mode", "odd", "--floor", "3"), "a floor level needs the "
+                                            "occupancy floor"),
+        (("--mode", "odd", "--r-floor"), "requires a regular graph"),
+    ])
+    def test_floor_flags_outside_r_floor_exit_one(self, tmp_path, capsys,
+                                                  argv, message):
+        out = tmp_path / "tr.json"
+        code, payload, err = run_cli(capsys, "couple", "--family", "star",
+                                     "--size", "16", "--seed", "0", *argv,
+                                     "--out", str(out))
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1 and message in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import math
+import signal
 import time
 import tracemalloc
 
@@ -149,6 +150,29 @@ class TestChainWalks:
                 assert walk.vertices[0] == tr.source
                 assert walk.vertices[-1] == u
 
+    def test_stored_s_set_cycle_is_corrupt(self):
+        # vertices 0 and 1 name each other as informing neighbor, both at
+        # round 1: the walk back from 0 must stop with a fault, not loop
+        # 0 -> 1 -> 0 ... while its chain grows without bound
+        obj = json.loads(rw.transcript_dumps(rw.run_coupled_even(
+            k2(), 0, AgentConfig(4), SimRng(0), min_rounds=3)))
+        obj["visitx"]["t"] = [1, 1]
+        obj["s_sets"] = [[0, [1]], [1, [0]]]
+        tr = rw.transcript_from_json(obj)
+
+        def hang(_signum, _frame):
+            raise AssertionError("chain walk did not return within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with pytest.raises(TranscriptCorruptError, match="S-set member 1 "
+                               "of vertex 0 is informed at round 1"):
+                rw.reconstruct_min_chain_walk(tr, 0, 1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 class TestCongestionDP:
     def test_round_zero(self):
@@ -219,6 +243,13 @@ class TestOddCoupling:
         for r, _u, g in tr.additions:
             assert (tr.positions[:r, g] == -1).all()
             assert (tr.positions[r:, g] >= 0).all()
+
+    def test_floor_level_needs_r_floor(self):
+        # only the occupancy floor reads a floor level, so without it the
+        # level is refused rather than dropped
+        with pytest.raises(InvalidParameterError, match="needs the occupancy"):
+            rw.run_coupled_odd(rw.generate_cycle(6), 0, AgentConfig(count=6),
+                               SimRng(3), floor=2.0)
 
     def test_r_floor_requires_regular(self):
         with pytest.raises(InvalidParameterError):

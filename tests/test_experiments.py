@@ -151,6 +151,10 @@ source = center
         ("gamma", "-inf", "gamma must be finite"),
         ("floor", "nan", "floor must be finite"),
         ("floor", "inf", "floor must be finite"),
+        ("protocols", ",", "at least one protocol is required"),
+        ("protocols", "gossip", "unknown protocol 'gossip'"),
+        ("sweep", "0", "sweep sizes must be positive"),
+        ("source", "middle", "source must be an id or one of"),
     ])
     def test_value_errors_name_their_line(self, key, value, fragment):
         lines = ["# sweep", "family = regular", "protocols = push",
@@ -337,6 +341,14 @@ class TestOutcomes:
         row = res.rows[0]
         assert (row.capped, row.gen_failed, row.incomplete) == (3, 1, 4)
         assert rw.result_to_csv(res).splitlines()[1].split(",")[6] == "4"
+
+    def test_every_generation_failed(self, monkeypatch):
+        cfg = small_config(family="regular", d="3", trials=3)
+        for trial in range(3):
+            fail_generation(monkeypatch, cfg, 16, trial)
+        with pytest.raises(rw.GenerationFailureError,
+                           match="all 3 generations failed for regular size 16"):
+            rw.run_trials(cfg)
 
 
 class TestCsv:

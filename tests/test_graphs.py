@@ -227,6 +227,8 @@ class TestRandomRegular:
             rw.generate_random_regular(4, 4, seed=1)  # d >= n
         with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
             rw.generate_random_regular(10, 3, seed=-1)
+        with pytest.raises(InvalidParameterError, match="needs n >= 2"):
+            rw.generate_random_regular(1, 1, seed=0)
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
@@ -398,6 +400,8 @@ class TestGraphType:
             Graph.from_edges(3, [(0, 3)])  # out of range
         with pytest.raises(InvalidParameterError):
             Graph.from_edges(4, [(0, 1), (2, 3)])  # disconnected
+        with pytest.raises(InvalidParameterError, match="edges must be pairs"):
+            Graph.from_edges(3, [(0, 1, 2)])
 
     def test_bipartite_detection(self):
         assert rw.generate_star(5).is_bipartite()
@@ -473,6 +477,8 @@ class TestGraphType:
         (4, [(1, 2), (2, 3)]),
         (6, [(0, 1), (2, 3), (3, 4), (4, 5)]),
         (5, [(0, 1), (1, 2), (2, 3)]),
+        # two triangles: m = n, so the edge count alone cannot tell
+        (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
     ])
     def test_from_edges_rejects_disconnected(self, n, edges):
         with pytest.raises(InvalidParameterError, match="graph is not connected"):
@@ -688,6 +694,11 @@ class TestEdgeListIO:
         # refused before an array of 10**10 entries is allocated
         ("10000000000 1\n0 1\n",
          "graph is not connected: 1 edges cannot connect 10000000000 vertices"),
+        ("3 1\n0 1 2\n", ":2: expected two integers"),
+        ("3 1\n0\n", ":2: expected two integers (edge"),
+        ("0 0\n", ":1: invalid header n=0 m=0"),
+        ("3 -1\n", ":1: invalid header n=3 m=-1"),
+        ("2 1\n0 2\n", ":2: endpoint out of range for n=2"),
     ])
     def test_load_errors(self, tmp_path, text, fragment):
         path = tmp_path / "bad.el"
