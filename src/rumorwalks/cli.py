@@ -22,7 +22,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from .coupling import (_coupled_run, transcript_dumps, transcript_from_json,
+from .coupling import (run_coupled, transcript_dumps, transcript_from_json,
                        verify_transcript)
 from .errors import (ConfigError, GenerationFailureError,
                      InvalidParameterError, RumorWalksError,
@@ -174,8 +174,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_couple(args) -> int:
     seed, graph, rng, source = _start_run(args)
     acfg = agent_config(graph, args.alpha, args.agents, args.placement)
-    tr = _coupled_run(graph, source, acfg, rng, args.round_cap,
-                      args.min_rounds, args.mode, args.r_floor, args.floor)
+    tr = run_coupled(graph, source, acfg, rng, args.round_cap,
+                     args.min_rounds, args.mode, args.r_floor, args.floor)
     Path(args.out).write_text(transcript_dumps(tr), encoding="utf-8")
     log.info("wrote %s", args.out)
     _emit({"mode": args.mode, "n": graph.n, "source": source, "seed": seed,

@@ -48,7 +48,7 @@ from .rng import ChoiceOracle, SimRng
 
 __all__ = [
     "CouplingTranscript", "CanonicalWalk", "VerifyReport",
-    "run_coupled_even", "run_coupled_odd", "compute_s_sets",
+    "run_coupled", "run_coupled_even", "run_coupled_odd", "compute_s_sets",
     "compute_c_counters", "verify_tau_leq_c", "reconstruct_min_chain_walk",
     "max_congestion_dp", "transcript_to_json", "transcript_from_json",
     "transcript_dumps", "verify_transcript",
@@ -114,9 +114,12 @@ class VerifyReport:
     violations: list
 
 
-def _coupled_run(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
-                 round_cap: int | None, min_rounds: int, mode: str,
-                 enable_r_floor: bool, floor: float | None) -> CouplingTranscript:
+def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
+                round_cap: int | None, min_rounds: int, mode: str,
+                enable_r_floor: bool, floor: float | None) -> CouplingTranscript:
+    """The coupled run in either mode, and the one place that checks its
+    settings; :func:`run_coupled_even` and :func:`run_coupled_odd` fix
+    ``mode`` for it."""
     if config.lazy:
         raise InvalidParameterError(
             "coupled runs require non-lazy walks: a stayed step is not a "
@@ -232,8 +235,8 @@ def run_coupled_even(graph: Graph, source: int, config: AgentConfig,
                      rng: SimRng, round_cap: int | None = None,
                      min_rounds: int = 0) -> CouplingTranscript:
     """Visit-exchange and push coupled through every informed departure."""
-    return _coupled_run(graph, source, config, rng, round_cap, min_rounds,
-                        "even", False, None)
+    return run_coupled(graph, source, config, rng, round_cap, min_rounds,
+                       "even", False, None)
 
 
 def run_coupled_odd(graph: Graph, source: int, config: AgentConfig,
@@ -245,8 +248,8 @@ def run_coupled_odd(graph: Graph, source: int, config: AgentConfig,
     so even-round steps stay independent of push.  Optionally maintains the
     neighborhood occupancy floor after odd rounds (regular graphs).
     """
-    return _coupled_run(graph, source, config, rng, round_cap, min_rounds,
-                        "odd", enable_r_floor, floor)
+    return run_coupled(graph, source, config, rng, round_cap, min_rounds,
+                       "odd", enable_r_floor, floor)
 
 
 # -- derived tables -------------------------------------------------------------

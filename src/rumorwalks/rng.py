@@ -225,8 +225,8 @@ class ChoiceOracle:
     vertex's seed and no generator state: a row that needs more entries
     regrows, at least doubling, by drawing the whole longer row again from
     the start of the vertex's stream.  It keeps the entries it already gave
-    out, takes only the new ones from the redraw, and appends the grown
-    row to the buffer.  A degree-1 vertex draws nothing (a bounded draw of range 0
+    out, takes only the new ones from the redraw, and moves to the end of
+    the buffer.  A degree-1 vertex draws nothing (a bounded draw of range 0
     consumes no randomness): its row is its lone neighbor, read for every
     index.  Drawing ahead is invisible: :meth:`materialized_lists` reports
     exactly the prefix up to the highest index requested so far.
@@ -241,6 +241,7 @@ class ChoiceOracle:
         draws = np.flatnonzero(deg > 1)
         width = np.where(deg > 1, self._BLOCK, deg)  # entries per row
         self._buf = np.empty(int(width.sum()), dtype=np.int64)
+        self._used = self._buf.shape[0]               # buffer entries in use
         self._row = np.cumsum(width) - width          # row start in _buf
         self._stride = (deg > 1).astype(np.int64)     # 0: one entry serves all
         self._drawn = np.where(deg == 1, np.iinfo(np.int64).max, width)
@@ -286,18 +287,26 @@ class ChoiceOracle:
         return self._buf[self._row[us] + (idx - 1) * self._stride[us]]
 
     def _refill(self, u: int, need: int) -> None:
-        """Grow row u to at least ``need`` entries, appended to the buffer."""
+        """Grow row u to at least ``need`` entries, moving it to the end."""
         old = int(self._drawn[u])
         if old == 0:
             raise InvalidParameterError(f"vertex {u} has no neighbors")
         size = max(need, 2 * old)
         a, b = int(self.graph.indptr[u]), int(self.graph.indptr[u + 1])
         redraw = _stream(int(self._seeds[u])).integers(0, b - a, size=size)
+        start = self._used
+        if start + size > self._buf.size:
+            grown = np.empty(max(2 * self._buf.size, start + size),
+                             dtype=np.int64)
+            grown[:start] = self._buf[:start]
+            self._buf = grown
         src = int(self._row[u])
-        self._row[u] = self._buf.shape[0]
-        self._buf = np.concatenate([self._buf, self._buf[src:src + old],
-                                    self.graph.indices[a + redraw[old:]]])
+        self._buf[start:start + old] = self._buf[src:src + old]
+        self._buf[start + old:start + size] = \
+            self.graph.indices[a + redraw[old:]]
+        self._row[u] = start
         self._drawn[u] = size
+        self._used = start + size
 
     def materialized_lists(self) -> dict:
         """The choices requested so far, ``{u: [entries 1 .. highest index

@@ -180,13 +180,13 @@ class TestChoiceOracleContract:
     def test_degree_one_draws_nothing(self, monkeypatch):
         g = rw.generate_star(5)
         oracle = ChoiceOracle(g, seed=3)
-        used, streams = oracle._buf.shape[0], _record_streams(monkeypatch)
+        used, streams = oracle._used, _record_streams(monkeypatch)
         assert oracle.take([2, 3, 2], [1, 70, 200]).tolist() == [0, 0, 0]
-        assert oracle._buf.shape[0] == used  # no leaf row grew
+        assert oracle._used == used  # no leaf row grew
         assert streams == []  # and no leaf stream was drawn from
         # past its first block, the center regrows from its own seed
         assert oracle.choice(0, 33) == _scalar_entries(g, 3, 0, 33)[-1]
-        assert oracle._buf.shape[0] > used
+        assert oracle._used > used
         assert streams == [derive_seed(3, "vertex", 0)]
 
     def test_regrowth_keeps_given_entries(self, monkeypatch):
@@ -200,9 +200,9 @@ class TestChoiceOracleContract:
         given = oracle.take([0] * 32, np.arange(1, 33)).tolist()
         assert given == _scalar_entries(g, 12, 0, 32)
         for need in (33, 65, 129, 300):  # regrows to 64, 128, 256 and 512
-            before = oracle._buf.shape[0]
+            before = oracle._used
             oracle.choice(0, need)
-            assert oracle._buf.shape[0] > before
+            assert oracle._used > before
             again = oracle.take([0] * len(given), np.arange(1, len(given) + 1))
             assert again.tolist() == given
             given = oracle.take([0] * need, np.arange(1, need + 1)).tolist()
