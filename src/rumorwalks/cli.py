@@ -98,11 +98,29 @@ def _add_start_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_agent_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=1.0,
+    """Flags of the walkers; None when not given (see :func:`_agent_args`)."""
+    p.add_argument("--alpha", type=float, default=None,
                    help="agents per vertex (default 1.0)")
     p.add_argument("--agents", type=int, default=None,
                    help="explicit agent count (overrides --alpha)")
-    p.add_argument("--placement", choices=PLACEMENTS, default="stationary")
+    p.add_argument("--placement", choices=PLACEMENTS, default=None,
+                   help="default: stationary")
+
+
+def _agent_args(args) -> dict:
+    """``alpha``, ``agents`` and ``placement`` of a run or couple, with the
+    defaults of the flags not given."""
+    return {"alpha": 1.0 if args.alpha is None else args.alpha,
+            "agents": args.agents,
+            "placement": args.placement or "stationary"}
+
+
+# the flags of `run` that only some protocols read, and those protocols
+_WALKERS = ("visit-exchange", "meet-exchange", "t-visit-exchange",
+            "r-visit-exchange")
+_READ_BY = {"alpha": _WALKERS, "agents": _WALKERS, "placement": _WALKERS,
+            "lazy": _WALKERS, "gamma": ("t-visit-exchange",),
+            "floor": ("r-visit-exchange",)}
 
 
 def _write_trace(path: str, trace) -> None:
@@ -122,13 +140,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    unread = [f"--{flag}" for flag, readers in _READ_BY.items()
+              if getattr(args, flag) is not None
+              and args.protocol not in readers]
+    if unread:
+        raise ConfigError(f"{args.protocol} does not read "
+                          f"{', '.join(unread)}")
     seed, graph, rng, source = _start_run(args)
-    if args.protocol == "meet-exchange" and not args.lazy and graph.is_bipartite():
+    lazy = bool(args.lazy)
+    if args.protocol == "meet-exchange" and not lazy and graph.is_bipartite():
         log.warning("meet-exchange on a bipartite graph without --lazy can "
                     "deadlock on walk parity; consider --lazy")
-    res = run_protocol(args.protocol, graph, source, rng, alpha=args.alpha,
-                       agents=args.agents, placement=args.placement,
-                       lazy=args.lazy, gamma=args.gamma, floor=args.floor,
+    res = run_protocol(args.protocol, graph, source, rng, **_agent_args(args),
+                       lazy=lazy, gamma=args.gamma, floor=args.floor,
                        round_cap=args.round_cap)
     if args.trace_out:
         _write_trace(args.trace_out, res.trace)
@@ -173,7 +197,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_couple(args) -> int:
     seed, graph, rng, source = _start_run(args)
-    acfg = agent_config(graph, args.alpha, args.agents, args.placement)
+    acfg = agent_config(graph, **_agent_args(args))
     tr = run_coupled(graph, source, acfg, rng, args.round_cap,
                      args.min_rounds, args.mode, args.r_floor, args.floor)
     Path(args.out).write_text(transcript_dumps(tr), encoding="utf-8")
@@ -221,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one protocol once")
     _add_start_args(p)
     _add_agent_args(p)
-    p.add_argument("--lazy", action="store_true",
+    p.add_argument("--lazy", action="store_true", default=None,
                    help="walks stay put with probability 1/2 each round")
     p.add_argument("--protocol", choices=PROTOCOLS, required=True)
     p.add_argument("--gamma", type=float, default=None,

@@ -167,9 +167,14 @@ def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
     ``starts`` are row starts in ``graph.indptr`` and ``degs`` the rows'
     degrees, which may be None on a regular graph.  numpy draws a bounded
     integer by Lemire's method, which consumes nothing for a range of zero,
-    so degree-1 rows take their lone neighbor and draw nothing; and it fills
-    a scalar bound, with ``size=k`` or as one scalar, from the same draws as
-    k equal array bounds, at a fraction of the per-call cost.
+    so degree-1 rows take their lone neighbor and draw nothing.  Where the
+    drawing rows share one degree, numpy fills that scalar bound, with
+    ``size=k`` or as one scalar, from the same draws as k equal array
+    bounds, at a fraction of the per-call cost.  Where they have more than
+    one, ``gen`` is the stream's :class:`~rumorwalks.rng.Draws` reader
+    (:func:`_neighbor_stream`), and ``gen.integers(degs)`` draws the array
+    bounds, value for value, from raw words read ahead; numpy's generator
+    reads that call as ``integers(0, degs)`` too.
     """
     indices = graph.indices
     values = graph.distinct_degrees  # the degrees a drawing row can have
@@ -185,16 +190,25 @@ def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
         if multi.shape[0] < k:
             drawing, k, degs = multi, multi.shape[0], degs[multi]
     if values.shape[0] == 1:
-        bound = values[0]
+        draws = gen.integers(0, values[0], size=None if k == 1 else k)
     else:
-        bound = degs[0] if k == 1 else degs
-    draws = gen.integers(0, bound, size=None if k == 1 or bound is degs
-                         else k)
+        draws = gen.integers(degs)
     if drawing is None:
         return indices[starts + draws]
     at = starts.copy()
     at[drawing] += draws
     return indices[at]
+
+
+def _neighbor_stream(graph: Graph, rng: SimRng, label: str):
+    """What :func:`_draw_neighbors` reads for stream ``label``: the stream's
+    :class:`~rumorwalks.rng.Draws` reader where the drawing rows (degree
+    above 1) have more than one degree, else the numpy generator, whose
+    scalar-bound fill is faster than the reader."""
+    values = graph.distinct_degrees
+    if np.count_nonzero(values > 1) > 1:
+        return rng.draws(label)
+    return rng.stream(label)
 
 
 def _move(graph: Graph, pos: np.ndarray, walk_gen, lazy: bool, lazy_gen) -> np.ndarray:
@@ -226,7 +240,7 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     """
     source, cap = _check_run(graph, source, round_cap)
     n = graph.n
-    gen = rng.stream("push")
+    gen = _neighbor_stream(graph, rng, "push")
     indptr, degrees = graph.indptr, graph.degrees
     informed_at = np.full(n, -1, dtype=np.int64)
     informed_at[source] = 0
@@ -290,7 +304,7 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
     """
     source, cap = _check_run(graph, source, round_cap)
     n = graph.n
-    gen = rng.stream("pushpull")
+    gen = _neighbor_stream(graph, rng, "pushpull")
     starts = graph.indptr[:-1]
     informed_at = np.full(n, -1, dtype=np.int64)
     informed_at[source] = 0
@@ -325,7 +339,7 @@ def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     walk step ``step(pos, t)`` of one agent run."""
     source, cap = _check_run(graph, source, round_cap)
     pos = place_agents(graph, config, rng)
-    walk_gen = rng.stream("walks")
+    walk_gen = _neighbor_stream(graph, rng, "walks")
     lazy_gen = rng.stream("lazy")
 
     def step(pos: np.ndarray, _t: int) -> np.ndarray:
@@ -357,7 +371,9 @@ def _walk(pos: np.ndarray, step, layers: list, cap: int, min_rounds: int = 0,
 
 class _Visit:
     """The informing rule of :func:`run_visit_exchange`; agents masked out
-    by ``alive`` neither inform nor get informed."""
+    by ``alive`` neither inform nor get informed.  Once every agent is
+    informed, a round without ``alive`` takes every position as a carrier
+    and skips the agent pass."""
 
     def __init__(self, n: int, source: int, pos: np.ndarray,
                  alive: np.ndarray | None = None):
@@ -367,25 +383,38 @@ class _Visit:
         self.a_inf[pos == source] = 0
         self.alive = alive
         self.uninformed = n - 1
+        # agents not yet informed; at 0, update skips the agent pass
+        self.waiting = int(np.count_nonzero(self.a_inf == -1))
 
     @property
     def done(self) -> bool:
         return self.uninformed == 0
 
     def update(self, pos: np.ndarray, t: int) -> None:
-        v_inf, a_inf = self.v_inf, self.a_inf
-        carriers = a_inf != -1  # informed before this round
-        if self.alive is not None:
-            carriers &= self.alive
-        landed = pos[carriers]
+        v_inf, a_inf, alive = self.v_inf, self.a_inf, self.alive
+        if self.waiting or alive is not None:
+            carriers = a_inf != -1  # informed before this round
+            if alive is not None:
+                carriers &= alive
+            landed = pos[carriers]
+        else:
+            landed = pos
         fresh_v = _distinct(landed[v_inf[landed] == -1])
         if fresh_v.size:
             v_inf[fresh_v] = t
             self.uninformed -= fresh_v.size
-        newly_a = (a_inf == -1) & (v_inf[pos] != -1)
-        if self.alive is not None:
-            newly_a &= self.alive
-        a_inf[newly_a] = t
+        if self.waiting:
+            newly_a = (a_inf == -1) & (v_inf[pos] != -1)
+            if alive is not None:
+                newly_a &= alive
+            a_inf[newly_a] = t
+            self.waiting -= int(np.count_nonzero(newly_a))
+
+    def add(self, w: int, t: int) -> None:
+        """A new agent on vertex w after round t, informed iff w is."""
+        informed = self.v_inf[w] != -1
+        self.a_inf = np.append(self.a_inf, t if informed else -1)
+        self.waiting += not informed
 
     def result(self, t: int, positions: list | None = None,
                **logs) -> BroadcastResult:
@@ -583,8 +612,7 @@ def _occupancy_floor(graph: Graph, floor: float, visit: _Visit,
             w = int(graph.indices[graph.indptr[u]])  # lowest-indexed neighbor
             additions.append((t, u, pos.shape[0]))
             pos = np.append(pos, w)
-            visit.a_inf = np.append(visit.a_inf,
-                                    t if visit.v_inf[w] != -1 else -1)
+            visit.add(w, t)
             occ[w] += 1
             nsum[graph.neighbors(w)] += 1
 

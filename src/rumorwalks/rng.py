@@ -69,12 +69,23 @@ class SimRng:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._streams: dict = {}
+        self._draws: dict = {}
 
     def stream(self, *labels) -> np.random.Generator:
-        """Generator for the given label path (cached per instance)."""
+        """Generator for the given label path (cached per instance), where
+        numpy's own calls would have left it: a :class:`Draws` reader over
+        it settles first."""
+        if labels in self._draws:
+            self._draws[labels].settle()
         if labels not in self._streams:
             self._streams[labels] = _stream(derive_seed(self.seed, *labels))
         return self._streams[labels]
+
+    def draws(self, *labels) -> "Draws":
+        """The :class:`Draws` reader over ``stream(*labels)`` (cached)."""
+        if labels not in self._draws:
+            self._draws[labels] = Draws(self.stream(*labels))
+        return self._draws[labels]
 
     def child_seed(self, *labels) -> int:
         return derive_seed(self.seed, *labels)
@@ -93,6 +104,7 @@ class SimRng:
 
 _M64 = 2 ** 64 - 1
 _M32, _S32 = np.array(2 ** 32 - 1, np.uint64), np.array(32, np.uint64)
+_TWO32 = np.array(2 ** 32, np.uint64)
 _MIX_L, _MIX_R, _S16 = (np.array(v, np.uint32)  # SeedSequence's mix
                         for v in (0xca01f9dd, 0x4973f715, 16))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -322,13 +334,128 @@ class ChoiceOracle:
                                                 bounds[1:])}
 
 
-def bounded_ahead(gen: np.random.Generator, bound: int, count: int):
+class Draws:
+    """numpy's ``gen.integers(0, bounds)`` for arrays of bounds, value for
+    value, from raw PCG64 words read ahead.
+
+    numpy draws a bound d in [2, 2**32] from 32-bit halves: first the half
+    the generator holds pending (``has_uint32``), then each raw word's low
+    half before its high half.  Lemire's multiply-shift keeps half h as
+    ``h * d >> 32`` unless ``h * d mod 2**32 < (2**32 - d) % d``; then the
+    same bound takes the next half.  The reader does this over arrays, on
+    words read ahead in blocks that double up to 2**16 words.  So the
+    generator runs ahead of the draws until :meth:`settle` puts it exactly
+    where numpy's calls would have left it: the LCG state, ``has_uint32``,
+    and ``uinteger``, which numpy leaves stale once it has used it.  Nothing
+    else may read the generator in between.
+    """
+
+    _FIRST, _LAST = 256, 2 ** 16  # words in the first and the largest block
+
+    def __init__(self, gen: np.random.Generator):
+        self._bitgen = gen.bit_generator
+        self._halves = None  # None: nothing read ahead
+
+    def _load(self) -> None:
+        state = self._bitgen.state
+        self._start = state
+        self._lead = state["has_uint32"]  # 1: the first half is pending
+        self._halves = np.array([state["uinteger"]] * self._lead, np.uint32)
+        self._base = 0      # halves dropped from the front of _halves
+        self._pos = 0       # the next half to use, in _halves
+        self._mark = None   # a half to keep, as an index since the load
+        self._block = self._FIRST
+
+    def _read(self, need: int) -> None:
+        """Make at least ``need`` halves available from ``_pos`` on."""
+        keep = self._pos if self._mark is None else self._mark - self._base
+        words = max(self._block, need // 2 + 1)
+        self._block = min(2 * self._block, self._LAST)
+        raw = self._bitgen.random_raw(words)  # each word: low half first
+        fresh = raw.astype("<u8", copy=False).view("<u4")
+        self._halves = np.concatenate([self._halves[keep:], fresh])
+        self._base += keep
+        self._pos -= keep
+
+    def integers(self, bounds) -> np.ndarray:
+        """``gen.integers(0, bounds)`` for int bounds in [2, 2**32]."""
+        if self._halves is None:
+            self._load()
+        d = np.asarray(bounds, dtype=np.int64).view(np.uint64)
+        k, done, out = d.shape[0], 0, None
+        while True:  # one pass per rejected half
+            rest = d[done:]
+            if self._halves.shape[0] - self._pos < rest.shape[0]:
+                self._read(rest.shape[0])
+            p = self._pos
+            m = self._halves[p:p + rest.shape[0]] * rest
+            low = m & _M32
+            kept = rest.shape[0]
+            if (low < rest).any():  # the rejection threshold is below d
+                s = np.flatnonzero(low < rest)
+                bad = s[low[s] < (_TWO32 - rest[s]) % rest[s]]
+                kept = int(bad[0]) if bad.size else kept
+            m >>= _S32
+            if out is None and kept == k:
+                self._pos = p + k
+                return m.view(np.int64)
+            if out is None:
+                out = np.empty(k, dtype=np.int64)
+            out[done:done + kept] = m[:kept]
+            done += kept
+            self._pos = p + kept + (done < k)  # skip the rejected half
+            if done == k:
+                return out
+
+    def mark(self) -> int:
+        """The reader's place, kept in reach of :meth:`rewind`."""
+        if self._halves is None:
+            self._load()
+        self._mark = self._base + self._pos
+        return self._mark
+
+    def rewind(self, mark: int) -> None:
+        """Go back to ``mark`` (the last :meth:`mark`, with no settle since),
+        so the draws after it are drawn again."""
+        self._pos = mark - self._base
+        self._mark = None
+
+    def settle(self) -> None:
+        """Put the generator where numpy's calls would have left it, and
+        drop the halves read ahead."""
+        if self._halves is None:
+            return
+        bitgen, used = self._bitgen, self._base + self._pos
+        bitgen.state = self._start
+        halves = used - self._lead  # taken from raw words
+        if halves:
+            bitgen.advance((halves + 1) // 2 - 1)
+            high = int(bitgen.random_raw()) >> 32  # the last word's
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = halves % 2, high
+            bitgen.state = state
+        elif used:  # only the pending half
+            bitgen.state = {**self._start, "has_uint32": 0}
+        self._halves = None
+
+
+def bounded_ahead(gen, bound: int, count: int):
     """``(draws, leave)``: the next ``count`` values of ``gen.integers(0,
     bound)``, read ahead as one ``gen.integers(0, bound, size=count)`` call,
     which draws exactly what ``count`` scalar calls would, and
     ``leave(used)``, which puts ``gen`` where ``used`` scalar draws would: it
     rewinds to the state before the block and redraws ``used`` values.
+    ``gen`` may be a :class:`Draws` reader, which rewinds to its mark.
     """
+    if isinstance(gen, Draws):
+        mark = gen.mark()
+        draws = gen.integers(np.full(count, bound, dtype=np.int64))
+
+        def leave(used: int) -> None:
+            gen.rewind(mark)
+            gen.integers(np.full(used, bound, dtype=np.int64))
+
+        return draws, leave
     bitgen = gen.bit_generator
     start = bitgen.state
     draws = gen.integers(0, bound, size=count)

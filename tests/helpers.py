@@ -91,12 +91,11 @@ def small_instance_graphs():
 
 def push_per_round(graph, source: int, rng, round_cap=None):
     """Reference push: the round loop of ``run_push`` before it took rounds
-    in blocks, one ``_draw_neighbors`` call per round.
+    in blocks, one array-bounded ``integers`` call per round from numpy
+    itself (the drawing rows only: a degree-1 row draws nothing).
 
     Returns ``(vertex_informed_at, rounds)``.
     """
-    from rumorwalks.protocols import _draw_neighbors
-
     n = graph.n
     cap = rw.default_round_cap(n) if round_cap is None else int(round_cap)
     gen = rng.stream("push")
@@ -111,7 +110,7 @@ def push_per_round(graph, source: int, rng, round_cap=None):
     count, t = 1, 0
     while count < n and t < cap:
         t += 1
-        targets = _draw_neighbors(graph, gen, starts, degs)
+        targets = graph.indices[starts + gen.integers(0, degs)]
         if forced.size:
             targets = np.concatenate([targets, forced])
         fresh = targets[informed_at[targets] == -1]

@@ -122,15 +122,48 @@ class TestRun:
                 lambda rng: rw.run_r_visit_exchange(g, 3, cfg, rng, floor=2.5),
         }
         res = direct[protocol](SimRng(5))
+        # each protocol is given the flags it reads, and no others
+        flags = () if protocol.startswith("push") else ("--alpha", "0.75",
+                                                        "--lazy")
+        flags += {"t-visit-exchange": ("--gamma", "4.5"),
+                  "r-visit-exchange": ("--floor", "2.5")}.get(protocol, ())
         code, payload, _ = run_cli(
             capsys, "run", "--family", "regular", "--size", "16", "--d", "4",
-            "--protocol", protocol, "--seed", "5", "--source", "3",
-            "--alpha", "0.75", "--lazy", "--gamma", "4.5", "--floor", "2.5")
+            "--protocol", protocol, "--seed", "5", "--source", "3", *flags)
         assert code == (0 if res.complete else 2)
         assert (payload["broadcast_time"], payload["rounds"]) == \
             (res.broadcast_time, res.rounds)
         assert payload["removals"] == len(res.removal_log)
         assert payload["additions"] == len(res.addition_log)
+
+    @pytest.mark.parametrize("protocol,flags,unread", [
+        ("push", ("--floor", "3"), "--floor"),
+        ("push", ("--lazy",), "--lazy"),
+        ("push", ("--alpha", "1.0"), "--alpha"),
+        ("push-pull", ("--agents", "0"), "--agents"),
+        ("push-pull", ("--placement", "stationary"), "--placement"),
+        ("visit-exchange", ("--gamma", "2"), "--gamma"),
+        ("meet-exchange", ("--floor", "3"), "--floor"),
+        ("t-visit-exchange", ("--gamma", "9", "--floor", "1"), "--floor"),
+        ("r-visit-exchange", ("--floor", "1", "--gamma", "9"), "--gamma"),
+    ])
+    def test_unread_flag_exit_one(self, capsys, protocol, flags, unread):
+        # a flag the protocol never reads is refused, not silently dropped,
+        # even when it holds the default value
+        code, payload, err = run_cli(capsys, "run", "--family", "cycle",
+                                     "--size", "8", "--seed", "1",
+                                     "--protocol", protocol, *flags)
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"{protocol} does not read {unread}" in err
+
+    def test_unread_flags_named_together(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--family", "cycle", "--size",
+                               "8", "--seed", "1", "--protocol", "push-pull",
+                               "--lazy", "--alpha", "2", "--floor", "1")
+        assert code == 1
+        assert err.strip() == \
+            "ERROR push-pull does not read --alpha, --lazy, --floor"
 
     def test_t_visit_without_gamma_exit_one(self, capsys):
         code, payload, err = run_cli(capsys, "run", "--family", "cycle",

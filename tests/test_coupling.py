@@ -244,6 +244,19 @@ class TestOddCoupling:
             assert (tr.positions[:r, g] == -1).all()
             assert (tr.positions[r:, g] >= 0).all()
 
+    def test_added_agent_after_all_informed(self):
+        # visit-exchange skips its agent pass once every agent is informed;
+        # an agent the floor adds on an uninformed vertex must turn it back
+        # on.  verify re-simulates with absent agents masked by ``alive``,
+        # so it never skips: it checks the skipping run independently
+        tr = rw.run_coupled_odd(rw.generate_cycle(8), 0, AgentConfig(1),
+                                SimRng(0), enable_r_floor=True)
+        r, _u, g = tr.additions[0]
+        assert g == 1 and 0 <= tr.agent_informed_at[0] <= r
+        assert tr.agent_informed_at[g] > r  # added uninformed
+        assert tr.complete
+        assert rw.verify_transcript(tr).ok
+
     def test_floor_level_needs_r_floor(self):
         # only the occupancy floor reads a floor level, so without it the
         # level is refused rather than dropped

@@ -10,7 +10,7 @@ from scipy import stats
 import rumorwalks as rw
 from rumorwalks import AgentConfig, Graph, InvalidParameterError, protocols
 from rumorwalks.protocols import default_round_cap, place_agents
-from rumorwalks.rng import SimRng
+from rumorwalks.rng import Draws, SimRng
 
 from helpers import (push_per_round, push_pull_per_round,
                      visit_exchange_per_round)
@@ -23,6 +23,13 @@ def k2():
 
 def _path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _star_tail(k):
+    """A star with center 0 and leaves 1..k, and one more vertex hung on
+    leaf k."""
+    return Graph.from_edges(k + 2, [(0, i) for i in range(1, k + 1)]
+                            + [(k, k + 1)])
 
 
 # placement seeds located by direct search (stationary draws are seeded,
@@ -121,6 +128,8 @@ class TestPushBlocks:
         ("path-end", lambda: _path(40), 0, True),
         ("path-middle", lambda: _path(40), 20, True),
         ("heavy-tree", lambda: rw.generate_heavy_binary_tree(63), 0, False),
+        # drawing degrees 2 and 200, so the blocks come from the reader
+        ("star-tail", lambda: _star_tail(200), 0, True),
         ("regular", lambda: rw.generate_random_regular(256, 8, seed=3), 0,
          None),
         ("regular-sparse", lambda: rw.generate_random_regular(64, 3, seed=4),
@@ -157,10 +166,66 @@ class TestPushBlocks:
                                               else None)
                 assert got_rng.stream("push").bit_generator.state == \
                     want_rng.stream("push").bit_generator.state, (seed, cap)
-        # stars and paths do run blocks, mixed degrees never do; a regular
+        # stars and paths do run blocks, the heavy tree never does; a regular
         # graph adds drawing rows nearly every round, so it rarely does
         if blocky is not None:
             assert bool(blocks) == blocky
+
+
+class TestNeighborStreams:
+    """Where every drawing row (degree above 1) has one degree, the walks,
+    push and push-pull streams stay numpy generators and no reader is made;
+    where they have several, every neighbor draw goes through the
+    stream's ``Draws`` reader."""
+
+    RUNS = {
+        "push": lambda g, rng: rw.run_push(g, 0, rng),
+        "push-pull": lambda g, rng: rw.run_push_pull(g, 0, rng),
+        "visit-exchange":
+            lambda g, rng: rw.run_visit_exchange(g, 0, AgentConfig(g.n), rng),
+        "meet-exchange": lambda g, rng: rw.run_meet_exchange(
+            g, 0, AgentConfig(g.n, lazy=True), rng, round_cap=200),
+    }
+
+    @staticmethod
+    def _gens(monkeypatch) -> list:
+        """The ``gen`` of every ``_draw_neighbors`` call from now on."""
+        gens, real = [], protocols._draw_neighbors
+
+        def recording(graph, gen, starts, degs):
+            gens.append(gen)
+            return real(graph, gen, starts, degs)
+
+        monkeypatch.setattr(protocols, "_draw_neighbors", recording)
+        return gens
+
+    @pytest.mark.parametrize("protocol", RUNS)
+    @pytest.mark.parametrize("build", [
+        lambda: rw.generate_random_regular(256, 8, seed=3),
+        lambda: rw.generate_star(300), lambda: rw.generate_double_star(128),
+    ], ids=["regular", "star", "double-star"])
+    def test_one_degree_calls_numpy(self, monkeypatch, build, protocol):
+        def refuse(_rng, *labels):
+            raise AssertionError(f"a reader was made for {labels}")
+
+        monkeypatch.setattr(SimRng, "draws", refuse)
+        gens = self._gens(monkeypatch)
+        self.RUNS[protocol](build(), SimRng(1))
+        assert gens
+        assert all(type(gen) is np.random.Generator for gen in gens)
+
+    @pytest.mark.parametrize("protocol", RUNS)
+    @pytest.mark.parametrize("build", [
+        lambda: rw.generate_heavy_binary_tree(63),
+        lambda: rw.generate_siamese_trees(63),
+        lambda: rw.generate_cycle_stars_cliques(4),
+    ], ids=["heavy-tree", "siamese", "cycle-stars-cliques"])
+    def test_mixed_degrees_use_the_reader(self, monkeypatch, build,
+                                          protocol):
+        gens = self._gens(monkeypatch)
+        self.RUNS[protocol](build(), SimRng(1))
+        assert gens
+        assert all(isinstance(gen, Draws) for gen in gens)
 
 
 class TestDistinct:

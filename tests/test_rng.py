@@ -1,17 +1,20 @@
 """Determinism, sub-stream isolation, oracle idempotence, the bulk PCG64
-streams against numpy's own, and the distributional checks on stationary
-sampling and lazy stepping."""
+streams and the mixed-degree reader against numpy's own, and the
+distributional checks on stationary sampling and lazy stepping."""
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import rumorwalks as rw
 import rumorwalks.rng as rng_mod
 from rumorwalks.protocols import AgentConfig, _move
-from rumorwalks.rng import (ChoiceOracle, SimRng, _first_blocks, _pcg64_seed,
-                            bounded_ahead, derive_seed, place_stationary)
+from rumorwalks.rng import (ChoiceOracle, Draws, SimRng, _first_blocks,
+                            _pcg64_seed, bounded_ahead, derive_seed,
+                            place_stationary)
 
 from helpers import ReferenceOracle, coupling_corpus
 
@@ -366,6 +369,126 @@ class TestBoundedAhead:
             [int(ref.integers(0, 1000))]
         assert got == want
         assert gen.bit_generator.state == ref.bit_generator.state
+
+
+# bounds of every size, and many just above 2**31, where (2**32 - d) % d is
+# nearly 2**31, so nearly half of the halves are rejected
+BOUNDS = st.one_of(st.integers(2, 2 ** 10), st.integers(2, 2 ** 32),
+                   st.integers(2 ** 31 - 2 ** 4, 2 ** 31 + 2 ** 12))
+CALLS = st.lists(st.lists(BOUNDS, max_size=40), min_size=1, max_size=6)
+
+
+def _pcg(seed: int, pending: bool) -> np.random.Generator:
+    gen = np.random.Generator(np.random.PCG64(seed))
+    if pending:
+        gen.integers(0, 5)  # one 32-bit draw: the word's high half waits
+    return gen
+
+
+class TestDraws:
+    """The mixed-degree reader against numpy's ``integers(0, bounds)``:
+    value for value, and the full generator state after a settle."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), pending=st.booleans(),
+           calls=CALLS, settles=st.lists(st.booleans(), min_size=6,
+                                         max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy(self, seed, pending, calls, settles):
+        gen, ref = _pcg(seed, pending), _pcg(seed, pending)
+        draws = Draws(gen)
+        for bounds, settle in zip(calls, settles):
+            got = draws.integers(bounds)
+            assert got.dtype == np.int64
+            assert got.tolist() == ref.integers(0, bounds, size=len(bounds)
+                                                ).tolist()
+            if settle:  # the reader goes on from the settled generator
+                draws.settle()
+                assert gen.bit_generator.state == ref.bit_generator.state
+        draws.settle()
+        assert gen.bit_generator.state == ref.bit_generator.state
+        # every later reader of the stream sees the same draws
+        assert gen.integers(0, 9, size=3).tolist() == \
+            ref.integers(0, 9, size=3).tolist()
+        assert gen.random() == ref.random()
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), pending=st.booleans(),
+           before=st.lists(BOUNDS, max_size=40), block=CALLS,
+           after=st.lists(BOUNDS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_mark_and_rewind(self, seed, pending, before, block, after):
+        gen, ref = _pcg(seed, pending), _pcg(seed, pending)
+        draws = Draws(gen)
+        assert draws.integers(before).tolist() == \
+            ref.integers(0, before, size=len(before)).tolist()
+        mark = draws.mark()
+        first = [draws.integers(bounds).tolist() for bounds in block]
+        draws.rewind(mark)
+        # the draws after the mark come again, from the same halves
+        assert [draws.integers(bounds).tolist() for bounds in block] == first
+        draws.rewind(draws.mark())
+        assert first == [ref.integers(0, bounds, size=len(bounds)).tolist()
+                         for bounds in block]
+        assert draws.integers(after).tolist() == \
+            ref.integers(0, after, size=len(after)).tolist()
+        draws.settle()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_blocks_and_rejections(self):
+        # calls far larger than the first block, a mark kept across reads,
+        # and a bound that rejects about half of the halves
+        for seed, pending in ((0, False), (1, True)):
+            gen, ref = _pcg(seed, pending), _pcg(seed, pending)
+            draws = Draws(gen)
+            bounds = np.random.default_rng(seed).integers(2, 600, size=5000)
+            heavy = np.full(3000, 2 ** 31 + 1)
+            assert np.array_equal(draws.integers(bounds),
+                                  ref.integers(0, bounds))
+            mark = draws.mark()
+            first = draws.integers(heavy)
+            draws.rewind(mark)
+            assert np.array_equal(draws.integers(heavy), first)
+            assert np.array_equal(first, ref.integers(0, heavy))
+            draws.settle()
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_nothing_drawn_leaves_state(self):
+        for pending in (False, True):
+            gen, ref = _pcg(3, pending), _pcg(3, pending)
+            draws = Draws(gen)
+            assert draws.integers([]).tolist() == []
+            draws.settle()
+            draws.settle()  # settling twice is settling once
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_stream_settles_its_reader(self):
+        rng, ref = SimRng(11), SimRng(11)
+        assert rng.draws("walks") is rng.draws("walks")
+        got = rng.draws("walks").integers([3, 512, 2])
+        want = ref.stream("walks").integers(0, [3, 512, 2])
+        assert got.tolist() == want.tolist()
+        assert rng.stream("walks").bit_generator.state == \
+            ref.stream("walks").bit_generator.state
+        # the reader reads on from where the stream stands now
+        rng.stream("walks").integers(0, 7)
+        ref.stream("walks").integers(0, 7)
+        assert rng.draws("walks").integers([9] * 5).tolist() == \
+            ref.stream("walks").integers(0, [9] * 5).tolist()
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_bounded_ahead_rewinds_the_reader(self, pending):
+        for used in (0, 1, 17, 64):
+            gen, ref = _pcg(used, pending), _pcg(used, pending)
+            draws = Draws(gen)
+            draws.integers([5, 700])
+            ref.integers(0, [5, 700])
+            block, leave = bounded_ahead(draws, 2 ** 31 + 1, 64)
+            leave(used)
+            assert block[:used].tolist() == \
+                ref.integers(0, 2 ** 31 + 1, size=used).tolist()
+            assert draws.integers([3, 4]).tolist() == \
+                ref.integers(0, [3, 4]).tolist()
+            draws.settle()
+            assert gen.bit_generator.state == ref.bit_generator.state
 
 
 EDGE_SEEDS = [0, 1, 2, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63,
