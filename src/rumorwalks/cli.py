@@ -98,29 +98,19 @@ def _add_start_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_agent_args(p: argparse.ArgumentParser) -> None:
-    """Flags of the walkers; None when not given (see :func:`_agent_args`)."""
+    """Flags of the walkers; None when not given (see :func:`_given`)."""
     p.add_argument("--alpha", type=float, default=None,
-                   help="agents per vertex (default 1.0)")
+                   help="agents per vertex")
     p.add_argument("--agents", type=int, default=None,
                    help="explicit agent count (overrides --alpha)")
-    p.add_argument("--placement", choices=PLACEMENTS, default=None,
-                   help="default: stationary")
+    p.add_argument("--placement", choices=PLACEMENTS, default=None)
 
 
-def _agent_args(args) -> dict:
-    """``alpha``, ``agents`` and ``placement`` of a run or couple, with the
-    defaults of the flags not given."""
-    return {"alpha": 1.0 if args.alpha is None else args.alpha,
-            "agents": args.agents,
-            "placement": args.placement or "stationary"}
-
-
-# the flags of `run` that only some protocols read, and those protocols
-_WALKERS = ("visit-exchange", "meet-exchange", "t-visit-exchange",
-            "r-visit-exchange")
-_READ_BY = {"alpha": _WALKERS, "agents": _WALKERS, "placement": _WALKERS,
-            "lazy": _WALKERS, "gamma": ("t-visit-exchange",),
-            "floor": ("r-visit-exchange",)}
+def _given(args, *keys) -> dict:
+    """The flags among ``keys`` that were given, by name; the library's
+    signatures supply the defaults of the rest."""
+    return {key: value for key in keys
+            if (value := getattr(args, key)) is not None}
 
 
 def _write_trace(path: str, trace) -> None:
@@ -140,20 +130,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    unread = [f"--{flag}" for flag, readers in _READ_BY.items()
-              if getattr(args, flag) is not None
-              and args.protocol not in readers]
-    if unread:
-        raise ConfigError(f"{args.protocol} does not read "
-                          f"{', '.join(unread)}")
     seed, graph, rng, source = _start_run(args)
-    lazy = bool(args.lazy)
-    if args.protocol == "meet-exchange" and not lazy and graph.is_bipartite():
+    res = run_protocol(args.protocol, graph, source, rng,
+                       **_given(args, "alpha", "agents", "placement", "lazy",
+                                "gamma", "floor"), round_cap=args.round_cap)
+    if args.protocol == "meet-exchange" and not args.lazy \
+            and graph.is_bipartite():
         log.warning("meet-exchange on a bipartite graph without --lazy can "
                     "deadlock on walk parity; consider --lazy")
-    res = run_protocol(args.protocol, graph, source, rng, **_agent_args(args),
-                       lazy=lazy, gamma=args.gamma, floor=args.floor,
-                       round_cap=args.round_cap)
     if args.trace_out:
         _write_trace(args.trace_out, res.trace)
     _emit({"protocol": args.protocol, "n": graph.n, "m": graph.m,
@@ -197,7 +181,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_couple(args) -> int:
     seed, graph, rng, source = _start_run(args)
-    acfg = agent_config(graph, **_agent_args(args))
+    acfg = agent_config(graph, **_given(args, "alpha", "agents",
+                                        "placement"))
     tr = run_coupled(graph, source, acfg, rng, args.round_cap,
                      args.min_rounds, args.mode, args.r_floor, args.floor)
     Path(args.out).write_text(transcript_dumps(tr), encoding="utf-8")

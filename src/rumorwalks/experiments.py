@@ -223,22 +223,41 @@ def agent_config(graph: Graph, alpha: float = 1.0, agents: int | None = None,
     return AgentConfig(count=agents, placement=placement, lazy=lazy)
 
 
+# the settings each protocol reads, besides round_cap
+_AGENT = ("alpha", "agents", "placement", "lazy")
+_READS = {"push": (), "push-pull": (), "visit-exchange": _AGENT,
+          "meet-exchange": _AGENT, "t-visit-exchange": _AGENT + ("gamma",),
+          "r-visit-exchange": _AGENT + ("floor",)}
+
+
 def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
-                 alpha: float = 1.0, agents: int | None = None,
-                 placement: str = "stationary", lazy: bool = False,
+                 alpha: float | None = None, agents: int | None = None,
+                 placement: str | None = None, lazy: bool | None = None,
                  gamma: float | None = None, floor: float | None = None,
                  round_cap: int | None = None):
     """Run the protocol called ``name`` once and return its BroadcastResult.
 
     The agent settings apply to the four agent protocols, ``gamma`` to
     t-visit-exchange (where it is required) and ``floor`` to
-    r-visit-exchange.
+    r-visit-exchange.  A setting left None takes its default; one given to
+    a protocol that does not read it raises InvalidParameterError.
     """
+    if name not in _READS:
+        raise InvalidParameterError(f"unknown protocol {name!r}")
+    given = {key: value for key, value in
+             zip(_AGENT + ("gamma", "floor"),
+                 (alpha, agents, placement, lazy, gamma, floor))
+             if value is not None}
+    unread = [key for key in given if key not in _READS[name]]
+    if unread:
+        raise InvalidParameterError(f"{name} does not read "
+                                    f"{', '.join(unread)}")
     if name == "push":
         return run_push(graph, source, rng, round_cap)
     if name == "push-pull":
         return run_push_pull(graph, source, rng, round_cap)
-    acfg = agent_config(graph, alpha, agents, placement, lazy)
+    acfg = agent_config(graph, **{key: given[key] for key in _AGENT
+                                  if key in given})
     if name == "visit-exchange":
         return run_visit_exchange(graph, source, acfg, rng, round_cap)
     if name == "meet-exchange":
@@ -247,9 +266,7 @@ def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
         if gamma is None:
             raise InvalidParameterError("t-visit-exchange requires gamma")
         return run_t_visit_exchange(graph, source, acfg, gamma, rng, round_cap)
-    if name == "r-visit-exchange":
-        return run_r_visit_exchange(graph, source, acfg, rng, round_cap, floor)
-    raise InvalidParameterError(f"unknown protocol {name!r}")
+    return run_r_visit_exchange(graph, source, acfg, rng, round_cap, floor)
 
 
 @lru_cache(maxsize=None)
@@ -296,10 +313,10 @@ def _run_trial(cfg: ExperimentConfig, size: int, trial: int, labels: tuple):
             outs.append((out.visitx_agents_round, out.meetx.broadcast_time)
                         if done else None)
         else:
-            outs.append(run_protocol(
-                label, graph, source, rng, alpha=cfg.alpha, agents=cfg.agents,
-                placement=cfg.placement, lazy=cfg.lazy, gamma=cfg.gamma,
-                floor=cfg.floor, round_cap=cfg.round_cap).broadcast_time)
+            # a setting of the config applies to the protocols that read it
+            settings = {key: getattr(cfg, key) for key in _READS[label]}
+            outs.append(run_protocol(label, graph, source, rng, **settings,
+                                     round_cap=cfg.round_cap).broadcast_time)
     return graph.n, outs
 
 

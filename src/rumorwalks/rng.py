@@ -353,6 +353,7 @@ class Draws:
     _FIRST, _LAST = 256, 2 ** 16  # words in the first and the largest block
 
     def __init__(self, gen: np.random.Generator):
+        self.gen = gen  # the generator read
         self._bitgen = gen.bit_generator
         self._halves = None  # None: nothing read ahead
 
@@ -363,19 +364,17 @@ class Draws:
         self._halves = np.array([state["uinteger"]] * self._lead, np.uint32)
         self._base = 0      # halves dropped from the front of _halves
         self._pos = 0       # the next half to use, in _halves
-        self._mark = None   # a half to keep, as an index since the load
         self._block = self._FIRST
 
     def _read(self, need: int) -> None:
         """Make at least ``need`` halves available from ``_pos`` on."""
-        keep = self._pos if self._mark is None else self._mark - self._base
         words = max(self._block, need // 2 + 1)
         self._block = min(2 * self._block, self._LAST)
         raw = self._bitgen.random_raw(words)  # each word: low half first
         fresh = raw.astype("<u8", copy=False).view("<u4")
-        self._halves = np.concatenate([self._halves[keep:], fresh])
-        self._base += keep
-        self._pos -= keep
+        self._halves = np.concatenate([self._halves[self._pos:], fresh])
+        self._base += self._pos
+        self._pos = 0
 
     def integers(self, bounds) -> np.ndarray:
         """``gen.integers(0, bounds)`` for int bounds in [2, 2**32]."""
@@ -407,19 +406,6 @@ class Draws:
             if done == k:
                 return out
 
-    def mark(self) -> int:
-        """The reader's place, kept in reach of :meth:`rewind`."""
-        if self._halves is None:
-            self._load()
-        self._mark = self._base + self._pos
-        return self._mark
-
-    def rewind(self, mark: int) -> None:
-        """Go back to ``mark`` (the last :meth:`mark`, with no settle since),
-        so the draws after it are drawn again."""
-        self._pos = mark - self._base
-        self._mark = None
-
     def settle(self) -> None:
         """Put the generator where numpy's calls would have left it, and
         drop the halves read ahead."""
@@ -428,7 +414,7 @@ class Draws:
         bitgen, used = self._bitgen, self._base + self._pos
         bitgen.state = self._start
         halves = used - self._lead  # taken from raw words
-        if halves:
+        if halves > 0:
             bitgen.advance((halves + 1) // 2 - 1)
             high = int(bitgen.random_raw()) >> 32  # the last word's
             state = bitgen.state
@@ -445,17 +431,12 @@ def bounded_ahead(gen, bound: int, count: int):
     which draws exactly what ``count`` scalar calls would, and
     ``leave(used)``, which puts ``gen`` where ``used`` scalar draws would: it
     rewinds to the state before the block and redraws ``used`` values.
-    ``gen`` may be a :class:`Draws` reader, which rewinds to its mark.
+    ``gen`` may be a :class:`Draws` reader, which settles first, so the
+    block is read from its generator.
     """
     if isinstance(gen, Draws):
-        mark = gen.mark()
-        draws = gen.integers(np.full(count, bound, dtype=np.int64))
-
-        def leave(used: int) -> None:
-            gen.rewind(mark)
-            gen.integers(np.full(used, bound, dtype=np.int64))
-
-        return draws, leave
+        gen.settle()
+        gen = gen.gen
     bitgen = gen.bit_generator
     start = bitgen.state
     draws = gen.integers(0, bound, size=count)

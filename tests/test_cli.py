@@ -137,15 +137,15 @@ class TestRun:
         assert payload["additions"] == len(res.addition_log)
 
     @pytest.mark.parametrize("protocol,flags,unread", [
-        ("push", ("--floor", "3"), "--floor"),
-        ("push", ("--lazy",), "--lazy"),
-        ("push", ("--alpha", "1.0"), "--alpha"),
-        ("push-pull", ("--agents", "0"), "--agents"),
-        ("push-pull", ("--placement", "stationary"), "--placement"),
-        ("visit-exchange", ("--gamma", "2"), "--gamma"),
-        ("meet-exchange", ("--floor", "3"), "--floor"),
-        ("t-visit-exchange", ("--gamma", "9", "--floor", "1"), "--floor"),
-        ("r-visit-exchange", ("--floor", "1", "--gamma", "9"), "--gamma"),
+        ("push", ("--floor", "3"), "floor"),
+        ("push", ("--lazy",), "lazy"),
+        ("push", ("--alpha", "1.0"), "alpha"),
+        ("push-pull", ("--agents", "0"), "agents"),
+        ("push-pull", ("--placement", "stationary"), "placement"),
+        ("visit-exchange", ("--gamma", "2"), "gamma"),
+        ("meet-exchange", ("--floor", "3"), "floor"),
+        ("t-visit-exchange", ("--gamma", "9", "--floor", "1"), "floor"),
+        ("r-visit-exchange", ("--floor", "1", "--gamma", "9"), "gamma"),
     ])
     def test_unread_flag_exit_one(self, capsys, protocol, flags, unread):
         # a flag the protocol never reads is refused, not silently dropped,
@@ -163,7 +163,7 @@ class TestRun:
                                "--lazy", "--alpha", "2", "--floor", "1")
         assert code == 1
         assert err.strip() == \
-            "ERROR push-pull does not read --alpha, --lazy, --floor"
+            "ERROR push-pull does not read alpha, lazy, floor"
 
     def test_t_visit_without_gamma_exit_one(self, capsys):
         code, payload, err = run_cli(capsys, "run", "--family", "cycle",

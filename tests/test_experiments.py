@@ -192,6 +192,27 @@ class TestBuildGraph:
             rw.agent_config(rw.generate_cycle(8), alpha)
         assert rw.agent_config(rw.generate_cycle(8), alpha, agents=3).count == 3
 
+    @pytest.mark.parametrize("name,settings,unread", [
+        ("push", {"floor": 3.0}, "floor"),
+        ("push-pull", {"alpha": 1.0, "lazy": False}, "alpha, lazy"),
+        ("visit-exchange", {"gamma": 2.0}, "gamma"),
+        ("t-visit-exchange", {"gamma": 2.0, "floor": 1.0}, "floor"),
+    ])
+    def test_run_protocol_refuses_unread_settings(self, name, settings,
+                                                  unread):
+        with pytest.raises(rw.InvalidParameterError,
+                           match=f"^{name} does not read {unread}$"):
+            rw.run_protocol(name, rw.generate_cycle(8), 0, rw.SimRng(1),
+                            **settings)
+
+    def test_run_protocol_defaults(self):
+        # settings left None take the defaults of agent_config
+        g = rw.generate_cycle(8)
+        got = rw.run_protocol("visit-exchange", g, 0, rw.SimRng(4))
+        want = rw.run_visit_exchange(g, 0, rw.agent_config(g), rw.SimRng(4))
+        assert (got.broadcast_time, got.rounds) == \
+            (want.broadcast_time, want.rounds)
+
     def test_resolve_source(self):
         g = rw.generate_star(5)
         gen = np.random.Generator(np.random.PCG64(1))

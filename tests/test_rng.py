@@ -411,31 +411,9 @@ class TestDraws:
             ref.integers(0, 9, size=3).tolist()
         assert gen.random() == ref.random()
 
-    @given(seed=st.integers(0, 2 ** 64 - 1), pending=st.booleans(),
-           before=st.lists(BOUNDS, max_size=40), block=CALLS,
-           after=st.lists(BOUNDS, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_mark_and_rewind(self, seed, pending, before, block, after):
-        gen, ref = _pcg(seed, pending), _pcg(seed, pending)
-        draws = Draws(gen)
-        assert draws.integers(before).tolist() == \
-            ref.integers(0, before, size=len(before)).tolist()
-        mark = draws.mark()
-        first = [draws.integers(bounds).tolist() for bounds in block]
-        draws.rewind(mark)
-        # the draws after the mark come again, from the same halves
-        assert [draws.integers(bounds).tolist() for bounds in block] == first
-        draws.rewind(draws.mark())
-        assert first == [ref.integers(0, bounds, size=len(bounds)).tolist()
-                         for bounds in block]
-        assert draws.integers(after).tolist() == \
-            ref.integers(0, after, size=len(after)).tolist()
-        draws.settle()
-        assert gen.bit_generator.state == ref.bit_generator.state
-
     def test_blocks_and_rejections(self):
-        # calls far larger than the first block, a mark kept across reads,
-        # and a bound that rejects about half of the halves
+        # calls far larger than the first block, and a bound that rejects
+        # about half of the halves
         for seed, pending in ((0, False), (1, True)):
             gen, ref = _pcg(seed, pending), _pcg(seed, pending)
             draws = Draws(gen)
@@ -443,11 +421,8 @@ class TestDraws:
             heavy = np.full(3000, 2 ** 31 + 1)
             assert np.array_equal(draws.integers(bounds),
                                   ref.integers(0, bounds))
-            mark = draws.mark()
-            first = draws.integers(heavy)
-            draws.rewind(mark)
-            assert np.array_equal(draws.integers(heavy), first)
-            assert np.array_equal(first, ref.integers(0, heavy))
+            assert np.array_equal(draws.integers(heavy),
+                                  ref.integers(0, heavy))
             draws.settle()
             assert gen.bit_generator.state == ref.bit_generator.state
 
@@ -459,6 +434,26 @@ class TestDraws:
             draws.settle()
             draws.settle()  # settling twice is settling once
             assert gen.bit_generator.state == ref.bit_generator.state
+
+    @staticmethod
+    def _forged(seed: int) -> np.random.Generator:
+        """A generator whose pending half is no half of its raw words, so
+        only the pending half itself can give numpy's draws and state."""
+        gen = np.random.Generator(np.random.PCG64(seed))
+        gen.bit_generator.state = {**gen.bit_generator.state,
+                                   "has_uint32": 1, "uinteger": 12345}
+        return gen
+
+    @pytest.mark.parametrize("calls", [[], [[]], [[7]], [[7, 2 ** 20]],
+                                       [[], [2 ** 31 + 1] * 9]])
+    def test_forged_pending_half(self, calls):
+        gen, ref = self._forged(8), self._forged(8)
+        draws = Draws(gen)
+        for bounds in calls:
+            assert draws.integers(bounds).tolist() == \
+                ref.integers(0, bounds, size=len(bounds)).tolist()
+        draws.settle()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_stream_settles_its_reader(self):
         rng, ref = SimRng(11), SimRng(11)
@@ -475,7 +470,7 @@ class TestDraws:
             ref.stream("walks").integers(0, [9] * 5).tolist()
 
     @pytest.mark.parametrize("pending", [False, True])
-    def test_bounded_ahead_rewinds_the_reader(self, pending):
+    def test_bounded_ahead_settles_the_reader(self, pending):
         for used in (0, 1, 17, 64):
             gen, ref = _pcg(used, pending), _pcg(used, pending)
             draws = Draws(gen)
@@ -485,6 +480,7 @@ class TestDraws:
             leave(used)
             assert block[:used].tolist() == \
                 ref.integers(0, 2 ** 31 + 1, size=used).tolist()
+            # the reader reads on from where the block left the generator
             assert draws.integers([3, 4]).tolist() == \
                 ref.integers(0, [3, 4]).tolist()
             draws.settle()
