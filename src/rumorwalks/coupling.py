@@ -597,6 +597,24 @@ def _visits_text(pos: np.ndarray, n: int) -> str:
     return buf.tobytes().decode("ascii")
 
 
+def _json(what: str, value, kind: type = int):
+    """``value``, which must be a JSON value of type ``kind``, int or bool
+    (a bool is not an int here)."""
+    if type(value) is not kind:
+        raise TranscriptCorruptError(
+            f"{what} must be a JSON {'integer' if kind is int else 'boolean'}"
+            f", got {value!r}")
+    return value
+
+
+def _ints(what: str, values) -> list:
+    """``values`` as a list, which must hold JSON integers only."""
+    values = list(values)
+    if not {*map(type, values)} <= {int}:
+        _json(what, next(v for v in values if type(v) is not int))
+    return values
+
+
 def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
     """Raise unless every id of ``ids`` (a sequence, or a dict's keys) lies
     in [low, high), with no upper end if ``high`` is None."""
@@ -608,11 +626,11 @@ def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
 
 
 def _id_array(what: str, ids: list, low: int, high: int) -> np.ndarray:
-    """``ids`` as an int64 array, each in [low, high).  A list of ints in
-    int64 is checked in numpy; any other (empty, ids beyond int64, floats,
-    strings) is checked by :func:`_check_ids`, which names the first id
-    out of range, and converted one by one."""
-    arr = np.array(ids)
+    """``ids``, JSON integers, as an int64 array, each in [low, high).  A
+    list in int64 is checked in numpy; any other (empty, or ids beyond
+    int64) is checked by :func:`_check_ids`, which names the first id out
+    of range, and converted one by one."""
+    arr = np.array(_ints(what, ids))
     if arr.dtype != np.int64 or arr.ndim != 1 or arr.size and (
             arr.min() < low or arr.max() >= high):
         _check_ids(what, ids, low, high)
@@ -621,8 +639,8 @@ def _id_array(what: str, ids: list, low: int, high: int) -> np.ndarray:
 
 
 def _vector(what: str, values, length: int) -> np.ndarray:
-    """``values`` as an int64 array, which must have shape (length,)."""
-    arr = np.asarray(values, dtype=np.int64)
+    """``values``, JSON integers, as an int64 array of shape (length,)."""
+    arr = np.asarray(_ints(what, values), dtype=np.int64)
     if arr.shape != (length,):
         raise TranscriptCorruptError(
             f"{what} has shape {arr.shape}, expected ({length},)")
@@ -661,6 +679,16 @@ def _positions(visits: list, n: int, population: int):
     return pos, int(repeats[0]) if repeats.size else None
 
 
+def _int_table(pairs, key: str, what: str) -> dict:
+    """A JSON list of [vertex, [values]] pairs as a dict of lists, whose
+    vertices (named ``key`` in errors) and values (``what``) must be JSON
+    integers."""
+    table = {u: list(values) for u, values in pairs}
+    _ints(key, table)
+    _ints(what, itertools.chain.from_iterable(table.values()))
+    return table
+
+
 def transcript_from_json(obj: dict) -> CouplingTranscript:
     """Rebuild a transcript from its JSON object, rejecting anything
     verification could not index safely: vertex ids outside [0, n) (the
@@ -668,7 +696,9 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
     agent_count + len(additions)), added agents below agent_count or
     listed twice, informing and addition rounds outside [-1, rounds] and
     [0, rounds], a mode other than even and odd (the checks to run depend
-    on it), and tables or round lists of the wrong length.  A round
+    on it), tables or round lists of the wrong length, and a value of an
+    integer field that is not a JSON integer (a bool, a float or a string
+    is not one) or a complete flag that is not a boolean.  A round
     that does not partition the agents loads (conservation flags it).
     Recorded choices are not range-checked here: an out-of-range choice is
     a push-replay violation.  Every fault raises TranscriptCorruptError.
@@ -682,14 +712,15 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         if obj.get("mode") not in ("even", "odd"):
             raise TranscriptCorruptError(
                 f"unknown coupling mode {obj.get('mode')!r}")
-        n, edges = int(obj["graph"]["n"]), obj["graph"]["edges"]
+        n, edges = _json("graph.n", obj["graph"]["n"]), obj["graph"]["edges"]
+        _ints("edge endpoint", itertools.chain.from_iterable(edges))
         graph = Graph.from_edges(n, edges, obj["graph"].get("family"))
-        rounds = int(obj["visitx"]["rounds"])
+        rounds = _json("visitx.rounds", obj["visitx"]["rounds"])
         _check_ids("walk round count", [rounds], 0)
-        agent_count = int(obj["agent_count"])
+        agent_count = _json("agent_count", obj["agent_count"])
         _check_ids("agent count", [agent_count], 0)
-        additions = [(int(r), int(u), int(g))
-                     for r, u, g in obj.get("additions", [])]
+        additions = [(r, u, g) for r, u, g in obj.get("additions", [])]
+        _ints("addition", itertools.chain.from_iterable(additions))
         population = agent_count + len(additions)
         add_rounds, add_vertices, added = list(zip(*additions)) or [()] * 3
         _check_ids("addition round", add_rounds, 0, rounds + 1)
@@ -711,26 +742,36 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         t_visit = _vector("visitx.t", obj["visitx"]["t"], n)
         _check_ids("informing round", t_visit.tolist(), -1, rounds + 1)
         tr = CouplingTranscript(
-            graph=graph, source=int(obj["source"]), mode=obj["mode"],
-            seed=int(obj["seed"]), agent_count=agent_count,
-            placement=obj["placement"], round_cap=int(obj["round_cap"]),
-            min_rounds=int(obj["min_rounds"]), visitx_rounds=rounds,
-            visitx_complete=bool(obj["visitx"]["complete"]),
-            push_rounds=int(obj["push"]["rounds"]),
-            push_complete=bool(obj["push"]["complete"]), t_visit=t_visit,
+            graph=graph, source=_json("source", obj["source"]),
+            mode=obj["mode"], seed=_json("seed", obj["seed"]),
+            agent_count=agent_count, placement=obj["placement"],
+            round_cap=_json("round_cap", obj["round_cap"]),
+            min_rounds=_json("min_rounds", obj["min_rounds"]),
+            visitx_rounds=rounds,
+            visitx_complete=_json("visitx.complete",
+                                  obj["visitx"]["complete"], bool),
+            push_rounds=_json("push.rounds", obj["push"]["rounds"]),
+            push_complete=_json("push.complete", obj["push"]["complete"],
+                                bool),
+            t_visit=t_visit,
             tau_push=_vector("push.tau", obj["push"]["tau"], n),
             agent_informed_at=informed_at, positions=positions,
-            choices={int(u): list(map(int, ws)) for u, ws in obj["choices"]},
-            walk_consumed={int(u): int(c) for u, c in obj["walk_consumed"]},
+            choices=_int_table(obj["choices"], "choice vertex", "choice"),
+            walk_consumed={u: c for u, c in obj["walk_consumed"]},
             additions=additions, floor=obj.get("floor"),
             repeat_round=repeat_round)
+        _ints("walk_consumed vertex", tr.walk_consumed)
+        _ints("walk_consumed count", tr.walk_consumed.values())
         _check_ids("source", [tr.source], 0, n)
         if "s_sets" in obj:
-            tr.s_sets = {int(u): list(map(int, vs)) for u, vs in obj["s_sets"]}
+            tr.s_sets = _int_table(obj["s_sets"], "S-set vertex",
+                                   "S-set member")
             _check_ids("S-set vertex", tr.s_sets, 0, n)
             _check_ids("S-set member", list(itertools.chain.from_iterable(
                 tr.s_sets.values())), 0, n)
         if "c_table" in obj:
+            _ints("c_table cell", itertools.chain.from_iterable(
+                obj["c_table"]))
             tr.c_table = np.asarray(obj["c_table"], dtype=np.int64)
         return tr
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

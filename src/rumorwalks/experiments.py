@@ -7,9 +7,10 @@ independent of execution order or worker count.  Random graph families draw
 a fresh graph per (size, trial), whose seed leaves out the protocol, so it is
 built once and shared by every protocol of the trial.  Deterministic families
 share one immutable graph per size, built once in each process that runs the
-sweep.  With ``jobs > 1`` one process pool, no larger than the tasks or
-CPUs, runs all trials of the sweep, whatever the family; shared-walk
-domination runs its trials through the same loop and pool.
+sweep.  With ``jobs > 1`` one process pool, no larger than the trials or
+CPUs, runs all trials of the sweep in shrinking, size-mixed chunks,
+whatever the family; shared-walk domination runs its trials through the
+same loop and pool.
 """
 from __future__ import annotations
 
@@ -225,9 +226,15 @@ def agent_config(graph: Graph, alpha: float = 1.0, agents: int | None = None,
 
 # the settings each protocol reads, besides round_cap
 _AGENT = ("alpha", "agents", "placement", "lazy")
+_SETTINGS = _AGENT + ("gamma", "floor")
 _READS = {"push": (), "push-pull": (), "visit-exchange": _AGENT,
           "meet-exchange": _AGENT, "t-visit-exchange": _AGENT + ("gamma",),
           "r-visit-exchange": _AGENT + ("floor",)}
+
+
+def _unread(protocols) -> set:
+    """The settings that no protocol of ``protocols`` reads."""
+    return set(_SETTINGS).difference(*(_READS[name] for name in protocols))
 
 
 def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
@@ -245,8 +252,7 @@ def run_protocol(name: str, graph: Graph, source: int, rng: SimRng, *,
     if name not in _READS:
         raise InvalidParameterError(f"unknown protocol {name!r}")
     given = {key: value for key, value in
-             zip(_AGENT + ("gamma", "floor"),
-                 (alpha, agents, placement, lazy, gamma, floor))
+             zip(_SETTINGS, (alpha, agents, placement, lazy, gamma, floor))
              if value is not None}
     unread = [key for key in given if key not in _READS[name]]
     if unread:
@@ -320,31 +326,80 @@ def _run_trial(cfg: ExperimentConfig, size: int, trial: int, labels: tuple):
     return graph.n, outs
 
 
+def _chunk_plan(size_count: int, trials: int, workers: int) -> list:
+    """Guided self-scheduling of a sweep's trials over ``workers`` processes.
+
+    A trial is named by its sweep position, size index * trials + trial
+    index.  The trials are dealt round-robin over the sizes (trial 0 of
+    every size, then trial 1, ...), so that every chunk mixes small and
+    large sizes, and that order is cut into chunks of ``max(1, remaining
+    // (2 * workers))`` trials: few messages while much work is left, and
+    single trials at the end, so no worker is left with a long tail.  Each
+    chunk is in sweep order.
+    """
+    dealt = [k * trials + i for i in range(trials)
+             for k in range(size_count)]
+    chunks, start = [], 0
+    while start < len(dealt):
+        step = max(1, (len(dealt) - start) // (2 * workers))
+        chunks.append(sorted(dealt[start:start + step]))
+        start += step
+    return chunks
+
+
+def _run_chunk(config: ExperimentConfig, labels: tuple, positions) -> list:
+    """The ``_run_trial`` outcomes of the trials at ``positions`` (sweep
+    positions, in sweep order).  The first trial that raises ends the chunk,
+    and its exception is the last entry, so the trials the chunk did not
+    run all come after it in sweep order."""
+    outcomes = []
+    for pos in positions:
+        size, trial = config.sweep[pos // config.trials], pos % config.trials
+        try:
+            outcomes.append(_run_trial(config, size, trial, labels))
+        except Exception as exc:  # raised by _sweep_outcomes, in sweep order
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
 def _sweep_outcomes(config: ExperimentConfig, labels: tuple):
     """Yield ``(size, outcomes)`` in sweep order, one ``_run_trial`` outcome
     per trial in trial order.
 
-    Every (size, trial) pair is one task; one process pool serves every
-    task of the sweep, with ``jobs`` workers but no more than there are
-    tasks or CPUs, and none when that leaves one.  A random family builds
-    each graph once per (size, trial); a deterministic family builds its
-    one graph per size once in each process.
+    One process pool serves the whole sweep, with ``jobs`` workers but no
+    more than there are trials or CPUs, and none when that leaves one; it
+    runs the chunks of ``_chunk_plan``.  Outcomes go back to their sweep
+    positions, and a trial that raised raises here once every chunk is
+    done: the first failing trial in sweep order, as in a serial sweep,
+    whatever the chunks.  A random family builds each graph once per (size,
+    trial); a deterministic family builds its one graph per size once in
+    each process.
     """
-    sizes = [size for size in config.sweep for _ in range(config.trials)]
-    trials = [i for _ in config.sweep for i in range(config.trials)]
-    tasks = (_run_trial, repeat(config), sizes, trials, repeat(labels))
-    workers = min(config.jobs, len(sizes), os.cpu_count() or 1)
+    total = len(config.sweep) * config.trials
+    workers = min(config.jobs, total, os.cpu_count() or 1)
     try:
         if workers > 1:
             # trials use numpy's lazily loaded random and ma (np.unique)
             # submodules: load them once here, not in every forked worker
             import numpy.ma, numpy.random  # noqa: E401, F401
+            chunks = _chunk_plan(len(config.sweep), config.trials, workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(*tasks))
+                results = list(pool.map(_run_chunk, repeat(config),
+                                        repeat(labels), chunks))
         else:
-            outcomes = list(map(*tasks))
+            chunks = [range(total)]
+            results = [_run_chunk(config, labels, chunks[0])]
     finally:
         _fixed_graph.cache_clear()
+    outcomes = [None] * total
+    for chunk, outs in zip(chunks, results):
+        for pos, out in zip(chunk, outs):
+            outcomes[pos] = out
+    failure = next((out for out in outcomes if isinstance(out, Exception)),
+                   None)
+    if failure is not None:
+        raise failure
     for k, size in enumerate(config.sweep):
         yield size, outcomes[k * config.trials:(k + 1) * config.trials]
 
@@ -673,13 +728,21 @@ def parse_config(text: str) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     try:
-        return ExperimentConfig(**values)
+        cfg = ExperimentConfig(**values)
     except ConfigError as exc:
         if exc.key not in raw:
             raise
         raise ConfigError(f"line {raw[exc.key][1]}: {exc}", exc.key) from exc
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    # only the file tells a setting from a default, such as alpha's 1.0
+    unread = [key for key in raw if key in _unread(cfg.protocols)]
+    if unread:
+        raise ConfigError(
+            f"no protocol of {', '.join(cfg.protocols)} reads "
+            f"{', '.join(f'{key} (line {raw[key][1]})' for key in unread)}",
+            unread[0])
+    return cfg
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -692,11 +755,12 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Inverse of :func:`parse_config`: parse(format(cfg)) == cfg.  Keys come
-    in field order; an optional key left at None is not written."""
-    lines = []
+    in field order; an optional key left at None is not written, nor is a
+    setting that no protocol of the config reads, left at its default."""
+    lines, unread = [], _unread(cfg.protocols)
     for field in fields(cfg):
         value, reader = getattr(cfg, field.name), _READERS.get(field.name)
-        if value is None and field.default is None:
+        if value == field.default and (value is None or field.name in unread):
             continue
         if reader is _to_bool:
             text = "true" if value else "false"

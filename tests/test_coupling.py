@@ -416,8 +416,69 @@ OUT_OF_RANGE = {
 }
 
 
+def _set(path, value):
+    """An edit that sets ``obj[path[0]]...[path[-1]]`` to ``value``, or to
+    ``value(old)`` when it is callable."""
+    def edit(obj):
+        *outer, last = path
+        for key in outer:
+            obj = obj[key]
+        obj[last] = value(obj[last]) if callable(value) else value
+    return edit
+
+
+# each edit puts a value of the wrong JSON type in an integer field (a bool
+# is not an integer) or a complete flag of a valid transcript
+WRONG_TYPE = {
+    "choice: '1'": _set(("choices", 0, 1, 0), "1"),
+    "choice: 1.7": _set(("choices", 0, 1, 0), 1.7),
+    "choice: true": _set(("choices", 0, 1, 0), True),
+    "choice vertex: 0.0": _set(("choices", 0, 0), 0.0),
+    "walk_consumed count: '3'": _set(("walk_consumed", 0, 1), "3"),
+    "walk_consumed vertex: '0'": _set(("walk_consumed", 0, 0), "0"),
+    "S-set member: '6'": _set(("s_sets", 1, 1, 0), "6"),
+    "S-set vertex: 1.0": _set(("s_sets", 1, 0), 1.0),
+    "source: '0'": _set(("source",), "0"),
+    "agent_count: 64.0": _set(("agent_count",), float),
+    "visitx.rounds: 14.5": _set(("visitx", "rounds"), lambda r: r + 0.5),
+    "c_table cell: x + 0.5": _set(("c_table", 1, 0), lambda x: x + 0.5),
+    "edge endpoint: float": _set(("graph", "edges", 0, 1), float),
+    "graph.n: 64.0": _set(("graph", "n"), float),
+    "seed: '52'": _set(("seed",), "52"),
+    "round_cap: true": _set(("round_cap",), True),
+    "min_rounds: 0.0": _set(("min_rounds",), 0.0),
+    "push.rounds: '13'": _set(("push", "rounds"), "13"),
+    "visitx.t: true": _set(("visitx", "t", 3), True),
+    "push.tau: 3.0": _set(("push", "tau", 3), 3.0),
+    "visitx.agent_informed_at: '1'": _set(
+        ("visitx", "agent_informed_at", 1), "1"),
+    "visited vertex: float": _set(("visits", 1, 0, 0), float),
+    "agent id: true": _set(("visits", 2, 0, 1, 0), True),
+    "visitx.complete: 1": _set(("visitx", "complete"), 1),
+    "push.complete: 'true'": _set(("push", "complete"), "true"),
+}
+
+
 class TestTranscriptRanges:
     """Out-of-range ids and rounds are load errors, never tracebacks."""
+
+    @pytest.mark.parametrize("edit", sorted(WRONG_TYPE))
+    def test_wrong_json_type_rejected_on_load(self, edit):
+        obj = _regular64_json()
+        WRONG_TYPE[edit](obj)
+        field = edit.split(":")[0]
+        kind = "boolean" if field.endswith("complete") else "integer"
+        with pytest.raises(TranscriptCorruptError,
+                           match=f"^{field} must be a JSON {kind}, got "):
+            rw.transcript_from_json(obj)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_addition_not_an_int(self, at):
+        obj = _floor_json()
+        obj["additions"][1][at] = float(obj["additions"][1][at])
+        with pytest.raises(TranscriptCorruptError,
+                           match=r"^addition must be a JSON integer, got "):
+            rw.transcript_from_json(obj)
 
     @pytest.mark.parametrize("edit", sorted(OUT_OF_RANGE))
     def test_rejected_on_load(self, edit):

@@ -52,7 +52,8 @@ source = center
             small_config(),
             small_config(family="regular", d="log2ceil", sweep=(64, 128),
                          protocols=("push", "visit-exchange")),
-            small_config(alpha=0.5, agents=7, lazy=True, source="leaf",
+            small_config(protocols=("t-visit-exchange", "r-visit-exchange"),
+                         alpha=0.5, agents=7, lazy=True, source="leaf",
                          gamma=2 * math.e, floor=1.25, round_cap=999,
                          jobs=3, bootstrap=50),
             *(rw.parse_config_file(path) for path in SHIPPED),
@@ -62,14 +63,16 @@ source = center
 
     def test_format_every_field(self):
         # every key, in ExperimentConfig's field order, one per line
-        cfg = small_config(family="regular", protocols=("push", "t-visit-exchange"),
+        cfg = small_config(family="regular",
+                           protocols=("push", "t-visit-exchange",
+                                      "r-visit-exchange"),
                            sweep=(64, 128), alpha=0.5, agents=7,
                            placement="one-per-vertex", lazy=True,
                            source="leaf", d="log2ceil", gamma=2 * math.e,
                            floor=1.25, round_cap=999, jobs=3, bootstrap=50)
         assert rw.format_config(cfg) == (
             "family = regular\n"
-            "protocols = push, t-visit-exchange\n"
+            "protocols = push, t-visit-exchange, r-visit-exchange\n"
             "sweep = 64, 128\n"
             "trials = 5\n"
             "seed = 77\n"
@@ -87,11 +90,34 @@ source = center
         assert rw.parse_config(rw.format_config(cfg)) == cfg
 
     def test_format_defaults(self):
-        # optional keys left at None are not written; the rest always are
+        # optional keys left at None are not written, nor are the defaults
+        # of settings no protocol reads; the rest always are
+        assert rw.format_config(small_config(protocols=("visit-exchange",))) \
+            == ("family = star\nprotocols = visit-exchange\nsweep = 16\n"
+                "trials = 5\nseed = 77\nalpha = 1.0\nplacement = stationary\n"
+                "lazy = false\nsource = 0\njobs = 1\nbootstrap = 1000\n")
         assert rw.format_config(small_config()) == (
             "family = star\nprotocols = push\nsweep = 16\ntrials = 5\n"
-            "seed = 77\nalpha = 1.0\nplacement = stationary\nlazy = false\n"
-            "source = 0\njobs = 1\nbootstrap = 1000\n")
+            "seed = 77\nsource = 0\njobs = 1\nbootstrap = 1000\n")
+
+    def test_settings_no_protocol_reads_are_refused(self):
+        text = ("family = cycle\nprotocols = push\nsweep = 8\ntrials = 2\n"
+                "seed = 1\nfloor = 3\ngamma = 9\nlazy = true\nalpha = 4\n")
+        with pytest.raises(ConfigError) as err:
+            rw.parse_config(text)
+        assert str(err.value) == ("no protocol of push reads floor (line 6), "
+                                  "gamma (line 7), lazy (line 8), "
+                                  "alpha (line 9)")
+        # set to its default, a setting is still set
+        with pytest.raises(ConfigError, match=r"reads alpha \(line 6\)$"):
+            rw.parse_config(text.split("floor")[0] + "alpha = 1.0\n")
+        # one reader among the protocols is enough
+        cfg = rw.parse_config(text.replace("push", "push, r-visit-exchange")
+                              .replace("gamma = 9\n", ""))
+        assert (cfg.floor, cfg.lazy, cfg.alpha) == (3.0, True, 4.0)
+        with pytest.raises(ConfigError, match=r"reads gamma \(line 6\)$"):
+            rw.parse_config(text.replace("push", "visit-exchange")
+                            .replace("floor = 3\n", ""))
 
     @pytest.mark.parametrize("line,fragment", [
         ("familly = star", "line 1: unknown key"),
@@ -300,6 +326,55 @@ class TestRunTrials:
         csv = rw.result_to_csv(rw.run_trials(cfg))
         assert sizes == ([] if workers is None else [workers])
         assert csv == rw.result_to_csv(rw.run_trials(replace(cfg, jobs=1)))
+
+    @pytest.mark.parametrize("sizes,trials,workers", [
+        (1, 1, 2), (3, 30, 2), (6, 40, 2), (2, 7, 3), (1, 1000, 8)])
+    def test_chunk_plan(self, sizes, trials, workers):
+        chunks = experiments._chunk_plan(sizes, trials, workers)
+        # every trial once, each chunk in sweep order
+        assert sorted(p for c in chunks for p in c) == \
+            list(range(sizes * trials))
+        assert all(c == sorted(c) for c in chunks)
+        # guided self-scheduling: chunk sizes never grow, and end at 1
+        lengths = [len(c) for c in chunks]
+        assert lengths == sorted(lengths, reverse=True)
+        assert lengths[0] == max(1, sizes * trials // (2 * workers))
+        assert lengths[-min(len(lengths), 2 * workers - 1):] == \
+            [1] * min(len(lengths), 2 * workers - 1)
+        # dealt round-robin: a chunk of at least `sizes` trials holds them all
+        for c in chunks:
+            held = {p // trials for p in c}
+            assert len(held) == min(len(c), sizes)
+
+    def test_jobs_parity_dealt_sweep(self):
+        cfg = small_config(sweep=(8, 16, 32, 64), trials=30, lazy=True,
+                           protocols=("push", "meet-exchange"))
+        assert rw.result_to_csv(rw.run_trials(replace(cfg, jobs=2))) == \
+            rw.result_to_csv(rw.run_trials(cfg))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failing_trial_in_sweep_order_raises(self, monkeypatch,
+                                                       jobs):
+        # trial 0 of size 32 runs in the first chunk, trial 29 of size 8 in
+        # one of the last, and trial 29 of size 8 comes first in sweep order
+        cfg = small_config(sweep=(8, 16, 32), trials=30, jobs=jobs)
+        doomed = {rw.derive_seed(cfg.seed, "run", "star", size, "push",
+                                 trial): (size, trial)
+                  for size, trial in [(32, 0), (16, 12), (8, 29)]}
+        real = experiments.run_protocol
+
+        def failing(name, graph, source, rng, **settings):
+            if rng.seed in doomed:
+                raise rw.InvalidParameterError(
+                    "planted failure at size {} trial {}".format(
+                        *doomed[rng.seed]))
+            return real(name, graph, source, rng, **settings)
+
+        # patched before the pool forks, so the workers see it too
+        monkeypatch.setattr(experiments, "run_protocol", failing)
+        with pytest.raises(rw.InvalidParameterError,
+                           match="^planted failure at size 8 trial 29$"):
+            rw.run_trials(cfg)
 
     def test_fixed_graph_built_once_per_size(self, monkeypatch):
         calls = []
