@@ -25,11 +25,16 @@ entries some process requested (the requested prefix), never those drawn
 ahead.  The walk is one position matrix: entry [r, g] is agent g's vertex
 at the end of round r, or -1 while g is absent (before an agent added by the
 occupancy floor arrives).  Every table and check reads it as arrays, over
-all (round, agent) steps at once; verification replays push over a flat
-table of the recorded choices and checks every chain walk in one pass over
-a cumulative occupancy table.  The JSON ``visits`` text is written straight
-from the position matrix into one byte buffer, with no Python list per
-(round, vertex) cell.
+all (round, agent) steps at once.  The C-counters come in closed form from
+a cumulative occupancy table, with one minimum per informing round over
+the S-set members, and the minimizing chains from one lexsort of the
+member pairs.  Verification builds one flat table of the recorded choices
+for both the push replay and the oracle check, and checks every chain walk
+in one pass over the cumulative occupancy table.  The JSON text is one
+:func:`json.dumps` of the document, into which one byte writer,
+:func:`_int_text`, splices each large integer table (edges, visits,
+choices, consumed counts, S-sets, C-table) written straight from arrays,
+with no Python list per row or (round, vertex) cell.
 """
 from __future__ import annotations
 
@@ -298,37 +303,85 @@ def _occupancy(tr: CouplingTranscript) -> np.ndarray:
     return np.bincount(keys, minlength=pos.shape[0] * n).reshape(-1, n)
 
 
+def _met(tr: CouplingTranscript) -> np.ndarray:
+    """Cumulative occupancy, shape (recorded rounds + 1, n): entry [r][u] is
+    the number of agents met by staying on u through rounds 0 .. r-1."""
+    z = _occupancy(tr)
+    met = np.zeros((z.shape[0] + 1, z.shape[1]), dtype=np.int64)
+    np.cumsum(z, axis=0, out=met[1:])
+    return met
+
+
+def _member_pairs(tr: CouplingTranscript):
+    """``(fresh, us, vs, count)``: the vertices informed after round 0, by
+    informing round then vertex; one pair (u, v) per S-set member v of each,
+    in that order; and each vertex's member count (a vertex the S-set table
+    lacks has none)."""
+    tv = tr.t_visit
+    fresh = np.flatnonzero(tv > 0)
+    fresh = fresh[np.argsort(tv[fresh], kind="stable")]
+    rows = [tr.s_sets.get(u) or () for u in fresh.tolist()]
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    vs = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                     int(sizes.sum()))
+    count = np.zeros(tv.shape[0], dtype=np.int64)
+    count[fresh] = sizes
+    return fresh, np.repeat(fresh, sizes), vs, count
+
+
+def _by_round(tv: np.ndarray, last: int) -> list:
+    """The vertices of each informing round 1 .. last, ascending."""
+    order = np.argsort(tv, kind="stable")
+    cut = np.searchsorted(tv[order], np.arange(1, last + 2)).tolist()
+    return [order[a:b] for a, b in zip(cut, cut[1:])]
+
+
 def compute_c_counters(tr: CouplingTranscript) -> np.ndarray:
     """C-counter table, shape (rounds+1, n).
 
     C[t][u] is 0 before u is informed; at u's informing round it inherits the
     minimum counter among the S-set; afterwards it grows by the number of
-    agents standing on u each round.
+    agents standing on u each round.  So C[t][u] = C[t_u][u] + met[t][u] -
+    met[t_u][u] for t >= t_u, and each informing round takes one minimum
+    over the members of its vertices' S-sets.  A member informed that same
+    round is read in ascending vertex order: its counter is set when it is
+    the lower vertex, 0 otherwise, as is a member informed later; a member
+    never informed (t = -1) counts as informed at round 0.
     """
     if not tr.visitx_complete:
         raise InvalidParameterError("C-counters need a complete walk phase")
     if tr.s_sets is None:
         tr.s_sets = compute_s_sets(tr)
-    n, T = tr.graph.n, tr.visitx_rounds
-    t = tr.t_visit
-    z = _occupancy(tr)
-    by_round: dict = {}
-    for u, tu in enumerate(t.tolist()):
-        by_round.setdefault(tu, []).append(u)
-    c = np.zeros((T + 1, n), dtype=np.int64)
-    for step in range(1, T + 1):
-        grown = t < step  # informed before this round (t >= 0 always here)
-        c[step][grown] = c[step - 1][grown] + z[step - 1][grown]
-        fresh = by_round.get(step)
-        if not fresh:
+    n, T, tv = tr.graph.n, tr.visitx_rounds, tr.t_visit
+    fresh, us, vs, count = _member_pairs(tr)
+    empty = fresh[count[fresh] == 0]
+    if empty.size:
+        raise TranscriptCorruptError(f"empty S-set at vertex {empty[0]}")
+    met = _met(tr)
+    since = np.maximum(tv, 0)
+    r = tv[us]
+    earlier = tv[vs] < r
+    # member v adds C[t_v][v] (read from base) and what it met since t_v;
+    # a member not yet set reads base[n], which stays 0
+    gain = np.where(earlier, met[r, vs] - met[since[vs], vs], 0)
+    lower = (tv[vs] == r) & (vs < us)  # set earlier in its own round
+    read = np.where(earlier | lower, vs, n)
+    base = np.zeros(n + 1, dtype=np.int64)  # C[t_u][u]
+    cut = np.searchsorted(tv[fresh], np.arange(1, T + 2)).tolist()
+    starts = np.append(0, np.cumsum(count[fresh])).tolist()
+    for a, b in zip(cut, cut[1:]):  # the vertices of one round
+        if a == b:
             continue
-        row = c[step].tolist()  # read and written in order, as a list
-        for u in fresh:
-            members = tr.s_sets.get(u)
-            if not members:  # only a stored table can lack a member
-                raise TranscriptCorruptError(f"empty S-set at vertex {u}")
-            row[u] = min(row[v] for v in members)
-        c[step, fresh] = [row[u] for u in fresh]
+        lo, hi = starts[a], starts[b]
+        if lower[lo:hi].any():  # in ascending vertex order
+            for u, p, q in zip(fresh[a:b].tolist(), starts[a:b],
+                               starts[a + 1:b + 1]):
+                base[u] = (base[read[p:q]] + gain[p:q]).min()
+        else:
+            base[fresh[a:b]] = np.minimum.reduceat(
+                base[read[lo:hi]] + gain[lo:hi], np.subtract(starts[a:b], lo))
+    c = base[:n] + met[:T + 1] - met[since, np.arange(n)]
+    c[np.arange(T + 1)[:, None] < tv] = 0
     return c
 
 
@@ -350,49 +403,61 @@ def verify_tau_leq_c(tr: CouplingTranscript):
 
 
 def _min_chains(tr: CouplingTranscript):
-    """The minimizing chains of all vertices, built in one pass in order of
+    """The minimizing chains of all vertices, built over arrays in order of
     informing round.  Returns ``(pred, follow, fault)``:
 
     - ``pred[w]``: the S-set member v minimizing (C[t_w][v], v), the
       previous vertex of w's chain; -1 at a chain's root (t_w <= 0);
     - ``follow[w]``: the lowest agent that moved pred[w] -> w at round t_w;
-    - ``fault[w]``: the first fault a walk back from w meets, or None: an
-      empty S-set on the way back, then a root other than the source, then
-      the first hop, from the source side, that no agent made.
+    - ``fault``: for each vertex whose walk back meets a fault, the first
+      such fault: an empty S-set on the way back, then a root other than
+      the source, then the first hop, from the source side, that no agent
+      made.
     """
-    n = tr.graph.n
-    tv, c, s_sets = tr.t_visit, tr.c_table.tolist(), tr.s_sets
-    # the lowest agent to make each hop v -> w on w's informing round:
-    # the first such step in (round, agent) order
+    n, tv = tr.graph.n, tr.t_visit
+    fresh, owner, vs, count = _member_pairs(tr)
+    # the argmin of (C[t_w][v], v) over each informed vertex w's members
+    order = np.lexsort((vs, tr.c_table[tv[owner], vs], owner))
+    heads = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+    ws, vs = owner[heads], vs[heads]
+    late = (tv[vs] < 0) | (tv[vs] >= tv[ws])
+    pred = np.full(n, -1, dtype=np.int64)
+    pred[ws[~late]] = vs[~late]
+    # the lowest agent to make each hop v -> w on w's informing round: the
+    # first such step in (round, agent) order
     t, g, a, b = _steps(tr.positions)
     on_time = t == tv[b]
-    movers: dict = {}
-    for hop, agent in zip(zip(a[on_time].tolist(), b[on_time].tolist()),
-                          g[on_time].tolist()):
-        movers.setdefault(hop, agent)
-    pred = np.full(n, -1, dtype=np.int64)
+    hops, at = np.unique(a[on_time] * n + b[on_time], return_index=True)
+    hops = np.append(hops, n * n)  # a sentinel above every hop
+    chained = np.flatnonzero(pred != -1)
+    keys = pred[chained] * n + chained
+    slot = np.searchsorted(hops, keys)
+    made = hops[slot] == keys
     follow = np.full(n, -1, dtype=np.int64)
-    fault: list = [None] * n
-    for w in np.argsort(tv, kind="stable").tolist():
-        tw = int(tv[w])
-        if tw <= 0:
-            if w != tr.source:
-                fault[w] = "chain did not terminate at the source"
-            continue
-        members = s_sets.get(w)
-        if not members:
-            fault[w] = f"empty S-set at vertex {w}"
-            continue
-        v = min(members, key=lambda v: (c[tw][v], v))
-        if not 0 <= tv[v] < tw:
-            fault[w] = f"S-set member {v} of vertex {w} is informed at round {tv[v]}"
-            continue
-        pred[w], fault[w] = v, fault[v]
-        if (v, w) in movers:
-            follow[w] = movers[v, w]
-        elif fault[w] is None:
-            fault[w] = f"no agent moved {v} -> {w} at round {tw}"
-    return pred, follow, fault
+    follow[chained[made]] = g[on_time][at[slot[made]]]
+
+    own: dict = {}  # each vertex's own fault
+    for w in np.flatnonzero(tv <= 0).tolist():
+        if w != tr.source:
+            own[w] = "chain did not terminate at the source"
+    for w in fresh[count[fresh] == 0].tolist():
+        own[w] = f"empty S-set at vertex {w}"
+    for w, v in zip(ws[late].tolist(), vs[late].tolist()):
+        own[w] = f"S-set member {v} of vertex {w} is informed at round {tv[v]}"
+    for w, v in zip(chained[~made].tolist(), pred[chained[~made]].tolist()):
+        own[w] = f"no agent moved {v} -> {w} at round {tv[w]}"
+    if not own:
+        return pred, follow, own
+    # a vertex carries the fault its predecessor carries, else its own
+    origin = np.full(n, -1, dtype=np.int64)
+    origin[list(own)] = list(own)
+    for ws in _by_round(tv, int(tv.max())):
+        ws = ws[pred[ws] != -1]
+        inherited = origin[pred[ws]]
+        origin[ws] = np.where(inherited != -1, inherited, origin[ws])
+    faulty = np.flatnonzero(origin != -1)
+    return pred, follow, {w: own[o] for w, o in zip(
+        faulty.tolist(), origin[faulty].tolist())}
 
 
 def reconstruct_min_chain_walk(tr: CouplingTranscript, u: int,
@@ -411,7 +476,7 @@ def reconstruct_min_chain_walk(tr: CouplingTranscript, u: int,
         raise InvalidParameterError(
             f"need informing round {tu} <= t <= {tr.visitx_rounds}, got {t}")
     pred, follow, fault = _min_chains(tr)
-    if fault[u] is not None:
+    if u in fault:
         raise TranscriptCorruptError(fault[u])
     chain = [u]
     while pred[chain[-1]] != -1:
@@ -453,11 +518,10 @@ def _check_chain_walks(tr: CouplingTranscript) -> None:
     n, T = tr.graph.n, tr.visitx_rounds
     tv, c = tr.t_visit, tr.c_table
     pred, _, fault = _min_chains(tr)
-    zcum = np.zeros((tr.positions.shape[0] + 1, n), dtype=np.int64)
-    np.cumsum(_occupancy(tr), axis=0, out=zcum[1:])
+    zcum = _met(tr)
     base = np.zeros(n, dtype=np.int64)
-    for r in range(1, T + 1):
-        ws = np.flatnonzero((tv == r) & (pred != -1))
+    for r, ws in enumerate(_by_round(tv, T), 1):
+        ws = ws[pred[ws] != -1]
         p = pred[ws]
         base[ws] = base[p] + zcum[r, p] - zcum[tv[p], p]
     ts = np.arange(min(int(tv.min()), 0), T + 1)  # every step checked
@@ -465,11 +529,12 @@ def _check_chain_walks(tr: CouplingTranscript) -> None:
     cong = np.where(ts[:, None] < 0, 0, base + since)
     expected = c[ts]  # a negative step wraps, as C[t] does
     bad = (ts[:, None] >= tv) & (cong != expected)
-    faulty = np.array([f is not None for f in fault]) & (tv <= T)
-    failing = np.flatnonzero(faulty | bad.any(axis=0))
+    faulty = np.zeros(n, dtype=bool)
+    faulty[list(fault)] = True
+    failing = np.flatnonzero((faulty & (tv <= T)) | bad.any(axis=0))
     if failing.size:
         u = int(failing[0])
-        if fault[u] is not None:
+        if u in fault:
             raise TranscriptCorruptError(fault[u])
         j = int(np.flatnonzero(bad[:, u])[0])
         raise TranscriptCorruptError(
@@ -508,60 +573,201 @@ def transcript_to_json(tr: CouplingTranscript) -> dict:
 
 
 def transcript_dumps(tr: CouplingTranscript) -> str:
-    """The transcript's JSON text.  Every field but ``visits`` is encoded by
-    :func:`json.dumps`; the visits text is written from the position matrix
-    and spliced in between ``push`` and ``choices``."""
-    head = {
+    """The transcript's JSON text, as ``json.dumps`` with separators
+    ``(",", ":")`` writes :func:`transcript_to_json`'s object.  One
+    :func:`json.dumps` call writes the document with every large integer
+    table (edges, visits, choices, consumed counts, S-sets, C-table) held
+    by a placeholder ``0``; each table's text, written by :func:`_int_text`,
+    then replaces its ``"key":0``.  That text cannot occur inside a JSON
+    string, where every quote is escaped."""
+    g = tr.graph
+    spliced: dict = {}
+
+    def table(key: str, encoded):
+        """``encoded``, a table's lists, or its JSON text to splice in."""
+        if not isinstance(encoded, str):
+            return encoded
+        spliced[key] = encoded
+        return 0
+
+    doc = {
         "format": TRANSCRIPT_FORMAT, "mode": tr.mode, "seed": tr.seed,
         "source": tr.source, "agent_count": tr.agent_count,
         "placement": tr.placement, "round_cap": tr.round_cap,
         "min_rounds": tr.min_rounds,
-        "graph": {"n": tr.graph.n, "family": tr.graph.family_tag,
-                  "edges": tr.graph.edges().tolist()},
+        "graph": {"n": g.n, "family": g.family_tag,
+                  "edges": table("edges", _table_json(g.edges()))},
         "visitx": {"rounds": tr.visitx_rounds,
                    "complete": tr.visitx_complete, "t": tr.t_visit.tolist(),
                    "agent_informed_at": tr.agent_informed_at.tolist()},
         "push": {"rounds": tr.push_rounds, "complete": tr.push_complete,
                  "tau": tr.tau_push.tolist()},
-    }
-    tail = {
-        "choices": [[u, list(ws)] for u, ws in sorted(tr.choices.items())],
-        "walk_consumed": [list(e) for e in sorted(tr.walk_consumed.items())],
+        "visits": table("visits", _visits_json(tr.positions, g.n)),
+        "choices": table("choices", _keyed_json(tr.choices)),
+        "walk_consumed": table("walk_consumed",
+                               _pairs_json(tr.walk_consumed)),
         "additions": [list(a) for a in tr.additions],
         "floor": tr.floor,
     }
     if tr.s_sets is not None:
-        tail["s_sets"] = [[u, list(vs)] for u, vs in sorted(tr.s_sets.items())]
+        doc["s_sets"] = table("s_sets", _keyed_json(tr.s_sets))
     if tr.c_table is not None:
-        tail["c_table"] = tr.c_table.tolist()
-    # fresh objects hold no cycles, so the encoder need not track them
-    head, tail = (json.dumps(part, separators=(",", ":"), check_circular=False)
-                  for part in (head, tail))
-    visits = _visits_text(tr.positions, tr.graph.n)
-    return f'{head[:-1]},"visits":{visits},{tail[1:]}'
+        doc["c_table"] = table("c_table", _table_json(tr.c_table))
+    # a fresh document holds no cycles, so the encoder need not track them
+    text = json.dumps(doc, separators=(",", ":"), check_circular=False)
+    parts, at = [], 0
+    for key, encoded in spliced.items():  # in document order
+        cut = text.index(f'"{key}":0', at) + len(key) + 4
+        parts += (text[at:cut - 1], encoded)
+        at = cut
+    parts.append(text[at:])
+    return "".join(parts)
+
+
+# below these sizes json.dumps of a table's lists is the faster writer: a
+# table of 1,200 integers, or a position matrix of 256 cells
+_SMALL_TABLE = 1200
+_SMALL_VISITS = 256
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least of widths 2..19
+
+
+def _int_text(values: np.ndarray, marks: list, tail: str) -> str:
+    """The text of a run of items, then ``tail``: item i is its punctuation,
+    then the decimal digits of ``values[i]`` (int64, >= 0).  The
+    punctuation is ``text`` for the items of each ``(text, items)`` pair of
+    ``marks`` (no item in two), and ``","`` for the rest.  Each item is
+    written into one byte buffer, filled with commas, at an offset summed
+    from the widths of the items before it: each text, then the digits,
+    the last first."""
+    top = int(values.max()) if values.shape[0] else 0
+    width = np.ones_like(values)
+    for tens in _TENS[:len(str(top)) - 1]:
+        width += values >= tens
+    lead = width + 1
+    for text, items in marks:
+        lead[items] += len(text) - 1
+    end = np.cumsum(lead)
+    size = int(end[-1]) if end.shape[0] else 0
+    buf = np.full(size + len(tail), ord(","), dtype=np.uint8)
+    buf[size:] = np.frombuffer(tail.encode(), dtype=np.uint8)
+    first = end - width
+    for text, items in marks:
+        at = first[items] - len(text)
+        if at.shape[0] == 1:  # an opener that spans empty rounds, say
+            buf[at[0]:at[0] + len(text)] = np.frombuffer(text.encode(),
+                                                         dtype=np.uint8)
+            continue
+        for j, char in enumerate(text.encode()):
+            if char != ord(","):
+                buf[at + j] = char
+    if top < 2 ** 31:  # 32-bit division is the faster
+        values = values.astype(np.int32)
+    at = end - 1
+    while values.shape[0]:
+        values, digit = np.divmod(values, 10)
+        buf[at] = digit + 48
+        more = values > 0
+        values, at = values[more], at[more] - 1
+    return buf.tobytes().decode("ascii")
+
+
+def _rows_text(values: np.ndarray, width: int) -> str:
+    """The JSON of ``values`` (int64, >= 0, at least one) in rows of
+    ``width`` >= 1: ``[[a,b],[c,d]]`` for width 2."""
+    return _int_text(values, [("[[", [0]), ("],[", np.arange(
+        width, values.shape[0], width))], "]]")
+
+
+def _table_json(table: np.ndarray):
+    """``table.tolist()`` for an integer array of any shape, or, for a
+    large 2-d table of values >= 0, its JSON text."""
+    if table.ndim == 2 and table.size and table.size >= _SMALL_TABLE \
+            and table.min() >= 0:
+        return _rows_text(table.ravel(), table.shape[1])
+    return table.tolist()
+
+
+def _natural(values, count: int) -> np.ndarray | None:
+    """The ``count`` integers of ``values`` as an int64 array when all lie
+    in [0, 2**63), else None (a loaded table may hold any JSON integer)."""
+    try:
+        arr = np.fromiter(values, np.int64, count)
+    except OverflowError:
+        return None
+    return arr if not arr.size or arr.min() >= 0 else None
+
+
+def _pairs_json(table: dict):
+    """``[[key, value], ...]`` of a dict of integers, keys ascending, or,
+    for a large table of values >= 0, its JSON text."""
+    items = sorted(table.items())
+    flat = None
+    if items and 2 * len(items) >= _SMALL_TABLE:
+        flat = _natural(itertools.chain.from_iterable(items), 2 * len(items))
+    if flat is None:
+        return [list(e) for e in items]
+    return _rows_text(flat, 2)
+
+
+def _keyed_json(table: dict):
+    """``[[key, [values]], ...]`` of a dict of integer lists, keys
+    ascending, or, for a large table of values >= 0, its JSON text; a row
+    may be empty."""
+    keys = sorted(table)
+    rows = [table[u] for u in keys]
+    total = sum(map(len, rows))
+    values = flat_keys = None
+    if rows and total + len(rows) >= _SMALL_TABLE:
+        values = _natural(itertools.chain.from_iterable(rows), total)
+        flat_keys = _natural(keys, len(keys))
+    if values is None or flat_keys is None:
+        return [[u, list(vs)] for u, vs in zip(keys, rows)]
+    # items: each key, then its row's values
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    key_at = np.cumsum(lengths + 1) - lengths - 1
+    items = np.empty(total + len(keys), dtype=np.int64)
+    listed = np.ones(items.shape[0], dtype=bool)
+    listed[key_at] = False
+    items[key_at], items[listed] = flat_keys, values
+    after = lengths[:-1] > 0  # the row before each later key has values
+    return _int_text(items, [("[[", [0]), ("]],[", key_at[1:][after]),
+                             (",[]],[", key_at[1:][~after]),
+                             (",[", key_at[lengths > 0] + 1)],
+                     "]]]" if lengths[-1] else ",[]]]")
+
+
+def _visits_json(pos: np.ndarray, n: int):
+    """The visits of a position matrix: per round, ``[u, agents]`` for each
+    occupied vertex u in ascending order, agents ascending.  A small matrix
+    gives these lists; a large one its JSON text, by :func:`_visits_text`."""
+    if pos.size >= _SMALL_VISITS:
+        return _visits_text(pos, n)
+    visits = []
+    for row in pos.tolist():
+        cells: dict = {}
+        for g, u in enumerate(row):
+            if u != -1:
+                cells.setdefault(u, []).append(g)
+        visits.append([[u, cells[u]] for u in sorted(cells)])
+    return visits
 
 
 def _visits_text(pos: np.ndarray, n: int) -> str:
     """The JSON visits of a position matrix: per round, ``[u,[agents]]`` for
-    each occupied vertex u in ascending order, agents ascending.  One stable
-    sort of the keys ``r * n + u``, taken in (round, agent) order, orders
-    them all.  The text is a sequence of items, each occupied cell's vertex
-    followed by its agents, written into one byte buffer: each item is its
-    punctuation, then its digits, at an offset summed from the widths of
-    the items before it."""
+    each occupied vertex u in ascending order, agents ascending.  One sort
+    of the packed keys ``(r * n + u) * population + agent`` orders them all
+    (a matrix that fits in memory keeps them below 2**63).  The items are
+    each occupied cell's vertex followed by its agents."""
+    population = max(pos.shape[1], 1)
     r, g = np.nonzero(pos != -1)
-    cells = r * n + pos[r, g]
-    order = np.argsort(cells, kind="stable")
-    cells, ids = cells[order], g[order]
+    keys = np.sort((r * n + pos[r, g]) * population + g)
+    cells, ids = np.divmod(keys, population)
     opens = np.diff(cells, prepend=-1) != 0  # the first agent of its cell
     agent_at = np.arange(ids.shape[0]) + np.cumsum(opens)
     vertex_at = agent_at[opens] - 1
     rounds, vertices = np.divmod(cells[opens], n)
     values = np.empty(ids.shape[0] + vertex_at.shape[0], dtype=np.int64)
     values[agent_at], values[vertex_at] = ids, vertices
-    punct = np.ones_like(values)  # "," before an agent
-    punct[agent_at[opens]] = 2  # ",[" after a vertex
-    punct[vertex_at] = 4  # "]],[" before a vertex in the same round
 
     # the first vertex of a round closes the last occupied round (or opens
     # the list), writes the empty rounds in between, then opens its own
@@ -570,31 +776,16 @@ def _visits_text(pos: np.ndarray, n: int) -> str:
 
     firsts = np.flatnonzero(np.diff(rounds, prepend=-1))
     occupied = [-1] + rounds[firsts].tolist()
-    openers = [bridge(*pair) + "[[" for pair in zip(occupied, occupied[1:])]
+    openers: dict = {}  # each opener's items
+    for at, pair in zip(vertex_at[firsts].tolist(),
+                        zip(occupied, occupied[1:])):
+        openers.setdefault(bridge(*pair) + "[[", []).append(at)
+    later = np.ones(vertex_at.shape[0], dtype=bool)
+    later[firsts] = False
     closer = bridge(occupied[-1], pos.shape[0]).removesuffix(",") + "]"
-    punct[vertex_at[firsts]] = list(map(len, openers))
-    width = np.ones_like(values)
-    rest = values // 10
-    while rest.any():
-        width += rest > 0
-        rest //= 10
-    end = np.cumsum(punct + width)
-    lead = end - width - punct
-    size = int(end[-1]) if end.shape[0] else 0
-    buf = np.empty(size + len(closer), dtype=np.uint8)
-    for text, length in ((b",", 1), (b",[", 2), (b"]],[", 4)):
-        at = lead[punct == length]  # openers are rewritten below
-        for k, char in enumerate(text):
-            buf[at + k] = char
-    for at, text in zip(lead[vertex_at[firsts]].tolist(), openers):
-        buf[at:at + len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
-    buf[size:] = np.frombuffer(closer.encode(), dtype=np.uint8)
-    at = end - 1
-    while values.shape[0]:
-        buf[at] = values % 10 + 48
-        more = values >= 10
-        values, at = values[more] // 10, at[more] - 1
-    return buf.tobytes().decode("ascii")
+    return _int_text(values, [(",[", agent_at[opens]),
+                              ("]],[", vertex_at[later]),
+                              *openers.items()], closer)
 
 
 def _json(what: str, value, kind: type = int):
@@ -781,10 +972,11 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
 # -- offline verification -----------------------------------------------------------
 
 def _recorded(tr: CouplingTranscript):
-    """``entry(us, idx)``: the recorded choice idx (from 1) of each vertex
-    of ``us``, read off one flat table of the recorded lists; -1 where none
-    is recorded or it lies outside [0, n), so that no edge key is formed
-    from it (numpy would wrap a negative id)."""
+    """The recorded choices as one flat table: ``(flat, length, offset)``,
+    vertex u's list being ``flat[offset[u]:offset[u] + length[u]]``; an
+    entry outside [0, n) reads -1, so that no edge key is formed from it
+    (numpy would wrap a negative id), as does the trailing entry, the one
+    :func:`_entries` reads for a missing choice."""
     n = tr.graph.n
     rows = [tr.choices.get(u, []) for u in range(n)]
     length = np.fromiter(map(len, rows), dtype=np.int64, count=n)
@@ -796,23 +988,35 @@ def _recorded(tr: CouplingTranscript):
     except OverflowError:  # some entry is beyond int64, so out of range
         flat = np.fromiter((w if 0 <= w < n else -1 for ws in rows
                             for w in ws), np.int64, total)
-    # trailing -1: the missing entry
     flat = np.append(np.where((flat >= 0) & (flat < n), flat, -1), -1)
+    return flat, length, offset
+
+
+def _entries(flat: np.ndarray, length: np.ndarray, offset: np.ndarray):
+    """``entry(us, idx)``: the recorded choice idx (from 1) of each vertex
+    of ``us`` in a table of :func:`_recorded`, -1 where none is recorded."""
     return lambda us, idx: flat[np.where(idx <= length[us],
                                          offset[us] + idx - 1, -1)]
 
 
-def _replay_push(tr: CouplingTranscript):
-    """Re-run the push replay from the recorded oracle choices.  Each
-    round's lookup raises the violation of its first failing query, in
-    replay order: a missing entry, or one that is not a neighbor."""
-    n, entry, edge_keys = tr.graph.n, _recorded(tr), _edge_keys(tr.graph)
+def _replay_push(tr: CouplingTranscript, table):
+    """Re-run the push replay from the recorded oracle choices (``table``,
+    see :func:`_recorded`), for at most the recorded push rounds and the
+    round cap.  Each round's lookup raises the violation of its first
+    failing query, in replay order: a missing entry, or one that is not a
+    neighbor.  Returns ``(tau, rounds, complete)``."""
+    n = tr.graph.n
+    flat, length, offset = table
+    # every recorded entry that is no neighbor of its vertex reads -1
+    keys = np.repeat(np.arange(n), length) * n + flat[:-1]
+    near = _known(_edge_keys(tr.graph), keys) & (flat[:-1] >= 0)
+    entry = _entries(np.append(np.where(near, flat[:-1], -1), -1), length,
+                     offset)
 
     def recorded(us: np.ndarray, idx: np.ndarray) -> np.ndarray:
         ws = entry(us, idx)
-        bad = (ws < 0) | ~_known(edge_keys, us * n + ws)
-        if bad.any():
-            j = int(np.flatnonzero(bad)[0])
+        if ws.min(initial=0) < 0:
+            j = int(np.argmax(ws < 0))
             u, i = int(us[j]), int(idx[j])
             got = tr.choices.get(u, [])
             if i > len(got):
@@ -823,12 +1027,13 @@ def _replay_push(tr: CouplingTranscript):
                 f"recorded choice {got[i - 1]} is not a neighbor of {u}")
         return ws
 
-    tau_hat, _, complete = _push_replay(n, tr.source, recorded, tr.push_rounds)
-    return tau_hat, complete
+    return _push_replay(n, tr.source, recorded,
+                        min(tr.push_rounds, tr.round_cap))
 
 
-def _check_oracle_consistency(tr: CouplingTranscript):
-    """The i-th informed departure from u must equal recorded choice w_u(i).
+def _check_oracle_consistency(tr: CouplingTranscript, table):
+    """The i-th informed departure from u must equal recorded choice w_u(i)
+    (``table``, see :func:`_recorded`).
 
     Departures count in (round, agent) order, from vertices informed by the
     round before (in the odd coupling, at odd rounds only); the first
@@ -839,7 +1044,7 @@ def _check_oracle_consistency(tr: CouplingTranscript):
     keep = (tv[a] >= 0) & (tv[a] < t) & ((t % 2 == 1) | (tr.mode != "odd"))
     t, g, a, b = t[keep], g[keep], a[keep], b[keep]
     rank, counts = _ranks(a, tr.graph.n)
-    bad = np.flatnonzero(_recorded(tr)(a, rank + 1) != b)
+    bad = np.flatnonzero(_entries(*table)(a, rank + 1) != b)
     if bad.size:
         j = bad[np.lexsort((g[bad], a[bad], t[bad]))[0]]
         u, i = int(a[j]), int(rank[j]) + 1
@@ -903,16 +1108,35 @@ def verify_transcript(tr: CouplingTranscript) -> VerifyReport:
                 raise TranscriptCorruptError(
                     f"{what} {i}: recorded informing round {rec[i]}, "
                     f"re-simulation gives {hat[i]}")
+        # the walk stops at the round cap, or once every vertex is informed
+        # and min_rounds rounds have run
+        cap, rounds = tr.round_cap, tr.visitx_rounds
+        if not tr.visitx_complete and rounds != cap:
+            raise TranscriptCorruptError(
+                f"incomplete walk recorded {rounds} rounds, round cap {cap}")
+        last = int(tr.t_visit.max(initial=0))
+        if tr.visitx_complete and rounds != min(cap, max(tr.min_rounds, last)):
+            raise TranscriptCorruptError(
+                f"complete walk recorded {rounds} rounds, expected "
+                f"{min(cap, max(tr.min_rounds, last))} from round cap {cap}, "
+                f"min_rounds {tr.min_rounds} and last informing round {last}")
+
+    table = _recorded(tr)  # the recorded choices, for both checks below
 
     def push_replay():
-        tau_hat, complete = _replay_push(tr)
+        tau_hat, rounds, complete = _replay_push(tr, table)
         if complete != tr.push_complete or not np.array_equal(tau_hat, tr.tau_push):
             raise TranscriptCorruptError("push replay disagrees with recorded tau")
+        if rounds != tr.push_rounds or not (complete or rounds == tr.round_cap):
+            raise TranscriptCorruptError(
+                f"push replay ran {rounds} rounds, {tr.push_rounds} recorded, "
+                f"round cap {tr.round_cap}")
 
     run_check("conservation", conservation)
     run_check("informing", informing)
     run_check("push-replay", push_replay)
-    run_check("oracle-consistency", lambda: _check_oracle_consistency(tr))
+    run_check("oracle-consistency",
+              lambda: _check_oracle_consistency(tr, table))
 
     incomplete = not tr.complete
     if tr.visitx_complete:

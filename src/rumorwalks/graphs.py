@@ -8,7 +8,6 @@ vertices in construction order.
 """
 from __future__ import annotations
 
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +39,24 @@ def _row_entries(indptr, degrees, rows):
     ends = np.cumsum(deg)
     starts = ends - deg
     return np.repeat(indptr[rows] - starts, deg) + np.arange(ends[-1]), starts
+
+
+def _min_labels(label: np.ndarray, src: np.ndarray,
+                dst: np.ndarray) -> np.ndarray:
+    """Component labels by min-label hooking with full pointer jumping
+    (Shiloach and Vishkin, J. Algorithms 1982): every edge (src, dst) ends
+    up joining equal labels, each the least initial label of its
+    component.  Each initial label must be a root (``label[x] == x`` for
+    every value x of ``label``)."""
+    while True:
+        a, b = label[src], label[dst]
+        apart = a != b
+        if not apart.any():
+            return label
+        src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := label[label], label):
+            label = up
 
 
 class Graph:
@@ -134,8 +151,8 @@ class Graph:
 
         Up to ``_SEARCH_LEVELS`` levels of a direction-optimizing search from
         vertex 0 (Beamer, Asanovic and Patterson, SC 2012), then, on long
-        paths, min-label hooking with full pointer jumping (Shiloach and
-        Vishkin, J. Algorithms 1982): connected iff every label ends at 0.
+        paths, :func:`_min_labels` hooking: connected iff every label ends
+        at 0.
         """
         n, indptr, indices, degrees = self.n, self.indptr, self.indices, self.degrees
         if n == 1 or not degrees.all():
@@ -154,38 +171,33 @@ class Graph:
             unreached -= spent
             if spent <= unreached:  # top-down: mark the frontier's neighbors
                 reached = np.zeros(n, dtype=bool)
-                reached[indices[_row_entries(indptr, degrees, frontier)[0]]] = True
-                frontier = np.flatnonzero(reached > seen)
+                if frontier.shape[0] == 1:  # one row: its slice, uncopied
+                    u = frontier[0]
+                    reached[indices[indptr[u]:indptr[u + 1]]] = True
+                else:
+                    reached[indices[_row_entries(indptr, degrees,
+                                                 frontier)[0]]] = True
+                reached &= ~seen
+                if np.count_nonzero(reached) == left:
+                    return True  # the last level, not listed
+                frontier = np.flatnonzero(reached)
             else:  # bottom-up: an unreached vertex with a seen neighbor joins
                 rest = np.flatnonzero(~seen)
                 at, starts = _row_entries(indptr, degrees, rest)
                 frontier = rest[np.logical_or.reduceat(seen[indices[at]], starts)]
-        # labels are roots in their component; apart ones hook larger to smaller
-        label = np.where(seen, 0, np.arange(n))
+        # the unseen vertices and the seen ones (label 0) hooked together
         src, dst = self.edges().T
-        while True:
-            a, b = label[src], label[dst]
-            apart = a != b
-            if not apart.any():
-                return not label.any()
-            src, dst, a, b = src[apart], dst[apart], a[apart], b[apart]
-            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-            while not np.array_equal(up := label[label], label):
-                label = up
+        return not _min_labels(np.where(seen, 0, np.arange(n)), src, dst).any()
 
     def is_bipartite(self) -> bool:
-        color = np.full(self.n, -1, dtype=np.int8)
-        color[0] = 0
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(int(v))
-                elif color[v] == color[u]:
-                    return False
-        return True
+        """Whether the component of vertex 0 has no odd cycle: whether the
+        two copies of vertex 0 (0 and n) lie apart in the bipartite double
+        cover, where each edge {u, v} joins u to v + n and u + n to v."""
+        n = self.n
+        src, dst = self.edges().T
+        cover = _min_labels(np.arange(2 * n), np.concatenate([src, src + n]),
+                            np.concatenate([dst + n, dst]))
+        return bool(cover[0] != cover[n])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -410,11 +410,12 @@ class _Visit:
             a_inf[newly_a] = t
             self.waiting -= int(np.count_nonzero(newly_a))
 
-    def add(self, w: int, t: int) -> None:
-        """A new agent on vertex w after round t, informed iff w is."""
-        informed = self.v_inf[w] != -1
-        self.a_inf = np.append(self.a_inf, t if informed else -1)
-        self.waiting += not informed
+    def add(self, ws: np.ndarray, t: int) -> None:
+        """New agents on the vertices ``ws`` after round t, each informed
+        iff its vertex is."""
+        informed = self.v_inf[ws] != -1
+        self.a_inf = np.concatenate([self.a_inf, np.where(informed, t, -1)])
+        self.waiting += int(np.count_nonzero(~informed))
 
     def result(self, t: int, positions: list | None = None,
                **logs) -> BroadcastResult:
@@ -597,24 +598,28 @@ def _occupancy_floor(graph: Graph, floor: float, visit: _Visit,
     lowest-indexed neighbor of the most deficient vertex (ties: lowest id).
     The new agent adopts the informed state of the vertex it is placed on,
     as of the end of round t.  Additions are logged as
-    (round, deficient_vertex, agent).
+    (round, deficient_vertex, agent); a round's new agents join the
+    positions and the visit state at once.
     """
     def replenish(t: int, pos: np.ndarray) -> np.ndarray:
         if t % 2 == 0:
             return pos
-        occ = np.bincount(pos, minlength=graph.n)
-        nsum = _neighborhood_sums(graph, occ)
+        nsum = _neighborhood_sums(graph, np.bincount(pos, minlength=graph.n))
+        added: list = []
         while True:
             deficit = floor - nsum
             u = int(np.argmax(deficit))
             if deficit[u] <= 0:
-                return pos
+                break
             w = int(graph.indices[graph.indptr[u]])  # lowest-indexed neighbor
-            additions.append((t, u, pos.shape[0]))
-            pos = np.append(pos, w)
-            visit.add(w, t)
-            occ[w] += 1
+            additions.append((t, u, pos.shape[0] + len(added)))
+            added.append(w)
             nsum[graph.neighbors(w)] += 1
+        if not added:
+            return pos
+        ws = np.array(added, dtype=np.int64)
+        visit.add(ws, t)
+        return np.concatenate([pos, ws])
 
     return replenish
 

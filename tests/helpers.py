@@ -2,10 +2,11 @@
 small-graph corpus used by the coupling checks, the per-round push,
 push-pull and visit-exchange references (which keep ``np.unique`` and the
 ``indptr`` gathers), the stable-argsort stub-pairing reference, the per-vertex
-choice-oracle reference, the per-cell transcript visits reference, a
-planted generation failure, and list-based references of the deterministic
-graph families (one Python tuple per edge, CSR built by concatenate, sort and
-searchsorted)."""
+choice-oracle reference, the per-cell transcript visits reference, the
+breadth-first bipartite check, a planted generation failure, list-based
+references of the deterministic graph families (one Python tuple per edge,
+CSR built by concatenate, sort and searchsorted), and the loop versions of
+the C-counters, the minimizing chains and the occupancy floor."""
 from __future__ import annotations
 
 import numpy as np
@@ -272,6 +273,24 @@ def visit_lists(pos: np.ndarray, n: int) -> list:
     return [groups[a:b] for a, b in zip(cut.tolist(), cut[1:].tolist())]
 
 
+def reference_is_bipartite(graph) -> bool:
+    """``Graph.is_bipartite`` as a breadth-first two-colouring from vertex
+    0 in plain Python: False at the first edge whose ends share a colour."""
+    from collections import deque
+    color = np.full(graph.n, -1, dtype=np.int8)
+    color[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in graph.neighbors(u):
+            if color[v] == -1:
+                color[v] = 1 - color[u]
+                queue.append(int(v))
+            elif color[v] == color[u]:
+                return False
+    return True
+
+
 def fail_generation(monkeypatch, cfg, size: int, trial: int) -> None:
     """Make the graph generation of one trial of a random-family sweep fail
     (in this process: run the sweep with ``jobs = 1``)."""
@@ -414,3 +433,99 @@ def reference_complete(n: int) -> rw.Graph:
 def reference_cycle(n: int) -> rw.Graph:
     return reference_from_edges(n, [(i, (i + 1) % n) for i in range(n)],
                                 f"cycle(n={n})")
+
+
+# -- loop references of the coupling tables ----------------------------------
+
+def reference_c_counters(tr) -> np.ndarray:
+    """``compute_c_counters`` as a per-round recurrence: each round, the
+    counters of informed vertices grow by their occupancy, and each vertex
+    informed that round takes the least counter of its S-set, read and
+    written in ascending vertex order (so a same-round member lower than u
+    is read already set)."""
+    from rumorwalks.coupling import _occupancy
+    n, T, t = tr.graph.n, tr.visitx_rounds, tr.t_visit
+    z = _occupancy(tr)
+    by_round: dict = {}
+    for u, tu in enumerate(t.tolist()):
+        by_round.setdefault(tu, []).append(u)
+    c = np.zeros((T + 1, n), dtype=np.int64)
+    for step in range(1, T + 1):
+        grown = t < step
+        c[step][grown] = c[step - 1][grown] + z[step - 1][grown]
+        fresh = by_round.get(step)
+        if not fresh:
+            continue
+        row = c[step].tolist()
+        for u in fresh:
+            members = tr.s_sets.get(u)
+            if not members:
+                raise rw.TranscriptCorruptError(f"empty S-set at vertex {u}")
+            row[u] = min(row[v] for v in members)
+        c[step, fresh] = [row[u] for u in fresh]
+    return c
+
+
+def reference_min_chains(tr):
+    """``_min_chains`` as one loop over the vertices in order of informing
+    round: ``(pred, follow, fault)``, ``fault`` a list with None for the
+    vertices whose chain has no fault."""
+    from rumorwalks.coupling import _steps
+    n = tr.graph.n
+    tv, c, s_sets = tr.t_visit, tr.c_table.tolist(), tr.s_sets
+    t, g, a, b = _steps(tr.positions)
+    on_time = t == tv[b]
+    movers: dict = {}
+    for hop, agent in zip(zip(a[on_time].tolist(), b[on_time].tolist()),
+                          g[on_time].tolist()):
+        movers.setdefault(hop, agent)
+    pred = np.full(n, -1, dtype=np.int64)
+    follow = np.full(n, -1, dtype=np.int64)
+    fault: list = [None] * n
+    for w in np.argsort(tv, kind="stable").tolist():
+        tw = int(tv[w])
+        if tw <= 0:
+            if w != tr.source:
+                fault[w] = "chain did not terminate at the source"
+            continue
+        members = s_sets.get(w)
+        if not members:
+            fault[w] = f"empty S-set at vertex {w}"
+            continue
+        v = min(members, key=lambda v: (c[tw][v], v))
+        if not 0 <= tv[v] < tw:
+            fault[w] = f"S-set member {v} of vertex {w} is informed at round {tv[v]}"
+            continue
+        pred[w], fault[w] = v, fault[v]
+        if (v, w) in movers:
+            follow[w] = movers[v, w]
+        elif fault[w] is None:
+            fault[w] = f"no agent moved {v} -> {w} at round {tw}"
+    return pred, follow, fault
+
+
+def reference_replenish(graph, floor: float, visit, additions: list):
+    """The occupancy floor's policy as it was written first: each added
+    agent appended on its own to the positions and to the visit state."""
+    from rumorwalks.protocols import _neighborhood_sums
+
+    def replenish(t: int, pos: np.ndarray) -> np.ndarray:
+        if t % 2 == 0:
+            return pos
+        occ = np.bincount(pos, minlength=graph.n)
+        nsum = _neighborhood_sums(graph, occ)
+        while True:
+            deficit = floor - nsum
+            u = int(np.argmax(deficit))
+            if deficit[u] <= 0:
+                return pos
+            w = int(graph.indices[graph.indptr[u]])
+            additions.append((t, u, pos.shape[0]))
+            pos = np.append(pos, w)
+            informed = visit.v_inf[w] != -1
+            visit.a_inf = np.append(visit.a_inf, t if informed else -1)
+            visit.waiting += not informed
+            occ[w] += 1
+            nsum[graph.neighbors(w)] += 1
+
+    return replenish

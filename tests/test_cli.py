@@ -438,6 +438,29 @@ class TestCoupleVerify:
         assert code == 3 and payload is None
         assert "transcript corrupt" in err
 
+    @pytest.mark.parametrize("edit,violation", [
+        (lambda o: o["push"].__setitem__("rounds", 13),
+         "push-replay: push replay ran 12 rounds, 13 recorded, "
+         "round cap 24576"),
+        (lambda o: o.__setitem__("min_rounds", 40),
+         "informing: complete walk recorded 10 rounds, expected 40 from "
+         "round cap 24576, min_rounds 40 and last informing round 10"),
+    ], ids=["push rounds", "min_rounds"])
+    def test_verify_recorded_rounds_exits_three(self, tmp_path, capsys, edit,
+                                                violation):
+        out = tmp_path / "r64.json"
+        code = main(["couple", *COUPLE_GRAPHS["regular"], "--seed", "3",
+                     "--out", str(out)])
+        capsys.readouterr()
+        obj = json.loads(out.read_text())
+        assert code == 0
+        assert (obj["push"]["rounds"], obj["visitx"]["rounds"]) == (12, 10)
+        edit(obj)
+        out.write_text(json.dumps(obj))
+        code, payload, _ = run_cli(capsys, "verify", "--transcript", str(out))
+        assert code == 3
+        assert payload["violations"] == [violation]
+
     def test_verify_unknown_mode_exits_three(self, tmp_path, capsys):
         _, out = self.couple(tmp_path, capsys)
         obj = json.loads(out.read_text())

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import signal
@@ -22,7 +23,9 @@ from rumorwalks.coupling import TRANSCRIPT_FORMAT
 from rumorwalks.rng import SimRng
 
 from helpers import (brute_max_congestion, coupling_corpus,
-                     small_instance_graphs, visit_lists)
+                     reference_c_counters, reference_min_chains,
+                     reference_replenish, small_instance_graphs, visit_lists)
+from rumorwalks import coupling, protocols
 
 
 def k2():
@@ -712,6 +715,7 @@ class TestVisitsWriter:
         text = rw.transcript_dumps(tr)
         want = json.dumps(visit_lists(pos, n), separators=(",", ":"))
         assert _visits_of(text) == want
+        assert coupling._visits_text(pos, n) == want  # at any size
         assert json.loads(text)["visits"] == visit_lists(pos, n)
 
     def test_no_agents(self):
@@ -727,6 +731,89 @@ class TestVisitsWriter:
             assert json.loads(text) == obj
             assert _visits_of(text) == json.dumps(
                 visit_lists(tr.positions, tr.graph.n), separators=(",", ":"))
+
+
+class TestIntegerWriter:
+    """Every table the byte writer takes equals json.dumps of its lists:
+    with the size thresholds at 0 every table goes through the writer, and
+    at their defaults the small ones go through json.dumps."""
+
+    @staticmethod
+    def dumps_both(monkeypatch, tr) -> tuple:
+        texts = []
+        for small in (0, 10 ** 9):
+            monkeypatch.setattr(coupling, "_SMALL_TABLE", small)
+            monkeypatch.setattr(coupling, "_SMALL_VISITS", small)
+            texts.append(rw.transcript_dumps(tr))
+        return texts
+
+    @pytest.mark.parametrize("trial", range(2))
+    def test_written_transcripts(self, monkeypatch, trial):
+        for obj in _corpus_json(trial):
+            tr = rw.transcript_from_json(obj)
+            writer, lists = self.dumps_both(monkeypatch, tr)
+            assert writer == lists == json.dumps(obj, separators=(",", ":"))
+
+    @pytest.mark.parametrize("edit", [
+        "no choices", "empty last S-set", "empty first S-set", "all S-sets empty",
+        "one value", "widths", "past int32"])
+    def test_edge_tables(self, monkeypatch, edit):
+        tr = copy.deepcopy(rw.run_coupled_even(
+            rw.generate_cycle(8), 0, AgentConfig(8), SimRng(3)))
+        wide = [0, 9, 10, 99, 100, 999, 1000, 10 ** 9 - 1, 10 ** 9,
+                2 ** 31 - 1, 2 ** 31, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1]
+        if edit == "no choices":
+            tr.choices, tr.walk_consumed = {}, {}
+        elif edit == "empty last S-set":
+            tr.s_sets[7] = []
+        elif edit == "empty first S-set":
+            tr.s_sets = {0: [], 1: [0]}
+        elif edit == "all S-sets empty":
+            tr.s_sets = {u: [] for u in range(8)}
+        elif edit == "one value":
+            tr.choices, tr.walk_consumed = {3: [4]}, {3: 1}
+            tr.s_sets, tr.c_table = {5: [6]}, np.array([[7]])
+        elif edit == "past int32":  # where the writer leaves 32-bit digits
+            tr.choices = {0: [2 ** 31 - 1, 7], 1: [2 ** 31, 2 ** 32 + 9]}
+        else:
+            tr.choices = {0: wide, 2: wide[::-1], 5: [wide[-1]]}
+            tr.walk_consumed = dict(enumerate(wide))
+            tr.c_table = np.array([wide, wide[::-1]], dtype=np.int64)
+        writer, lists = self.dumps_both(monkeypatch, tr)
+        assert writer == lists
+        assert json.loads(writer)["choices"] == [
+            [u, ws] for u, ws in sorted(tr.choices.items())]
+
+    def test_empty_graph_and_walk(self, monkeypatch):
+        tr = rw.run_coupled_even(rw.Graph.from_edges(1, []), 0,
+                                 AgentConfig(0), SimRng(1), round_cap=2)
+        writer, lists = self.dumps_both(monkeypatch, tr)
+        assert writer == lists
+        assert '"edges":[]' in writer and '"visits":[[]]' in writer
+
+    @pytest.mark.parametrize("field,values", [
+        ("choices", [-5, 2 ** 63, 2 ** 70, -2 ** 63 - 1]),
+        ("walk_consumed", [-1, 2 ** 64]),
+        ("c_table", [-3]),
+    ])
+    def test_loaded_values_outside_int64(self, monkeypatch, field, values):
+        # the loader takes any JSON integer here (a choice out of range is
+        # a replay violation, a count a consistency one); written back it
+        # must be the same text
+        obj = _regular64_json()
+        for k, value in enumerate(values):
+            if field == "choices":
+                obj["choices"][k][1][-1] = value
+            elif field == "walk_consumed":
+                obj["walk_consumed"][k][1] = value
+            else:
+                obj["c_table"][-1][k] = value
+        tr = rw.transcript_from_json(obj)
+        for small in (0, 10 ** 9):
+            monkeypatch.setattr(coupling, "_SMALL_TABLE", small)
+            assert rw.transcript_to_json(tr) == obj
+            assert rw.transcript_dumps(tr) == json.dumps(
+                obj, separators=(",", ":"))
 
 
 def _corpus_json(trial: int):
@@ -782,6 +869,215 @@ class TestLoaderBound:
             rw.transcript_from_json(obj)
             added += len(obj["additions"])
         assert added > 0
+
+
+# -- tables over arrays against their loop references ------------------------
+
+def _table_runs():
+    """Even and odd coupled runs over the coupling corpus and a
+    regular(512, 9) graph; the odd runs on regular graphs keep the
+    occupancy floor."""
+    graphs = coupling_corpus(0) + [rw.generate_random_regular(512, 9, seed=1)]
+    for i, g in enumerate(graphs):
+        seed = rw.derive_seed(1901, i)
+        yield rw.run_coupled_even(g, 0, AgentConfig(g.n), SimRng(seed))
+        yield rw.run_coupled_odd(g, 0, AgentConfig(g.n), SimRng(seed),
+                                 enable_r_floor=g.is_regular)
+
+
+def _same_outcome(fn, ref, tr):
+    """``fn(tr)`` and ``ref(tr)``, or the message each raised."""
+    out = []
+    for f in (fn, ref):
+        try:
+            out.append(f(tr))
+        except TranscriptCorruptError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _chains(tr):
+    pred, follow, fault = coupling._min_chains(tr)
+    return pred.tolist(), follow.tolist(), fault
+
+
+def _reference_chains(tr):
+    pred, follow, fault = reference_min_chains(tr)
+    return pred.tolist(), follow.tolist(), {
+        w: f for w, f in enumerate(fault) if f is not None}
+
+
+def _corrupt_s_sets(tr, kind: str, rnd):
+    """A copy of ``tr`` whose stored S-set of some informed vertex holds a
+    member informed in the same round (with the vertex itself and a lower
+    one where there is one), a member never informed, or no member."""
+    bad = copy.deepcopy(tr)
+    tv = bad.t_visit
+    informed = [u for u in range(tv.shape[0]) if tv[u] > 0]
+    u = rnd.choice(informed)
+    if kind == "same round":
+        peers = [v for v in range(tv.shape[0]) if tv[v] == tv[u]]
+        bad.s_sets[u] = list(bad.s_sets[u]) + peers[:3]
+        low = peers[0]
+        if low != u:  # the lowest peer leans on u in turn
+            bad.s_sets[low] = list(bad.s_sets[low]) + [u]
+    elif kind == "never informed":
+        v = rnd.randrange(tv.shape[0])
+        bad.t_visit = tv.copy()
+        bad.t_visit[v] = -1
+        bad.s_sets[u] = [v]
+    else:
+        bad.s_sets[u] = []
+    return bad
+
+
+class TestTablesAgainstLoops:
+    """The C-counters, the minimizing chains and the occupancy floor, taken
+    over arrays, give what their loop versions (tests/helpers.py) give."""
+
+    def test_c_counters(self):
+        for tr in _table_runs():
+            if tr.visitx_complete:
+                assert np.array_equal(rw.compute_c_counters(tr),
+                                      reference_c_counters(tr))
+
+    def test_min_chains(self):
+        for tr in _table_runs():
+            if tr.visitx_complete:
+                assert _chains(tr) == _reference_chains(tr)
+
+    @pytest.mark.parametrize("kind", ["same round", "never informed", "empty"])
+    def test_corrupted_s_sets(self, kind):
+        import random
+        rnd = random.Random(kind)
+        faults = 0
+        for tr in _table_runs():
+            if not tr.visitx_complete:
+                continue
+            for _ in range(4):
+                bad = _corrupt_s_sets(tr, kind, rnd)
+                got, want = _same_outcome(rw.compute_c_counters,
+                                          reference_c_counters, bad)
+                if isinstance(want, str):  # the chains read the clean C
+                    assert got == want
+                else:
+                    assert np.array_equal(got, want)
+                    bad.c_table = want
+                got, want = _same_outcome(_chains, _reference_chains, bad)
+                assert got == want
+                faults += bool(want[2])
+        assert faults > 0
+
+    @pytest.mark.parametrize("lower_first", [True, False])
+    def test_same_round_member_read_in_vertex_order(self, lower_first):
+        # u < v, informed in the same round t: a stored S-set naming the
+        # other vertex reads its counter as set when it is the lower one
+        # (u, whose own members give k), and as 0 when it is the higher one
+        tr = copy.deepcopy(rw.run_coupled_even(
+            rw.generate_random_regular(64, 8, seed=5), 0, AgentConfig(64),
+            SimRng(5)))
+        tv = tr.t_visit.tolist()
+        t = next(r for r in range(1, max(tv) + 1) if tv.count(r) > 1)
+        u, v = [w for w in range(64) if tv[w] == t][:2]
+        k = int(tr.c_table[t][u])
+        assert k > 0
+        if lower_first:
+            tr.s_sets[v] = [u]
+            want = (k, k)
+        else:
+            tr.s_sets[u], tr.s_sets[v] = [v], tr.s_sets[u]
+            want = (0, k)
+        c = rw.compute_c_counters(tr)
+        assert np.array_equal(c, reference_c_counters(tr))
+        assert (c[t][u], c[t][v]) == want
+
+    def test_occupancy_floor(self, monkeypatch):
+        # the floor adds a round's agents in one append; the run is the one
+        # the per-agent appends give
+        runs = [(g, count) for g in (rw.generate_cycle(8), rw.generate_cycle(6),
+                                     rw.generate_random_regular(64, 8, seed=4),
+                                     rw.generate_random_regular(512, 9, seed=1))
+                for count in (1, g.n // 2, g.n)]
+        added = 0
+        for i, (g, count) in enumerate(runs):
+            seed = rw.derive_seed(1902, i)
+            got = rw.run_coupled_odd(g, 0, AgentConfig(count), SimRng(seed),
+                                     min_rounds=6, enable_r_floor=True)
+            walk = rw.run_r_visit_exchange(g, 0, AgentConfig(count),
+                                           SimRng(seed), min_rounds=6)
+            monkeypatch.setattr(coupling, "_occupancy_floor",
+                                reference_replenish)
+            monkeypatch.setattr(protocols, "_occupancy_floor",
+                                reference_replenish)
+            want = rw.run_coupled_odd(g, 0, AgentConfig(count), SimRng(seed),
+                                      min_rounds=6, enable_r_floor=True)
+            ref_walk = rw.run_r_visit_exchange(g, 0, AgentConfig(count),
+                                               SimRng(seed), min_rounds=6)
+            monkeypatch.undo()
+            assert rw.transcript_dumps(got) == rw.transcript_dumps(want)
+            assert (walk.rounds, walk.addition_log) == \
+                (ref_walk.rounds, ref_walk.addition_log)
+            for name in ("vertex_informed_at", "agent_informed_at"):
+                assert np.array_equal(getattr(walk.trace, name),
+                                      getattr(ref_walk.trace, name))
+            added += len(got.additions)
+        assert added > 0
+
+
+class TestRecordedRounds:
+    """A transcript's round counts must be the ones its run stops at: push
+    at the round its replay completes (the round cap when it does not), the
+    walk at min(round_cap, max(min_rounds, last informing round)) when
+    complete and at the round cap when not."""
+
+    # (edit, check, message); the message names P and W, the recorded
+    # push and walk rounds before the edit, and C, the round cap
+    CASES = {
+        "push+1": (_set(("push", "rounds"), lambda r: r + 1), "push-replay",
+                   "push replay ran {P} rounds, {P1} recorded, round cap {C}"),
+        "push-1": (_set(("push", "rounds"), lambda r: r - 1), "push-replay",
+                   "push replay disagrees with recorded tau"),
+        # the replay stops at the cap, so push does not complete
+        "cap below push": (_set(("round_cap",), 11), "push-replay",
+                           "push replay disagrees with recorded tau"),
+        "min_rounds": (_set(("min_rounds",), 40), "informing",
+                       "complete walk recorded {W} rounds, expected 40 from "
+                       "round cap {C}, min_rounds 40 and last informing "
+                       "round {W}"),
+        "incomplete": (_set(("visitx", "complete"), False), "informing",
+                       "incomplete walk recorded {W} rounds, round cap {C}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_corrupted_counts_flagged(self, case):
+        edit, check, message = self.CASES[case]
+        obj = json.loads(rw.transcript_dumps(rw.run_coupled_even(
+            rw.generate_random_regular(64, 8, seed=5), 0, AgentConfig(64),
+            SimRng(3))))
+        P, W, C = obj["push"]["rounds"], obj["visitx"]["rounds"], \
+            obj["round_cap"]
+        assert 11 < P and W == max(obj["visitx"]["t"]) < 40
+        edit(obj)
+        report = rw.verify_transcript(rw.transcript_from_json(obj))
+        assert f"{check}: " + message.format(P=P, P1=P + 1, W=W, C=C) \
+            in report.violations
+
+    def test_incomplete_push_below_cap(self):
+        tr = rw.run_coupled_even(rw.generate_cycle(12), 0, AgentConfig(1),
+                                 SimRng(2), round_cap=3)
+        assert not tr.push_complete and tr.push_rounds == 3
+        obj = json.loads(rw.transcript_dumps(tr))
+        obj["round_cap"] = 5  # both stopped 2 rounds short of it
+        report = rw.verify_transcript(rw.transcript_from_json(obj))
+        assert report.violations == [
+            "informing: incomplete walk recorded 3 rounds, round cap 5",
+            "push-replay: push replay ran 3 rounds, 3 recorded, round cap 5"]
+
+    def test_written_transcripts_verify(self):
+        for tr in itertools.chain(_golden_bases(), _table_runs()):
+            report = rw.verify_transcript(rw.transcript_from_json(
+                json.loads(rw.transcript_dumps(tr))))
+            assert report.ok and report.incomplete == (not tr.complete)
 
 
 # -- fuzzing the untrusted-input boundary ------------------------------------

