@@ -33,8 +33,8 @@ for both the push replay and the oracle check, and checks every chain walk
 in one pass over the cumulative occupancy table.  The JSON text is one
 :func:`json.dumps` of the document, into which one byte writer,
 :func:`_int_text`, splices each large integer table (edges, visits,
-choices, consumed counts, S-sets, C-table) written straight from arrays,
-with no Python list per row or (round, vertex) cell.
+choices, S-sets, C-table) written straight from arrays, with no Python
+list per row or (round, vertex) cell.
 """
 from __future__ import annotations
 
@@ -576,9 +576,9 @@ def transcript_dumps(tr: CouplingTranscript) -> str:
     """The transcript's JSON text, as ``json.dumps`` with separators
     ``(",", ":")`` writes :func:`transcript_to_json`'s object.  One
     :func:`json.dumps` call writes the document with every large integer
-    table (edges, visits, choices, consumed counts, S-sets, C-table) held
-    by a placeholder ``0``; each table's text, written by :func:`_int_text`,
-    then replaces its ``"key":0``.  That text cannot occur inside a JSON
+    table (edges, visits, choices, S-sets, C-table) held by a placeholder
+    ``0``; each table's text, written by :func:`_int_text`, then replaces
+    its ``"key":0``.  That text cannot occur inside a JSON
     string, where every quote is escaped."""
     g = tr.graph
     spliced: dict = {}
@@ -604,8 +604,7 @@ def transcript_dumps(tr: CouplingTranscript) -> str:
                  "tau": tr.tau_push.tolist()},
         "visits": table("visits", _visits_json(tr.positions, g.n)),
         "choices": table("choices", _keyed_json(tr.choices)),
-        "walk_consumed": table("walk_consumed",
-                               _pairs_json(tr.walk_consumed)),
+        "walk_consumed": [list(e) for e in sorted(tr.walk_consumed.items())],
         "additions": [list(a) for a in tr.additions],
         "floor": tr.floor,
     }
@@ -695,18 +694,6 @@ def _natural(values, count: int) -> np.ndarray | None:
     except OverflowError:
         return None
     return arr if not arr.size or arr.min() >= 0 else None
-
-
-def _pairs_json(table: dict):
-    """``[[key, value], ...]`` of a dict of integers, keys ascending, or,
-    for a large table of values >= 0, its JSON text."""
-    items = sorted(table.items())
-    flat = None
-    if items and 2 * len(items) >= _SMALL_TABLE:
-        flat = _natural(itertools.chain.from_iterable(items), 2 * len(items))
-    if flat is None:
-        return [list(e) for e in items]
-    return _rows_text(flat, 2)
 
 
 def _keyed_json(table: dict):

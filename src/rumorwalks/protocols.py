@@ -172,9 +172,9 @@ def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
     ``size=k`` or as one scalar, from the same draws as k equal array
     bounds, at a fraction of the per-call cost.  Where they have more than
     one, ``gen`` is the stream's :class:`~rumorwalks.rng.Draws` reader
-    (:func:`_neighbor_stream`), and ``gen.integers(degs)`` draws the array
-    bounds, value for value, from raw words read ahead; numpy's generator
-    reads that call as ``integers(0, degs)`` too.
+    (:func:`_neighbor_stream`), and ``gen.integers(degs)`` draws what
+    numpy's ``integers(0, degs)`` would, value for value, from raw words
+    read ahead.
     """
     indices = graph.indices
     values = graph.distinct_degrees  # the degrees a drawing row can have
@@ -236,7 +236,8 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     A vertex informed at round t starts sampling at round t + 1.  Rounds
     that add no sampling vertex, as on a star, run in blocks from draws read
     ahead (:func:`bounded_ahead`), which leave the ``push`` stream where
-    rounds run one by one would leave it.
+    rounds run one by one would leave it.  Only a numpy generator takes
+    blocks; a :class:`~rumorwalks.rng.Draws` reader runs every round.
     """
     source, cap = _check_run(graph, source, round_cap)
     n = graph.n
@@ -252,6 +253,7 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     if degs[0] == 1:
         starts, degs, forced = forced, forced, graph.indices[starts]
     leafy = graph.distinct_degrees[0] == 1
+    blocky = isinstance(gen, np.random.Generator)
     count, t = 1, 0
     # calm counts rounds in a row that added no drawing row; from 4 on, a
     # block takes that many rounds again (so blocks double), at most 2**16
@@ -260,7 +262,7 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     while count < n and t < cap:
         k = starts.shape[0]
         rounds = min(calm, 2 ** 16 // k, cap - t) if calm >= 4 else 0
-        if rounds > 1 and (degs == degs[0]).all():
+        if rounds > 1 and blocky and (degs == degs[0]).all():
             draws, leave = bounded_ahead(gen, int(degs[0]), rounds * k)
             targets = graph.indices[np.tile(starts, rounds) + draws]
             new = np.flatnonzero(informed_at[targets] == -1)

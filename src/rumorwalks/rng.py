@@ -3,9 +3,10 @@
 All randomness in a run flows from one 64-bit master seed through named
 sub-streams (agent walks, placement, laziness coins, protocol samples, the
 choice oracle), so enabling or exercising one consumer can never perturb
-another.  Streams are numpy PCG64 generators; sub-seeds are SHA-256 digests
-of the master seed plus stable labels, which keeps derivation reproducible
-across platforms and processes.
+another.  Streams are PCG64 streams, each read by a numpy generator or by
+a :class:`Draws` reader; sub-seeds are SHA-256 digests of the master seed
+plus stable labels, which keeps derivation reproducible across platforms
+and processes.
 """
 from __future__ import annotations
 
@@ -64,28 +65,34 @@ def _stream(seed: int) -> np.random.Generator:
 
 
 class SimRng:
-    """Bundle of named, independently seeded generators for one run."""
+    """Bundle of named, independently seeded streams for one run.
+
+    A label's stream is read either by a numpy generator (:meth:`stream`)
+    or by a :class:`Draws` reader (:meth:`draws`), never both: the reader
+    reads its words ahead, so a generator could not read on after it."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._streams: dict = {}
-        self._draws: dict = {}
+
+    def _cached(self, labels: tuple, kind: type, make):
+        if labels not in self._streams:
+            self._streams[labels] = make(derive_seed(self.seed, *labels))
+        got = self._streams[labels]
+        if not isinstance(got, kind):
+            name = "/".join(map(str, labels))
+            raise InvalidParameterError(
+                f"stream {name!r} is already read by a {type(got).__name__}"
+                f", not a {kind.__name__}")
+        return got
 
     def stream(self, *labels) -> np.random.Generator:
-        """Generator for the given label path (cached per instance), where
-        numpy's own calls would have left it: a :class:`Draws` reader over
-        it settles first."""
-        if labels in self._draws:
-            self._draws[labels].settle()
-        if labels not in self._streams:
-            self._streams[labels] = _stream(derive_seed(self.seed, *labels))
-        return self._streams[labels]
+        """The numpy generator for the given label path (cached)."""
+        return self._cached(labels, np.random.Generator, _stream)
 
     def draws(self, *labels) -> "Draws":
-        """The :class:`Draws` reader over ``stream(*labels)`` (cached)."""
-        if labels not in self._draws:
-            self._draws[labels] = Draws(self.stream(*labels))
-        return self._draws[labels]
+        """The :class:`Draws` reader for the given label path (cached)."""
+        return self._cached(labels, Draws, Draws)
 
     def child_seed(self, *labels) -> int:
         return derive_seed(self.seed, *labels)
@@ -335,35 +342,23 @@ class ChoiceOracle:
 
 
 class Draws:
-    """numpy's ``gen.integers(0, bounds)`` for arrays of bounds, value for
-    value, from raw PCG64 words read ahead.
+    """numpy's ``Generator(PCG64(seed)).integers(0, bounds)`` for arrays of
+    bounds, value for value, from raw PCG64 words read ahead.
 
-    numpy draws a bound d in [2, 2**32] from 32-bit halves: first the half
-    the generator holds pending (``has_uint32``), then each raw word's low
-    half before its high half.  Lemire's multiply-shift keeps half h as
+    numpy draws a bound d in [2, 2**32] from 32-bit halves, each raw word's
+    low half before its high half.  Lemire's multiply-shift keeps half h as
     ``h * d >> 32`` unless ``h * d mod 2**32 < (2**32 - d) % d``; then the
     same bound takes the next half.  The reader does this over arrays, on
-    words read ahead in blocks that double up to 2**16 words.  So the
-    generator runs ahead of the draws until :meth:`settle` puts it exactly
-    where numpy's calls would have left it: the LCG state, ``has_uint32``,
-    and ``uinteger``, which numpy leaves stale once it has used it.  Nothing
-    else may read the generator in between.
+    words read ahead in blocks that double up to 2**16 words.  It owns its
+    ``PCG64``, which nothing else reads.
     """
 
     _FIRST, _LAST = 256, 2 ** 16  # words in the first and the largest block
 
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen  # the generator read
-        self._bitgen = gen.bit_generator
-        self._halves = None  # None: nothing read ahead
-
-    def _load(self) -> None:
-        state = self._bitgen.state
-        self._start = state
-        self._lead = state["has_uint32"]  # 1: the first half is pending
-        self._halves = np.array([state["uinteger"]] * self._lead, np.uint32)
-        self._base = 0      # halves dropped from the front of _halves
-        self._pos = 0       # the next half to use, in _halves
+    def __init__(self, seed: int):
+        self._bitgen = np.random.PCG64(seed)
+        self._halves = np.empty(0, dtype=np.uint32)
+        self._pos = 0  # the next half to use, in _halves
         self._block = self._FIRST
 
     def _read(self, need: int) -> None:
@@ -373,13 +368,10 @@ class Draws:
         raw = self._bitgen.random_raw(words)  # each word: low half first
         fresh = raw.astype("<u8", copy=False).view("<u4")
         self._halves = np.concatenate([self._halves[self._pos:], fresh])
-        self._base += self._pos
         self._pos = 0
 
     def integers(self, bounds) -> np.ndarray:
-        """``gen.integers(0, bounds)`` for int bounds in [2, 2**32]."""
-        if self._halves is None:
-            self._load()
+        """``integers(0, bounds)`` for int bounds in [2, 2**32]."""
         d = np.asarray(bounds, dtype=np.int64).view(np.uint64)
         k, done, out = d.shape[0], 0, None
         while True:  # one pass per rejected half
@@ -406,37 +398,14 @@ class Draws:
             if done == k:
                 return out
 
-    def settle(self) -> None:
-        """Put the generator where numpy's calls would have left it, and
-        drop the halves read ahead."""
-        if self._halves is None:
-            return
-        bitgen, used = self._bitgen, self._base + self._pos
-        bitgen.state = self._start
-        halves = used - self._lead  # taken from raw words
-        if halves > 0:
-            bitgen.advance((halves + 1) // 2 - 1)
-            high = int(bitgen.random_raw()) >> 32  # the last word's
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = halves % 2, high
-            bitgen.state = state
-        elif used:  # only the pending half
-            bitgen.state = {**self._start, "has_uint32": 0}
-        self._halves = None
 
-
-def bounded_ahead(gen, bound: int, count: int):
+def bounded_ahead(gen: np.random.Generator, bound: int, count: int):
     """``(draws, leave)``: the next ``count`` values of ``gen.integers(0,
     bound)``, read ahead as one ``gen.integers(0, bound, size=count)`` call,
     which draws exactly what ``count`` scalar calls would, and
     ``leave(used)``, which puts ``gen`` where ``used`` scalar draws would: it
     rewinds to the state before the block and redraws ``used`` values.
-    ``gen`` may be a :class:`Draws` reader, which settles first, so the
-    block is read from its generator.
     """
-    if isinstance(gen, Draws):
-        gen.settle()
-        gen = gen.gen
     bitgen = gen.bit_generator
     start = bitgen.state
     draws = gen.integers(0, bound, size=count)

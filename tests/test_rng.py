@@ -378,113 +378,67 @@ BOUNDS = st.one_of(st.integers(2, 2 ** 10), st.integers(2, 2 ** 32),
 CALLS = st.lists(st.lists(BOUNDS, max_size=40), min_size=1, max_size=6)
 
 
-def _pcg(seed: int, pending: bool) -> np.random.Generator:
-    gen = np.random.Generator(np.random.PCG64(seed))
-    if pending:
-        gen.integers(0, 5)  # one 32-bit draw: the word's high half waits
-    return gen
+def _pcg(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 class TestDraws:
-    """The mixed-degree reader against numpy's ``integers(0, bounds)``:
-    value for value, and the full generator state after a settle."""
+    """The mixed-degree reader against numpy's ``integers(0, bounds)`` on a
+    generator of the same seed, value for value over consecutive calls."""
 
-    @given(seed=st.integers(0, 2 ** 64 - 1), pending=st.booleans(),
-           calls=CALLS, settles=st.lists(st.booleans(), min_size=6,
-                                         max_size=6))
+    @given(seed=st.integers(0, 2 ** 64 - 1), calls=CALLS)
     @settings(max_examples=300, deadline=None)
-    def test_matches_numpy(self, seed, pending, calls, settles):
-        gen, ref = _pcg(seed, pending), _pcg(seed, pending)
-        draws = Draws(gen)
-        for bounds, settle in zip(calls, settles):
+    def test_matches_numpy(self, seed, calls):
+        draws, ref = Draws(seed), _pcg(seed)
+        for bounds in calls:
             got = draws.integers(bounds)
             assert got.dtype == np.int64
             assert got.tolist() == ref.integers(0, bounds, size=len(bounds)
                                                 ).tolist()
-            if settle:  # the reader goes on from the settled generator
-                draws.settle()
-                assert gen.bit_generator.state == ref.bit_generator.state
-        draws.settle()
-        assert gen.bit_generator.state == ref.bit_generator.state
-        # every later reader of the stream sees the same draws
-        assert gen.integers(0, 9, size=3).tolist() == \
-            ref.integers(0, 9, size=3).tolist()
-        assert gen.random() == ref.random()
 
     def test_blocks_and_rejections(self):
         # calls far larger than the first block, and a bound that rejects
         # about half of the halves
-        for seed, pending in ((0, False), (1, True)):
-            gen, ref = _pcg(seed, pending), _pcg(seed, pending)
-            draws = Draws(gen)
+        for seed in (0, 1):
+            draws, ref = Draws(seed), _pcg(seed)
             bounds = np.random.default_rng(seed).integers(2, 600, size=5000)
             heavy = np.full(3000, 2 ** 31 + 1)
-            assert np.array_equal(draws.integers(bounds),
-                                  ref.integers(0, bounds))
-            assert np.array_equal(draws.integers(heavy),
-                                  ref.integers(0, heavy))
-            draws.settle()
-            assert gen.bit_generator.state == ref.bit_generator.state
+            for call in (bounds, heavy, bounds[:7]):
+                assert np.array_equal(draws.integers(call),
+                                      ref.integers(0, call))
 
     def test_nothing_drawn_leaves_state(self):
-        for pending in (False, True):
-            gen, ref = _pcg(3, pending), _pcg(3, pending)
-            draws = Draws(gen)
-            assert draws.integers([]).tolist() == []
-            draws.settle()
-            draws.settle()  # settling twice is settling once
-            assert gen.bit_generator.state == ref.bit_generator.state
-
-    @staticmethod
-    def _forged(seed: int) -> np.random.Generator:
-        """A generator whose pending half is no half of its raw words, so
-        only the pending half itself can give numpy's draws and state."""
-        gen = np.random.Generator(np.random.PCG64(seed))
-        gen.bit_generator.state = {**gen.bit_generator.state,
-                                   "has_uint32": 1, "uinteger": 12345}
-        return gen
+        draws, ref = Draws(3), _pcg(3)
+        assert draws.integers([]).tolist() == []
+        assert draws.integers([]).tolist() == []
+        assert draws.integers([5, 2 ** 31 + 1]).tolist() == \
+            ref.integers(0, [5, 2 ** 31 + 1]).tolist()
 
     @pytest.mark.parametrize("calls", [[], [[]], [[7]], [[7, 2 ** 20]],
                                        [[], [2 ** 31 + 1] * 9]])
-    def test_forged_pending_half(self, calls):
-        gen, ref = self._forged(8), self._forged(8)
-        draws = Draws(gen)
-        for bounds in calls:
+    def test_short_calls(self, calls):
+        draws, ref = Draws(8), _pcg(8)
+        for bounds in calls + [[3, 2 ** 32]]:
             assert draws.integers(bounds).tolist() == \
                 ref.integers(0, bounds, size=len(bounds)).tolist()
-        draws.settle()
-        assert gen.bit_generator.state == ref.bit_generator.state
 
-    def test_stream_settles_its_reader(self):
-        rng, ref = SimRng(11), SimRng(11)
-        assert rng.draws("walks") is rng.draws("walks")
-        got = rng.draws("walks").integers([3, 512, 2])
-        want = ref.stream("walks").integers(0, [3, 512, 2])
+    @pytest.mark.parametrize("labels,name", [(("walks",), "'walks'"),
+                                             (("walks", 3), "'walks/3'")],
+                             ids=["walks", "walks/3"])
+    @pytest.mark.parametrize("first,second", [("draws", "stream"),
+                                              ("stream", "draws")],
+                             ids=["draws-first", "stream-first"])
+    def test_one_kind_per_label(self, first, second, labels, name):
+        rng = SimRng(11)
+        kept = getattr(rng, first)(*labels)
+        assert getattr(rng, first)(*labels) is kept
+        with pytest.raises(rw.InvalidParameterError, match=name):
+            getattr(rng, second)(*labels)
+        getattr(rng, second)("push")  # another label is free
+        # a reader reads the stream its label's generator would
+        got = SimRng(11).draws(*labels).integers([3, 512, 2])
+        want = SimRng(11).stream(*labels).integers(0, [3, 512, 2])
         assert got.tolist() == want.tolist()
-        assert rng.stream("walks").bit_generator.state == \
-            ref.stream("walks").bit_generator.state
-        # the reader reads on from where the stream stands now
-        rng.stream("walks").integers(0, 7)
-        ref.stream("walks").integers(0, 7)
-        assert rng.draws("walks").integers([9] * 5).tolist() == \
-            ref.stream("walks").integers(0, [9] * 5).tolist()
-
-    @pytest.mark.parametrize("pending", [False, True])
-    def test_bounded_ahead_settles_the_reader(self, pending):
-        for used in (0, 1, 17, 64):
-            gen, ref = _pcg(used, pending), _pcg(used, pending)
-            draws = Draws(gen)
-            draws.integers([5, 700])
-            ref.integers(0, [5, 700])
-            block, leave = bounded_ahead(draws, 2 ** 31 + 1, 64)
-            leave(used)
-            assert block[:used].tolist() == \
-                ref.integers(0, 2 ** 31 + 1, size=used).tolist()
-            # the reader reads on from where the block left the generator
-            assert draws.integers([3, 4]).tolist() == \
-                ref.integers(0, [3, 4]).tolist()
-            draws.settle()
-            assert gen.bit_generator.state == ref.bit_generator.state
 
 
 EDGE_SEEDS = [0, 1, 2, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63,
