@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, TranscriptCorruptError
 from .graphs import Graph, _known
-from .protocols import (AgentConfig, _floor_level, _occupancy_floor, _start,
-                        _Visit, _walk)
+from .protocols import (AgentConfig, _floor_level, _occupancy_floor,
+                        _recorder, _start, _Visit, _walk)
 from .rng import ChoiceOracle, SimRng
 
 __all__ = [
@@ -163,15 +163,10 @@ def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
             new_pos[free] = step(pos[free], t)
         return new_pos
 
-    rows = [pos]  # no round changes a position array once it is made
     additions: list = []
     grow = (_occupancy_floor(graph, floor, visit, additions)
             if enable_r_floor else None)
-
-    def record(t: int, pos: np.ndarray) -> np.ndarray:
-        rows.append(pos if grow is None else grow(t, pos))
-        return rows[-1]
-
+    rows, record = _recorder(pos, grow)
     visitx_rounds = _walk(pos, oracle_step, [visit], cap, min_rounds, record)
     visitx_complete = visit.done
     positions = np.full((len(rows), rows[-1].shape[0]), -1, dtype=np.int64)
@@ -785,35 +780,21 @@ def _json(what: str, value, kind: type = int):
     return value
 
 
-def _ints(what: str, values) -> list:
-    """``values`` as a list, which must hold JSON integers only."""
+def _ints(what: str, values, low: int | None = None,
+          high: int | None = None) -> list:
+    """``values`` as a list, which must hold JSON integers only, each in
+    [low, high) when ``low`` is given (no upper end if ``high`` is None).
+    The first value of the wrong type, else the first out of range, is
+    named."""
     values = list(values)
     if not {*map(type, values)} <= {int}:
         _json(what, next(v for v in values if type(v) is not int))
-    return values
-
-
-def _check_ids(what: str, ids, low: int, high: int | None = None) -> None:
-    """Raise unless every id of ``ids`` (a sequence, or a dict's keys) lies
-    in [low, high), with no upper end if ``high`` is None."""
-    if not ids or (min(ids) >= low and (high is None or max(ids) < high)):
-        return
-    bad = next(x for x in ids if not (x >= low and (high is None or x < high)))
+    if low is None or not values or (
+            min(values) >= low and (high is None or max(values) < high)):
+        return values
+    bad = next(v for v in values if v < low or high is not None and v >= high)
     span = f"[{low}, {high})" if high is not None else f">= {low}"
     raise TranscriptCorruptError(f"{what} {bad} is not {span}")
-
-
-def _id_array(what: str, ids: list, low: int, high: int) -> np.ndarray:
-    """``ids``, JSON integers, as an int64 array, each in [low, high).  A
-    list in int64 is checked in numpy; any other (empty, or ids beyond
-    int64) is checked by :func:`_check_ids`, which names the first id out
-    of range, and converted one by one."""
-    arr = np.array(_ints(what, ids))
-    if arr.dtype != np.int64 or arr.ndim != 1 or arr.size and (
-            arr.min() < low or arr.max() >= high):
-        _check_ids(what, ids, low, high)
-        arr = np.fromiter(ids, np.int64, len(ids))
-    return arr
 
 
 def _vector(what: str, values, length: int) -> np.ndarray:
@@ -841,8 +822,9 @@ def _positions(visits: list, n: int, population: int):
         raise TranscriptCorruptError(
             f"{len(ids)} listed agent ids cannot fill {len(visits)} rounds "
             f"of {population} agents")
-    us = _id_array("visited vertex", us, 0, n)
-    ids = _id_array("agent id", ids, 0, population)
+    us = np.fromiter(_ints("visited vertex", us, 0, n), np.int64, len(us))
+    ids = np.fromiter(_ints("agent id", ids, 0, population), np.int64,
+                      len(ids))
     counts = np.fromiter(map(len, lists), np.int64, len(lists))
     keys = np.repeat(np.arange(len(visits)) * n, list(map(len, visits))) + us
     if (np.diff(keys) <= 0).any():  # out of JSON order: drop repeated keys
@@ -857,13 +839,14 @@ def _positions(visits: list, n: int, population: int):
     return pos, int(repeats[0]) if repeats.size else None
 
 
-def _int_table(pairs, key: str, what: str) -> dict:
+def _int_table(pairs, key: str, what: str, low: int | None = None,
+               high: int | None = None) -> dict:
     """A JSON list of [vertex, [values]] pairs as a dict of lists, whose
     vertices (named ``key`` in errors) and values (``what``) must be JSON
-    integers."""
+    integers in [low, high), as :func:`_ints` checks them."""
     table = {u: list(values) for u, values in pairs}
-    _ints(key, table)
-    _ints(what, itertools.chain.from_iterable(table.values()))
+    _ints(key, table, low, high)
+    _ints(what, itertools.chain.from_iterable(table.values()), low, high)
     return table
 
 
@@ -894,16 +877,16 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
         _ints("edge endpoint", itertools.chain.from_iterable(edges))
         graph = Graph.from_edges(n, edges, obj["graph"].get("family"))
         rounds = _json("visitx.rounds", obj["visitx"]["rounds"])
-        _check_ids("walk round count", [rounds], 0)
+        _ints("walk round count", [rounds], 0)
         agent_count = _json("agent_count", obj["agent_count"])
-        _check_ids("agent count", [agent_count], 0)
+        _ints("agent count", [agent_count], 0)
         additions = [(r, u, g) for r, u, g in obj.get("additions", [])]
         _ints("addition", itertools.chain.from_iterable(additions))
         population = agent_count + len(additions)
         add_rounds, add_vertices, added = list(zip(*additions)) or [()] * 3
-        _check_ids("addition round", add_rounds, 0, rounds + 1)
-        _check_ids("addition vertex", add_vertices, 0, n)
-        _check_ids("added agent id", added, agent_count, population)
+        _ints("addition round", add_rounds, 0, rounds + 1)
+        _ints("addition vertex", add_vertices, 0, n)
+        _ints("added agent id", added, agent_count, population)
         counts = collections.Counter(added)
         if len(counts) < len(added):
             g = next(g for g in added if counts[g] > 1)
@@ -918,7 +901,7 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
                 f"{rounds} walk rounds")
         positions, repeat_round = _positions(visits, n, population)
         t_visit = _vector("visitx.t", obj["visitx"]["t"], n)
-        _check_ids("informing round", t_visit.tolist(), -1, rounds + 1)
+        _ints("informing round", t_visit.tolist(), -1, rounds + 1)
         tr = CouplingTranscript(
             graph=graph, source=_json("source", obj["source"]),
             mode=obj["mode"], seed=_json("seed", obj["seed"]),
@@ -940,13 +923,10 @@ def transcript_from_json(obj: dict) -> CouplingTranscript:
             repeat_round=repeat_round)
         _ints("walk_consumed vertex", tr.walk_consumed)
         _ints("walk_consumed count", tr.walk_consumed.values())
-        _check_ids("source", [tr.source], 0, n)
+        _ints("source", [tr.source], 0, n)
         if "s_sets" in obj:
             tr.s_sets = _int_table(obj["s_sets"], "S-set vertex",
-                                   "S-set member")
-            _check_ids("S-set vertex", tr.s_sets, 0, n)
-            _check_ids("S-set member", list(itertools.chain.from_iterable(
-                tr.s_sets.values())), 0, n)
+                                   "S-set member", 0, n)
         if "c_table" in obj:
             _ints("c_table cell", itertools.chain.from_iterable(
                 obj["c_table"]))

@@ -113,10 +113,11 @@ class ExperimentConfig:
             raise ConfigError("sweep must list at least one size", "sweep")
         if any(int(s) < 1 for s in self.sweep):
             raise ConfigError("sweep sizes must be positive", "sweep")
-        try:
-            check_seed(self.seed)
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc), "seed") from None
+        for key, check in (("seed", check_seed), ("source", _check_source)):
+            try:
+                check(getattr(self, key))
+            except InvalidParameterError as exc:
+                raise ConfigError(str(exc), key) from None
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}",
                               "trials")
@@ -137,9 +138,6 @@ class ExperimentConfig:
         if self.bootstrap < 1:
             raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}",
                               "bootstrap")
-        if not (self.source in SOURCE_RULES or _is_int(self.source)):
-            raise ConfigError(f"source must be an id or one of {SOURCE_RULES}, "
-                              f"got {self.source!r}", "source")
         if "t-visit-exchange" in self.protocols and self.gamma is None:
             raise ConfigError("t-visit-exchange requires gamma")
         if self.family in ("regular", "clique-path") and self.d is None:
@@ -155,6 +153,14 @@ def _is_int(s: str) -> bool:
         return True
     except (TypeError, ValueError):
         return False
+
+
+def _check_source(rule: str) -> str:
+    """``rule``, if it names a source: one of SOURCE_RULES or a vertex id."""
+    if rule in SOURCE_RULES or _is_int(rule):
+        return rule
+    raise InvalidParameterError(
+        f"source must be an id or one of {SOURCE_RULES}, got {rule!r}")
 
 
 def _is_degree_spec(d_spec) -> bool:
@@ -202,7 +208,7 @@ def resolve_source(rule: str, graph: Graph, gen: np.random.Generator) -> int:
         return graph.n - 1
     if rule == "uniform":
         return int(gen.integers(0, graph.n))
-    v = int(rule)
+    v = int(_check_source(rule))
     if not (0 <= v < graph.n):
         raise InvalidParameterError(f"source {v} out of range for n={graph.n}")
     return v
@@ -748,7 +754,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def parse_config_file(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)
 

@@ -481,7 +481,7 @@ def load_edge_list(path) -> Graph:
     """
     try:
         text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines:

@@ -468,17 +468,16 @@ class _Meet:
         return BroadcastResult(bt, "all-agents", t, trace)
 
 
-def _recorder(pos: np.ndarray, on: bool):
-    """``(positions, after)``: a list holding the positions at the end of
-    every round, and the policy that appends to it; ``(None, None)`` when
-    off."""
-    if not on:
-        return None, None
-    positions = [pos.copy()]
+def _recorder(pos: np.ndarray, policy=None):
+    """``(positions, after)``: a list of the positions at the end of every
+    round so far, from ``pos``, and the population policy ``after(t, pos)``
+    that applies ``policy``, if any, and appends its result.  No round
+    changes a position array once it is made, so none is copied."""
+    positions = [pos]
 
-    def after(_t: int, pos: np.ndarray) -> np.ndarray:
-        positions.append(pos.copy())
-        return pos
+    def after(t: int, pos: np.ndarray) -> np.ndarray:
+        positions.append(pos if policy is None else policy(t, pos))
+        return positions[-1]
 
     return positions, after
 
@@ -495,7 +494,7 @@ def run_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     """
     source, cap, pos, step = _start(graph, source, config, rng, round_cap)
     visit = _Visit(graph.n, source, pos)
-    positions, after = _recorder(pos, record_positions)
+    positions, after = _recorder(pos) if record_positions else (None, None)
     t = _walk(pos, step, [visit], cap, min_rounds, after)
     return visit.result(t, positions)
 
@@ -511,7 +510,7 @@ def run_meet_exchange(graph: Graph, source: int, config: AgentConfig,
     """
     source, cap, pos, step = _start(graph, source, config, rng, round_cap)
     meet = _Meet(graph.n, source, pos)
-    positions, after = _recorder(pos, record_positions)
+    positions, after = _recorder(pos) if record_positions else (None, None)
     t = _walk(pos, step, [meet], cap, 0, after)
     return meet.result(t, positions)
 

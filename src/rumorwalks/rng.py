@@ -37,6 +37,11 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _int_part(p: int) -> bytes:
+    """An int seed part's bytes: ``i``, then 16 signed little-endian ones."""
+    return b"i" + check_seed(p).to_bytes(16, "little", signed=True)
+
+
 def _hasher(*parts):
     """SHA-256 of a sequence of ints and string labels."""
     h = hashlib.sha256()
@@ -44,8 +49,7 @@ def _hasher(*parts):
         if isinstance(p, (bool, np.bool_)):
             raise TypeError("booleans are ambiguous seed parts; use strings")
         if isinstance(p, (int, np.integer)):
-            h.update(b"i")
-            h.update(check_seed(int(p)).to_bytes(16, "little", signed=True))
+            h.update(_int_part(int(p)))
         elif isinstance(p, str):
             h.update(b"s")
             h.update(p.encode("utf-8"))
@@ -273,7 +277,7 @@ class ChoiceOracle:
             digests = []
             for u in draws.tolist():  # derive_seed(seed, "vertex", u)
                 h = prefix.copy()
-                h.update(b"i" + u.to_bytes(16, "little", signed=True))
+                h.update(_int_part(u))
                 digests.append(h.digest()[:8])
             self._seeds[draws] = np.frombuffer(b"".join(digests), dtype="<u8")
             vals = _first_blocks(self._seeds[draws], deg[draws], self._BLOCK)

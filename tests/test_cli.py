@@ -215,6 +215,27 @@ class TestRun:
         assert len(err.strip().splitlines()) == 1
         assert "1 edges cannot connect 10000000000 vertices" in err
 
+    def test_non_ascii_graph_file_exit_one(self, tmp_path, capsys):
+        el = tmp_path / "g.el"
+        el.write_bytes("2 1\n0 1 \u00e9\n".encode("utf-8"))
+        code, payload, err = run_cli(capsys, "run", "--graph", str(el),
+                                     "--protocol", "push", "--seed", "1")
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"cannot read {el}: 'ascii' codec can't decode" in err
+
+    @pytest.mark.parametrize("command", ["run", "couple"])
+    @pytest.mark.parametrize("source", ["abc", "1.5"])
+    def test_bad_source_exit_one(self, tmp_path, capsys, command, source):
+        extra = (["--protocol", "push"] if command == "run"
+                 else ["--out", str(tmp_path / "t.json")])
+        code, payload, err = run_cli(capsys, command, "--family", "star",
+                                     "--size", "8", "--source", source,
+                                     "--seed", "1", *extra)
+        assert code == 1 and payload is None
+        assert err == ("ERROR source must be an id or one of ('center', "
+                       f"'leaf', 'uniform'), got '{source}'\n")
+
     def test_graph_file_input(self, tmp_path, capsys):
         el = tmp_path / "g.el"
         rw.save_edge_list(rw.generate_cycle(5), el)
@@ -290,6 +311,15 @@ seed = 11
                              "--csv", str(csv_path), "--seed", "123")
         assert code == 0
         assert csv_path.read_text().splitlines()[1].endswith(",123")
+
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(self.CFG.replace("seed = 11", "seed = \xff").encode(
+            "latin-1"))
+        code, payload, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert f"cannot read {cfg}: 'utf-8' codec can't decode" in err
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
