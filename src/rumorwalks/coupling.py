@@ -15,9 +15,9 @@ A canonical walk starts at the source and, each round, either stays put or
 follows one of the agents leaving its current vertex; its congestion is the
 sum over rounds of the number of agents sharing its position.
 
-Both processes read the oracle in bulk through :meth:`ChoiceOracle.take`:
-each round the walk ranks the informed agents within their vertex in agent
-order, and push samples from every informed vertex at once.  The oracle
+Both processes read the oracle in bulk and unchecked, their queries being in
+range by construction: each round the walk ranks the informed agents within
+their vertex in agent order, and push samples every informed vertex.  The oracle
 draws each vertex's entries ahead in blocks from the vertex's own stream,
 which yields exactly the entries of one-at-a-time draws, so a transcript is
 the same bytes either way; its ``choices`` list, per vertex, exactly the
@@ -156,8 +156,9 @@ def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         if informed.any():
             us = pos[informed]
             rank, counts = _ranks(us, n)
-            new_pos[informed] = oracle.take(us, consumed[us] + rank + 1)
+            first = consumed[us] + 1
             consumed[:] += counts
+            new_pos[informed] = oracle._entries(us, first + rank, consumed[us])
         free = ~informed
         if free.any():
             new_pos[free] = step(pos[free], t)
@@ -174,8 +175,8 @@ def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         positions[r, :row.shape[0]] = row
 
     # push replays the same oracle, regardless of what the walk consumed
-    tau, push_rounds, push_complete = _push_replay(n, source, oracle.take,
-                                                   cap)
+    tau, push_rounds, push_complete = _push_replay(
+        n, source, lambda us, idx: oracle._entries(us, idx, idx), cap)
     choices = oracle.materialized_lists()
     tr = CouplingTranscript(
         graph=graph, source=source, mode=mode, seed=rng.seed,

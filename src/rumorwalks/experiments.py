@@ -15,6 +15,7 @@ same loop and pool.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -147,12 +148,13 @@ class ExperimentConfig:
                               f"got {self.d!r}", "d")
 
 
-def _is_int(s: str) -> bool:
+def _is_int(s) -> bool:
+    """Whether ``s`` is an int but not a bool, or a decimal integer string."""
     try:
-        int(s)
-        return True
+        int(s) if isinstance(s, str) else operator.index(s)
     except (TypeError, ValueError):
         return False
+    return not isinstance(s, bool)
 
 
 def _check_source(rule: str) -> str:

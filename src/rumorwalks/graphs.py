@@ -190,10 +190,23 @@ class Graph:
         return not _min_labels(np.where(seen, 0, np.arange(n)), src, dst).any()
 
     def is_bipartite(self) -> bool:
-        """Whether the component of vertex 0 has no odd cycle: whether the
-        two copies of vertex 0 (0 and n) lie apart in the bipartite double
-        cover, where each edge {u, v} joins u to v + n and u + n to v."""
-        n = self.n
+        """Whether the component of vertex 0 has no odd cycle: no edge inside
+        a breadth-first level, over up to ``_SEARCH_LEVELS`` levels; deeper,
+        whether 0 and n lie apart in the bipartite double cover, where each
+        edge {u, v} joins u to v + n and u + n to v."""
+        n, indptr, indices, degrees = self.n, self.indptr, self.indices, self.degrees
+        level = np.full(n, -1, dtype=np.int64)
+        level[0] = 0
+        frontier = np.zeros(1, dtype=np.int64)
+        for depth in range(_SEARCH_LEVELS):
+            if frontier.shape[0] == 0:
+                return True
+            reached = indices[_row_entries(indptr, degrees, frontier)[0]]
+            seen = level[reached]
+            if (seen == depth).any():
+                return False
+            level[reached[seen == -1]] = depth + 1
+            frontier = np.flatnonzero(level == depth + 1)
         src, dst = self.edges().T
         cover = _min_labels(np.arange(2 * n), np.concatenate([src, src + n]),
                             np.concatenate([dst + n, dst]))

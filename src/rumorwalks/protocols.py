@@ -168,13 +168,13 @@ def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
     degrees, which may be None on a regular graph.  numpy draws a bounded
     integer by Lemire's method, which consumes nothing for a range of zero,
     so degree-1 rows take their lone neighbor and draw nothing.  Where the
-    drawing rows share one degree, numpy fills that scalar bound, with
-    ``size=k`` or as one scalar, from the same draws as k equal array
-    bounds, at a fraction of the per-call cost.  Where they have more than
-    one, ``gen`` is the stream's :class:`~rumorwalks.rng.Draws` reader
-    (:func:`_neighbor_stream`), and ``gen.integers(degs)`` draws what
+    drawing rows share one degree, numpy fills that scalar bound, a Python
+    int, with ``size=k`` or as one scalar, from the same draws as k equal
+    array bounds, at a fraction of the per-call cost.  Where they have more
+    than one, ``gen`` is the stream's :class:`~rumorwalks.rng.Draws` reader
+    (:func:`_neighbor_stream`), and ``gen.integers(degs, top)`` draws what
     numpy's ``integers(0, degs)`` would, value for value, from raw words
-    read ahead.
+    read ahead, ``top`` being the graph's largest degree.
     """
     indices = graph.indices
     values = graph.distinct_degrees  # the degrees a drawing row can have
@@ -190,9 +190,9 @@ def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
         if multi.shape[0] < k:
             drawing, k, degs = multi, multi.shape[0], degs[multi]
     if values.shape[0] == 1:
-        draws = gen.integers(0, values[0], size=None if k == 1 else k)
+        draws = gen.integers(0, int(values[0]), size=None if k == 1 else k)
     else:
-        draws = gen.integers(degs)
+        draws = gen.integers(degs, values[-1])
     if drawing is None:
         return indices[starts + draws]
     at = starts.copy()
@@ -360,8 +360,9 @@ def _walk(pos: np.ndarray, step, layers: list, cap: int, min_rounds: int = 0,
     policy ``after(t, pos)``, which returns the (possibly grown) positions.
     """
     t = 0
-    while (t < min_rounds or not all(layer.done for layer in layers)) \
-            and t < cap:
+    first, *rest = layers  # the others are asked only once the first is done
+    while (t < min_rounds or not (first.done and all(
+            layer.done for layer in rest))) and t < cap:
         t += 1
         pos = step(pos, t)
         for layer in layers:
@@ -373,19 +374,20 @@ def _walk(pos: np.ndarray, step, layers: list, cap: int, min_rounds: int = 0,
 
 class _Visit:
     """The informing rule of :func:`run_visit_exchange`; agents masked out
-    by ``alive`` neither inform nor get informed.  Once every agent is
-    informed, a round without ``alive`` takes every position as a carrier
-    and skips the agent pass."""
+    by ``alive`` neither inform nor get informed.  ``open`` marks the
+    vertices and ``waiting`` counts the agents not yet informed; at 0, a
+    round without ``alive`` takes every position as a carrier and skips the
+    agent pass."""
 
     def __init__(self, n: int, source: int, pos: np.ndarray,
                  alive: np.ndarray | None = None):
         self.v_inf = np.full(n, -1, dtype=np.int64)
         self.v_inf[source] = 0
+        self.open = self.v_inf == -1
         self.a_inf = np.full(pos.shape[0], -1, dtype=np.int64)
         self.a_inf[pos == source] = 0
         self.alive = alive
         self.uninformed = n - 1
-        # agents not yet informed; at 0, update skips the agent pass
         self.waiting = int(np.count_nonzero(self.a_inf == -1))
 
     @property
@@ -393,24 +395,29 @@ class _Visit:
         return self.uninformed == 0
 
     def update(self, pos: np.ndarray, t: int) -> None:
-        v_inf, a_inf, alive = self.v_inf, self.a_inf, self.alive
+        is_open, a_inf, alive = self.open, self.a_inf, self.alive
         if self.waiting or alive is not None:
-            carriers = a_inf != -1  # informed before this round
+            on_open = is_open[pos]
+            idle = a_inf == -1  # not informed before this round
+            carrying = np.greater(on_open, idle)
             if alive is not None:
-                carriers &= alive
-            landed = pos[carriers]
+                carrying &= alive
+            fresh_v = pos[carrying]
         else:
-            landed = pos
-        fresh_v = _distinct(landed[v_inf[landed] == -1])
-        if fresh_v.size:
-            v_inf[fresh_v] = t
-            self.uninformed -= fresh_v.size
+            fresh_v = pos[is_open[pos]]
+        if fresh_v.shape[0]:
+            fresh_v = _distinct(fresh_v)
+            self.v_inf[fresh_v] = t
+            is_open[fresh_v] = False
+            self.uninformed -= fresh_v.shape[0]
+            if self.waiting:
+                on_open = is_open[pos]
         if self.waiting:
-            newly_a = (a_inf == -1) & (v_inf[pos] != -1)
+            newly = np.greater(idle, on_open)
             if alive is not None:
-                newly_a &= alive
-            a_inf[newly_a] = t
-            self.waiting -= int(np.count_nonzero(newly_a))
+                newly &= alive
+            a_inf[newly] = t
+            self.waiting -= int(np.count_nonzero(newly))
 
     def add(self, ws: np.ndarray, t: int) -> None:
         """New agents on the vertices ``ws`` after round t, each informed
@@ -448,15 +455,14 @@ class _Meet:
         prev = self.a_inf != -1
         occupied = np.zeros(self.n, dtype=bool)
         occupied[pos[prev]] = True
-        newly = ~prev & occupied[pos]
-        if self.trigger is None:
-            at_source = pos == self.source
-            if at_source.any():
-                newly |= ~prev & at_source
-                self.trigger = t
-        if newly.any():
+        if self.trigger is None and (pos == self.source).any():
+            occupied[self.source] = True  # the source informs its visitors
+            self.trigger = t
+        newly = occupied[pos] > prev  # occupied, and not informed before
+        count = np.count_nonzero(newly)
+        if count:
             self.a_inf[newly] = t
-            self.uninformed -= int(newly.sum())
+            self.uninformed -= count
 
     def result(self, t: int, positions: list | None = None) -> BroadcastResult:
         marker = np.full(self.n, -1, dtype=np.int64)

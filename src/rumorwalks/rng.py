@@ -300,13 +300,22 @@ class ChoiceOracle:
         if low.any():
             raise InvalidParameterError(
                 f"choice index is 1-based, got {idx[low][0]}")
+        np.maximum.at(self._requested, us, idx)
+        return self._entries(us, idx)
+
+    def _entries(self, us: np.ndarray, idx: np.ndarray,
+                 high: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`take` for int64 queries in range by construction, unchecked;
+        ``high[j]``, if given, is the highest index the call asks of ``us[j]``,
+        recorded by plain assignment (a repeated vertex writes one value)."""
         short = idx > self._drawn[us]
         if short.any():
             need = np.zeros(self.graph.n, dtype=np.int64)
             np.maximum.at(need, us[short], idx[short])
             for u in np.flatnonzero(need).tolist():
                 self._refill(u, int(need[u]))
-        np.maximum.at(self._requested, us, idx)
+        if high is not None:
+            self._requested[us] = np.maximum(self._requested[us], high)
         return self._buf[self._row[us] + (idx - 1) * self._stride[us]]
 
     def _refill(self, u: int, need: int) -> None:
@@ -365,42 +374,41 @@ class Draws:
         self._pos = 0  # the next half to use, in _halves
         self._block = self._FIRST
 
-    def _read(self, need: int) -> None:
-        """Make at least ``need`` halves available from ``_pos`` on."""
-        words = max(self._block, need // 2 + 1)
-        self._block = min(2 * self._block, self._LAST)
-        raw = self._bitgen.random_raw(words)  # each word: low half first
-        fresh = raw.astype("<u8", copy=False).view("<u4")
-        self._halves = np.concatenate([self._halves[self._pos:], fresh])
-        self._pos = 0
+    def _ahead(self, need: int) -> np.ndarray:
+        """The next ``need`` unused halves, reading words when fewer are left."""
+        if self._halves.shape[0] - self._pos < need:
+            words = max(self._block, need // 2 + 1)
+            self._block = min(2 * self._block, self._LAST)
+            raw = self._bitgen.random_raw(words)  # each word: low half first
+            fresh = raw.astype("<u8", copy=False).view("<u4")
+            self._halves = np.concatenate([self._halves[self._pos:], fresh])
+            self._pos = 0
+        return self._halves[self._pos:self._pos + need]
 
-    def integers(self, bounds) -> np.ndarray:
-        """``integers(0, bounds)`` for int bounds in [2, 2**32]."""
+    def integers(self, bounds, top: int = 2 ** 32) -> np.ndarray:
+        """``integers(0, bounds)`` for int bounds in [2, ``top``], ``top`` at
+        most 2**32.  The threshold ``(2**32 - d) % d`` is below d, so no half
+        is rejected where every low half of ``h * d`` is at least ``top``:
+        one reduction, cast to uint32 (the low halves), checks that; only a
+        call that fails it looks for the rejected halves."""
         d = np.asarray(bounds, dtype=np.int64).view(np.uint64)
-        k, done, out = d.shape[0], 0, None
-        while True:  # one pass per rejected half
-            rest = d[done:]
-            if self._halves.shape[0] - self._pos < rest.shape[0]:
-                self._read(rest.shape[0])
-            p = self._pos
-            m = self._halves[p:p + rest.shape[0]] * rest
-            low = m & _M32
-            kept = rest.shape[0]
-            if (low < rest).any():  # the rejection threshold is below d
-                s = np.flatnonzero(low < rest)
-                bad = s[low[s] < (_TWO32 - rest[s]) % rest[s]]
-                kept = int(bad[0]) if bad.size else kept
+        m = self._ahead(d.shape[0]) * d
+        if d.shape[0] and np.minimum.reduce(m, dtype=np.uint32) >= top:
+            self._pos += d.shape[0]
             m >>= _S32
-            if out is None and kept == k:
-                self._pos = p + k
-                return m.view(np.int64)
-            if out is None:
-                out = np.empty(k, dtype=np.int64)
-            out[done:done + kept] = m[:kept]
+            return m.view(np.int64)
+        out, done = np.empty(d.shape[0], dtype=np.int64), 0
+        while done < d.shape[0]:  # one pass per rejected half
+            rest = d[done:]
+            m = self._ahead(rest.shape[0]) * rest
+            low = m & _M32
+            s = np.flatnonzero(low < rest)  # the rejection threshold is below d
+            bad = s[low[s] < (_TWO32 - rest[s]) % rest[s]]
+            kept = int(bad[0]) if bad.size else rest.shape[0]
+            out[done:done + kept] = m[:kept] >> _S32
             done += kept
-            self._pos = p + kept + (done < k)  # skip the rejected half
-            if done == k:
-                return out
+            self._pos += kept + (done < d.shape[0])  # skip the rejected half
+        return out
 
 
 def bounded_ahead(gen: np.random.Generator, bound: int, count: int):

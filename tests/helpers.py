@@ -341,6 +341,10 @@ class ReferenceOracle:
         np.maximum.at(self._requested, us, idx)
         return np.array(out, dtype=np.int64)
 
+    def _entries(self, us, idx, high=None) -> np.ndarray:
+        """The coupled run's lookup: ``take``, checks and all."""
+        return self.take(us, idx)
+
     def _refill(self, u: int, row: list, size: int) -> None:
         nbrs = self.graph.neighbors(u)
         if nbrs.shape[0] == 1:

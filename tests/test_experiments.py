@@ -249,6 +249,30 @@ class TestBuildGraph:
         with pytest.raises(rw.InvalidParameterError):
             rw.resolve_source("9", g, gen)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0), True,
+                                       False, np.True_, "1.5"])
+    def test_sources_and_degrees_are_never_truncated(self, value):
+        # a library caller's float or bool is refused, not read as int()
+        g = rw.generate_star(5)
+        with pytest.raises(rw.InvalidParameterError, match="^source must"):
+            rw.resolve_source(value, g, None)
+        with pytest.raises(rw.InvalidParameterError, match="^d must"):
+            experiments._resolve_d(value, 64)
+        with pytest.raises(ConfigError, match="^source must") as err:
+            small_config(source=value)
+        assert err.value.key == "source"
+        with pytest.raises(ConfigError, match="^d must") as err:
+            small_config(family="regular", d=value)
+        assert err.value.key == "d"
+
+    def test_integer_sources_and_degrees(self):
+        g = rw.generate_star(5)
+        for value in (3, np.int64(3), "3"):
+            assert rw.resolve_source(value, g, None) == 3
+            assert experiments._resolve_d(value, 64) == 3
+            assert small_config(family="regular", d=value, source=value
+                                ).source == value
+
 
 class TestRunTrials:
     def test_single_trial_stats_collapse(self):

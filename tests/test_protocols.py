@@ -339,6 +339,44 @@ class TestAgainstPerRoundReferences:
                 want_rng.stream(label).bit_generator.state, label
         assert_same_place(g, got_rng, want_rng, "walks")
 
+    @pytest.mark.parametrize("name", ["heavy-tree", "siamese",
+                                      "cycle-stars-cliques"])
+    def test_exact_loop_every_round(self, monkeypatch, name):
+        # a top degree of 2**32 fails the one-pass check of every round, so
+        # every round is drawn again by the exact loop, which reads its
+        # halves once more (a second _ahead call) and finds no rejection
+        g = {"heavy-tree": lambda: self.graph("heavy-tree"),
+             "siamese": lambda: rw.generate_siamese_trees(511),
+             "cycle-stars-cliques": lambda: rw.generate_cycle_stars_cliques(8),
+             }[name]()
+        exact, ahead = Draws.integers, Draws._ahead
+        calls = {"integers": 0, "ahead": 0}
+
+        def forced(reader, bounds, top):
+            assert top == g.distinct_degrees[-1]
+            calls["integers"] += 1
+            return exact(reader, bounds, 2 ** 32)
+
+        def counted(reader, need):
+            calls["ahead"] += 1
+            return ahead(reader, need)
+
+        monkeypatch.setattr(Draws, "integers", forced)
+        monkeypatch.setattr(Draws, "_ahead", counted)
+        for seed in range(2):
+            want_rng, got_rng = SimRng(seed), SimRng(seed)
+            v_want, a_want, rounds = visit_exchange_per_round(
+                g, 0, g.n, want_rng)
+            got = rw.run_visit_exchange(g, 0, AgentConfig(g.n), got_rng)
+            assert got.rounds == rounds
+            assert np.array_equal(got.trace.vertex_informed_at, v_want)
+            assert np.array_equal(got.trace.agent_informed_at, a_want)
+            want, rounds = push_per_round(g, 0, SimRng(seed))
+            got = rw.run_push(g, 0, SimRng(seed))
+            assert got.rounds == rounds
+            assert np.array_equal(got.trace.vertex_informed_at, want)
+        assert calls["ahead"] >= 2 * calls["integers"] > 0
+
 
 class TestPushPull:
     @pytest.mark.parametrize("seed", range(5))

@@ -238,6 +238,21 @@ class TestChoiceOracleContract:
             oracle.take([0, 1], [1, 0])
         assert oracle.materialized_lists() == {}
 
+    def test_unchecked_entries_record_like_take(self):
+        # the coupled walk's pattern: a vertex listed once per departing
+        # agent, each call's highest index per vertex given as high; a
+        # row grows past its first block (32 entries) on the way
+        g = rw.generate_heavy_binary_tree(15)
+        a, b = ChoiceOracle(g, seed=5), ChoiceOracle(g, seed=5)
+        for us, idx, high in [([3, 1, 3, 3, 7], [1, 1, 2, 3, 50],
+                               [3, 1, 3, 3, 50]),
+                              ([7, 3], [51, 4], [51, 4]),
+                              ([3, 3], [5, 6], [6, 6])]:
+            us, idx = np.array(us), np.array(idx)
+            assert a._entries(us, idx, np.array(high)).tolist() == \
+                b.take(us, idx).tolist()
+            assert a.materialized_lists() == b.materialized_lists()
+
 
 class TestStationarySampling:
     def test_k2_half(self):
@@ -382,9 +397,45 @@ def _pcg(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+# bounds of every size, and many near 2**31 and 2**32, where a round's
+# least low half is seldom at least its top bound
+NEAR_BOUNDS = st.one_of(st.integers(2, 2 ** 32),
+                        st.integers(2 ** 31 - 2 ** 4, 2 ** 31 + 2 ** 12),
+                        st.integers(2 ** 32 - 2 ** 12, 2 ** 32))
+
+
 class TestDraws:
     """The mixed-degree reader against numpy's ``integers(0, bounds)`` on a
     generator of the same seed, value for value over consecutive calls."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           calls=st.lists(st.tuples(
+               st.lists(NEAR_BOUNDS, min_size=1, max_size=40),
+               st.integers(0, 2 ** 12)), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_top_bound_matches_numpy(self, seed, calls):
+        # each call's top bound is its largest bound plus some slack, at
+        # most 2**32: bounds near 2**31 and 2**32 seldom pass the one-pass
+        # check, and the exact loop draws them
+        draws, ref = Draws(seed), _pcg(seed)
+        for bounds, slack in calls:
+            top = min(max(bounds) + slack, 2 ** 32)
+            got = draws.integers(bounds, top)
+            assert got.dtype == np.int64
+            assert got.tolist() == ref.integers(0, bounds).tolist()
+        assert draws.integers([3, 2 ** 31 + 1]).tolist() == \
+            ref.integers(0, [3, 2 ** 31 + 1]).tolist()
+
+    def test_one_pass_and_exact_loop(self):
+        # small degrees pass the one-pass check on nearly every call, and a
+        # top of 2**32 fails it on every call; both read numpy's values
+        g = rw.generate_heavy_binary_tree(63)
+        rows = np.random.default_rng(4).integers(0, g.n, size=(50, 300))
+        for top in (int(g.distinct_degrees[-1]), 2 ** 32):
+            draws, ref = Draws(9), _pcg(9)
+            for r in rows:
+                assert np.array_equal(draws.integers(g.degrees[r], top),
+                                      ref.integers(0, g.degrees[r]))
 
     @given(seed=st.integers(0, 2 ** 64 - 1), calls=CALLS)
     @settings(max_examples=300, deadline=None)
