@@ -807,6 +807,20 @@ def _vector(what: str, values, length: int) -> np.ndarray:
     return arr
 
 
+def _id_array(what: str, values: list, high: int) -> np.ndarray:
+    """``values``, JSON integers in [0, high), as an int64 array.  The range
+    is checked on the array; only a fault runs the Python scan of
+    :func:`_ints`, which names the first value out of range."""
+    values = _ints(what, values)
+    try:
+        arr = np.fromiter(values, np.int64, len(values))
+    except OverflowError:  # beyond int64, so out of range
+        arr = None
+    if arr is None or arr.size and (arr.min() < 0 or arr.max() >= high):
+        _ints(what, values, 0, high)
+    return arr
+
+
 def _positions(visits: list, n: int, population: int):
     """The position matrix of a JSON visits list, whose entries must be
     [vertex, agents] pairs (-1 for an agent no entry lists), and the first
@@ -823,9 +837,8 @@ def _positions(visits: list, n: int, population: int):
         raise TranscriptCorruptError(
             f"{len(ids)} listed agent ids cannot fill {len(visits)} rounds "
             f"of {population} agents")
-    us = np.fromiter(_ints("visited vertex", us, 0, n), np.int64, len(us))
-    ids = np.fromiter(_ints("agent id", ids, 0, population), np.int64,
-                      len(ids))
+    us = _id_array("visited vertex", us, n)
+    ids = _id_array("agent id", ids, population)
     counts = np.fromiter(map(len, lists), np.int64, len(lists))
     keys = np.repeat(np.arange(len(visits)) * n, list(map(len, visits))) + us
     if (np.diff(keys) <= 0).any():  # out of JSON order: drop repeated keys

@@ -432,7 +432,12 @@ def bounded_ahead(gen: np.random.Generator, bound: int, count: int):
 
 def place_stationary(graph: Graph, gen: np.random.Generator,
                      count: int) -> np.ndarray:
-    """i.i.d. stationary positions for ``count`` agents."""
+    """i.i.d. stationary positions for ``count`` agents: each takes a
+    uniform directed-edge slot in [0, 2m) and sits at the slot's vertex,
+    ``slot // d`` on a regular graph of degree d, else the graph's
+    :attr:`~rumorwalks.graphs.Graph.slot_owners` table at the slot.  Both
+    are the ``searchsorted(cumulative_degrees, slot, side="right")`` of
+    the slot, draw for draw."""
     if count < 0:
         raise InvalidParameterError(f"agent count must be >= 0, got {count}")
     if graph.n == 1:
@@ -440,4 +445,4 @@ def place_stationary(graph: Graph, gen: np.random.Generator,
     draws = gen.integers(0, 2 * graph.m, size=count)
     if graph.is_regular:  # the cumulative degrees are d, 2d, ...
         return draws // graph.degrees[0]
-    return np.searchsorted(graph.cumulative_degrees, draws, side="right")
+    return graph.slot_owners[draws]

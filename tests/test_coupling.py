@@ -504,12 +504,23 @@ class TestTranscriptRanges:
         with pytest.raises(TranscriptCorruptError):
             rw.transcript_from_json([1, 2, 3])
 
-    @pytest.mark.parametrize("value", [64, 2 ** 70])
+    @pytest.mark.parametrize("value", [64, 2 ** 70, -2 ** 70])
     def test_agent_id_bounded_by_population(self, value):
         obj = _regular64_json()
         obj["visits"][2][0][1][0] = value
         with pytest.raises(TranscriptCorruptError,
                            match=rf"^agent id {value} is not \[0, 64\)$"):
+            rw.transcript_from_json(obj)
+
+    @pytest.mark.parametrize("value", [64, -1, 2 ** 63, 2 ** 70, -2 ** 70])
+    def test_visited_vertex_bounded_by_n(self, value):
+        # the ids are range-checked on their int64 array; one beyond int64
+        # is named like any other
+        obj = _regular64_json()
+        obj["visits"][1][0][0] = value
+        obj["visits"][2][0][1][0] = -1  # only the vertex is named
+        with pytest.raises(TranscriptCorruptError,
+                           match=rf"^visited vertex {value} is not \[0, 64\)$"):
             rw.transcript_from_json(obj)
 
     @pytest.mark.parametrize("value", ["3", -0.5, None, [3]])

@@ -648,6 +648,16 @@ class TestConnectivity:
         assert time.perf_counter() - t0 < 1.0
 
 
+def _chain(k):
+    """Edges of the path 0, 1, ..., k."""
+    return [(i, i + 1) for i in range(k)]
+
+
+def _ring(n):
+    """Edges of the cycle 0, 1, ..., n - 1."""
+    return _chain(n - 1) + [(n - 1, 0)]
+
+
 class TestBipartite:
     """``Graph.is_bipartite`` (a level-bounded breadth-first search, then
     vertex 0's copies apart in the bipartite double cover) against a
@@ -658,6 +668,29 @@ class TestBipartite:
     def test_matches_bfs(self, shape):
         g, _ = _undirected(*shape)
         assert g.is_bipartite() is reference_is_bipartite(g)
+
+    # around and beyond the search's last level: a graph deeper than it is
+    # answered by the double cover, seeded with the levels found
+    DEEP = graphs._SEARCH_LEVELS + 8
+
+    @pytest.mark.parametrize("edges,bipartite", [
+        (_ring(2 * DEEP + 2), True),
+        (_ring(2 * DEEP + 1), False),
+        (_chain(DEEP), True),
+        # an odd cycle hung below a path, at every depth around the last
+        # level of the search
+        *[(_chain(k) + [(k - 1, k + 1), (k, k + 1)], False)
+          for k in range(DEEP - 12, DEEP)],
+        # an even cycle hung there
+        *[(_chain(k) + [(k - 1, k + 1), (k + 1, k + 2), (k + 2, k)], True)
+          for k in range(DEEP - 12, DEEP)],
+    ], ids=["even-cycle", "odd-cycle", "path",
+            *[f"odd-cycle-below-path({k})" for k in range(DEEP - 12, DEEP)],
+            *[f"even-cycle-below-path({k})" for k in range(DEEP - 12, DEEP)]])
+    def test_deeper_than_the_search(self, edges, bipartite):
+        g = Graph.from_edges(1 + max(map(max, edges)), edges)
+        assert g.is_bipartite() is bipartite
+        assert reference_is_bipartite(g) is bipartite
 
     @pytest.mark.parametrize("build,bipartite", [
         (lambda: rw.generate_star(100_000), True),

@@ -282,6 +282,56 @@ class TestRegularPlacement:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
+    def test_builds_no_slot_table(self):
+        g = rw.generate_random_regular(64, 4, seed=1)
+        rw.place_stationary(g, np.random.default_rng(0), 100)
+        assert g._slot_owners is None
+
+
+class TestStationaryPlacement:
+    """On a non-regular graph stationary placement reads the slot table,
+    the vertex of each directed-edge slot; it must equal the
+    ``searchsorted`` on the cumulative degrees, draw for draw."""
+
+    FAMILIES = {
+        "star": lambda: rw.generate_star(999),
+        "double-star": lambda: rw.generate_double_star(1000),
+        "heavy-tree": lambda: rw.generate_heavy_binary_tree(1023),
+        "siamese": lambda: rw.generate_siamese_trees(1023),
+        "cycle-stars-cliques": lambda: rw.generate_cycle_stars_cliques(12),
+        "clique-path": lambda: rw.generate_clique_path(20, 5),
+    }
+
+    @pytest.mark.parametrize("count", [0, 1, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_searchsorted(self, family, seed, count):
+        g = self.FAMILIES[family]()
+        assert not g.is_regular
+        got = rw.place_stationary(g, np.random.default_rng(seed), count)
+        draws = np.random.default_rng(seed).integers(0, 2 * g.m, size=count)
+        want = np.searchsorted(g.cumulative_degrees, draws, side="right")
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_table_built_once_and_read_only(self):
+        g = rw.generate_heavy_binary_tree(63)
+        assert g._slot_owners is None  # not built with the graph
+        rw.place_stationary(g, np.random.default_rng(0), 10)
+        table = g._slot_owners
+        assert table.shape == (2 * g.m,) and table.dtype == np.int64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+        rw.place_stationary(g, np.random.default_rng(1), 10)
+        assert g._slot_owners is table
+
+    def test_single_vertex(self):
+        g = Graph.from_edges(1, [])
+        got = rw.place_stationary(g, np.random.default_rng(0), 7)
+        assert got.dtype == np.int64 and not got.any() and got.shape == (7,)
+        assert g._slot_owners is None
+
 
 class TestAgainstPerRoundReferences:
     """Push, push-pull and visit-exchange against per-round loops that keep
