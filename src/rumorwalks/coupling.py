@@ -34,7 +34,9 @@ in one pass over the cumulative occupancy table.  The JSON text is one
 :func:`json.dumps` of the document, into which one byte writer,
 :func:`_int_text`, splices each large integer table (edges, visits,
 choices, S-sets, C-table) written straight from arrays, with no Python
-list per row or (round, vertex) cell.
+list per row or (round, vertex) cell.  One keyed-table writer,
+:func:`_keyed_text`, lays out every ``[[key,[values]],...]`` table for it:
+choices, S-sets and each round of visits.
 """
 from __future__ import annotations
 
@@ -699,24 +701,44 @@ def _keyed_json(table: dict):
     keys = sorted(table)
     rows = [table[u] for u in keys]
     total = sum(map(len, rows))
-    values = flat_keys = None
     if rows and total + len(rows) >= _SMALL_TABLE:
         values = _natural(itertools.chain.from_iterable(rows), total)
         flat_keys = _natural(keys, len(keys))
-    if values is None or flat_keys is None:
-        return [[u, list(vs)] for u, vs in zip(keys, rows)]
-    # items: each key, then its row's values
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+        if values is not None and flat_keys is not None:
+            lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+            return _keyed_text(np.zeros_like(lengths), flat_keys, lengths,
+                               values, 1)[1:-1]  # the one table, unlisted
+    return [[u, list(vs)] for u, vs in zip(keys, rows)]
+
+
+def _keyed_text(table: np.ndarray, keys: np.ndarray, lengths: np.ndarray,
+                values: np.ndarray, tables: int) -> str:
+    """The JSON list of ``tables`` keyed tables ``[[key,[values]],...]``
+    (int64, all >= 0): key i, in table ``table[i]`` (ascending), owns the
+    next ``lengths[i]`` of ``values``; a row may be empty, and a table
+    without keys is ``[]``.  The items are each key, then its values."""
     key_at = np.cumsum(lengths + 1) - lengths - 1
-    items = np.empty(total + len(keys), dtype=np.int64)
+    items = np.empty(key_at.shape[0] + values.shape[0], dtype=np.int64)
     listed = np.ones(items.shape[0], dtype=bool)
     listed[key_at] = False
-    items[key_at], items[listed] = flat_keys, values
-    after = lengths[:-1] > 0  # the row before each later key has values
-    return _int_text(items, [("[[", [0]), ("]],[", key_at[1:][after]),
-                             (",[]],[", key_at[1:][~after]),
-                             (",[", key_at[lengths > 0] + 1)],
-                     "]]]" if lengths[-1] else ",[]]]")
+    items[key_at], items[listed] = keys, values
+    full = lengths > 0
+    after = np.concatenate(([True], full[:-1]))  # the row before has values
+    later = table == np.concatenate(([-1], table[:-1]))  # not a table's first
+    marks = {",[": key_at[full] + 1, "]],[": key_at[later & after],
+             ",[]],[": key_at[later & ~after]}
+    # a table's first key, then the end, closes the row and table before it
+    # (or opens the list), then writes the empty tables in between
+    firsts = np.flatnonzero(~later)
+    tops = [-1] + table[firsts].tolist() + [tables]
+    shuts = ["["] + ["]]]," if f else ",[]]],"
+                     for f in after[firsts[1:]].tolist() + [full[-1:].any()]]
+    texts = [shut + "[]," * (now - before - 1)
+             for shut, before, now in zip(shuts, tops, tops[1:])]
+    for at, text in zip(key_at[firsts].tolist(), texts):
+        marks.setdefault(text + "[[", []).append(at)
+    return _int_text(items, list(marks.items()),
+                     texts[-1].removesuffix(",") + "]")
 
 
 def _visits_json(pos: np.ndarray, n: int):
@@ -736,39 +758,19 @@ def _visits_json(pos: np.ndarray, n: int):
 
 
 def _visits_text(pos: np.ndarray, n: int) -> str:
-    """The JSON visits of a position matrix: per round, ``[u,[agents]]`` for
-    each occupied vertex u in ascending order, agents ascending.  One sort
+    """The JSON visits of a position matrix, by :func:`_keyed_text`: per
+    round, its occupied vertices ascending, each with its agents.  One sort
     of the packed keys ``(r * n + u) * population + agent`` orders them all
-    (a matrix that fits in memory keeps them below 2**63).  The items are
-    each occupied cell's vertex followed by its agents."""
+    (a matrix that fits in memory keeps them below 2**63)."""
     population = max(pos.shape[1], 1)
     r, g = np.nonzero(pos != -1)
     keys = np.sort((r * n + pos[r, g]) * population + g)
     cells, ids = np.divmod(keys, population)
-    opens = np.diff(cells, prepend=-1) != 0  # the first agent of its cell
-    agent_at = np.arange(ids.shape[0]) + np.cumsum(opens)
-    vertex_at = agent_at[opens] - 1
-    rounds, vertices = np.divmod(cells[opens], n)
-    values = np.empty(ids.shape[0] + vertex_at.shape[0], dtype=np.int64)
-    values[agent_at], values[vertex_at] = ids, vertices
-
-    # the first vertex of a round closes the last occupied round (or opens
-    # the list), writes the empty rounds in between, then opens its own
-    def bridge(before: int, now: int) -> str:
-        return ("]]]," if before >= 0 else "[") + "[]," * (now - before - 1)
-
-    firsts = np.flatnonzero(np.diff(rounds, prepend=-1))
-    occupied = [-1] + rounds[firsts].tolist()
-    openers: dict = {}  # each opener's items
-    for at, pair in zip(vertex_at[firsts].tolist(),
-                        zip(occupied, occupied[1:])):
-        openers.setdefault(bridge(*pair) + "[[", []).append(at)
-    later = np.ones(vertex_at.shape[0], dtype=bool)
-    later[firsts] = False
-    closer = bridge(occupied[-1], pos.shape[0]).removesuffix(",") + "]"
-    return _int_text(values, [(",[", agent_at[opens]),
-                              ("]],[", vertex_at[later]),
-                              *openers.items()], closer)
+    # each cell's first agent, then the end
+    bounds = np.flatnonzero(np.concatenate((cells[:1] >= 0,
+                                            cells[1:] != cells[:-1], [True])))
+    rounds, vertices = np.divmod(cells[bounds[:-1]], n)
+    return _keyed_text(rounds, vertices, np.diff(bounds), ids, pos.shape[0])
 
 
 def _json(what: str, value, kind: type = int):

@@ -119,9 +119,6 @@ class ExperimentConfig:
                 check(getattr(self, key))
             except InvalidParameterError as exc:
                 raise ConfigError(str(exc), key) from None
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}",
-                              "trials")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}, "
                               f"got {self.placement!r}", "placement")
@@ -131,14 +128,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite, got {value}", key)
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}", "alpha")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}", "jobs")
-        if self.round_cap is not None and self.round_cap < 1:
-            raise ConfigError(f"round_cap must be >= 1, got {self.round_cap}",
-                              "round_cap")
-        if self.bootstrap < 1:
-            raise ConfigError(f"bootstrap must be >= 1, got {self.bootstrap}",
-                              "bootstrap")
+        for key in ("trials", "jobs", "round_cap", "bootstrap"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}", key)
         if "t-visit-exchange" in self.protocols and self.gamma is None:
             raise ConfigError("t-visit-exchange requires gamma")
         if self.family in ("regular", "clique-path") and self.d is None:
@@ -178,26 +171,21 @@ def _resolve_d(d_spec: str | None, size: int) -> int:
     return int(d_spec)
 
 
+_SIZED_FAMILIES = {  # the families built from the size alone
+    "star": generate_star, "double-star": generate_double_star,
+    "heavy-tree": generate_heavy_binary_tree, "siamese": generate_siamese_trees,
+    "cycle-stars-cliques": generate_cycle_stars_cliques,
+    "complete": generate_complete, "cycle": generate_cycle}
+
+
 def build_graph(family: str, size: int, d_spec: str | None, seed: int) -> Graph:
     """Instantiate one graph of the family at the given sweep size."""
-    if family == "star":
-        return generate_star(size)
-    if family == "double-star":
-        return generate_double_star(size)
-    if family == "heavy-tree":
-        return generate_heavy_binary_tree(size)
-    if family == "siamese":
-        return generate_siamese_trees(size)
-    if family == "cycle-stars-cliques":
-        return generate_cycle_stars_cliques(size)
+    if family in _SIZED_FAMILIES:
+        return _SIZED_FAMILIES[family](size)
     if family == "regular":
         return generate_random_regular(size, _resolve_d(d_spec, size), seed)
     if family == "clique-path":
         return generate_clique_path(size, _resolve_d(d_spec, size))
-    if family == "complete":
-        return generate_complete(size)
-    if family == "cycle":
-        return generate_cycle(size)
     raise InvalidParameterError(f"unknown family {family!r}")
 
 

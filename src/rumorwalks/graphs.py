@@ -72,7 +72,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "family_tag", "indptr", "indices", "degrees",
-                 "distinct_degrees", "cumulative_degrees", "_slot_owners")
+                 "distinct_degrees", "_slot_owners")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  family_tag: str | None = None):
@@ -81,12 +81,11 @@ class Graph:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.degrees = np.diff(self.indptr)
         self.distinct_degrees = np.unique(self.degrees)  # ascending
-        self.cumulative_degrees = np.cumsum(self.degrees)  # slot bounds per row
         self.m = int(self.indices.shape[0] // 2)
         self.family_tag = family_tag
         self._slot_owners = None
         for arr in (self.indptr, self.indices, self.degrees,
-                    self.distinct_degrees, self.cumulative_degrees):
+                    self.distinct_degrees):
             arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
@@ -221,14 +220,8 @@ class Graph:
                 return False
             level[reached[seen == -1]] = depth + 1
             frontier = np.flatnonzero(level == depth + 1)
-        # seeded as is_connected seeds its hooking: a vertex at level L joins
-        # 0 in copy L mod 2 and n in the other
-        at = np.flatnonzero(level >= 0)
-        odd = (level[at] & 1) * n
-        label = np.arange(2 * n)
-        label[at + odd], label[at + n - odd] = 0, n
         src, dst = self.edges().T
-        cover = _min_labels(label, np.concatenate([src, src + n]),
+        cover = _min_labels(np.arange(2 * n), np.concatenate([src, src + n]),
                             np.concatenate([dst + n, dst]))
         return bool(cover[0] != cover[n])
 

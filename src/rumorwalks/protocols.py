@@ -675,14 +675,7 @@ def run_shared_visit_meet(graph: Graph, source: int, config: AgentConfig,
 
 def trace_events(trace: ProtocolTrace) -> list:
     """Informing events as (kind, id, round) triples, sorted by round."""
-    events = []
-    if trace.vertex_informed_at is not None:
-        for v, r in enumerate(trace.vertex_informed_at.tolist()):
-            if r >= 0:
-                events.append(("vertex", v, r))
-    if trace.agent_informed_at is not None:
-        for g, r in enumerate(trace.agent_informed_at.tolist()):
-            if r >= 0:
-                events.append(("agent", g, r))
-    events.sort(key=lambda e: (e[2], e[0], e[1]))
-    return events
+    events = [(kind, i, r) for kind, at in (("vertex", trace.vertex_informed_at),
+                                           ("agent", trace.agent_informed_at))
+              if at is not None for i, r in enumerate(at.tolist()) if r >= 0]
+    return sorted(events, key=lambda e: (e[2], e[0], e[1]))

@@ -436,7 +436,7 @@ def place_stationary(graph: Graph, gen: np.random.Generator,
     uniform directed-edge slot in [0, 2m) and sits at the slot's vertex,
     ``slot // d`` on a regular graph of degree d, else the graph's
     :attr:`~rumorwalks.graphs.Graph.slot_owners` table at the slot.  Both
-    are the ``searchsorted(cumulative_degrees, slot, side="right")`` of
+    are the ``searchsorted(cumsum(degrees), slot, side="right")`` of
     the slot, draw for draw."""
     if count < 0:
         raise InvalidParameterError(f"agent count must be >= 0, got {count}")

@@ -169,7 +169,7 @@ def visit_exchange_per_round(graph, source: int, count: int, rng,
     n = graph.n
     cap = rw.default_round_cap(n) if round_cap is None else int(round_cap)
     draws = rng.stream("placement").integers(0, 2 * graph.m, size=count)
-    pos = np.searchsorted(graph.cumulative_degrees, draws, side="right")
+    pos = np.searchsorted(np.cumsum(graph.degrees), draws, side="right")
     walk_gen, lazy_gen = rng.stream("walks"), rng.stream("lazy")
     v_inf = np.full(n, -1, dtype=np.int64)
     v_inf[source] = 0

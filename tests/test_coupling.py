@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rumorwalks as rw
@@ -825,6 +825,65 @@ class TestIntegerWriter:
             assert rw.transcript_to_json(tr) == obj
             assert rw.transcript_dumps(tr) == json.dumps(
                 obj, separators=(",", ":"))
+
+
+# keys and values across 9/10, 99/100, 999/1000 and past 2**31
+_WIDE_INTS = st.one_of(
+    st.sampled_from([0, 9, 10, 99, 100, 999, 1000, 2 ** 31 - 1, 2 ** 31,
+                     2 ** 32 + 9, 10 ** 18, 2 ** 63 - 1]),
+    st.integers(0, 1100), st.integers(0, 2 ** 63 - 1))
+
+
+@st.composite
+def _keyed_tables(draw):
+    """Dicts of integer rows, one row or more, with empty rows first, last
+    and in between (in key order)."""
+    keys = sorted(draw(st.lists(_WIDE_INTS, min_size=1, max_size=12,
+                                unique=True)))
+    rows = [draw(st.lists(_WIDE_INTS, max_size=5)) for _ in keys]
+    for at in draw(st.lists(st.sampled_from([0, -1, len(keys) // 2]),
+                            max_size=3)):
+        rows[at] = []
+    return dict(zip(keys, rows))
+
+
+def _keyed_lists(table: dict) -> list:
+    return [[u, table[u]] for u in sorted(table)]
+
+
+class TestKeyedWriter:
+    """The keyed-table writer, taking every table (``_SMALL_TABLE`` at 0),
+    writes json.dumps of the table's lists: one table for choices and
+    S-sets, a list of them, some without keys, for the visits."""
+
+    @given(table=_keyed_tables())
+    @example(table={0: []})
+    @example(table={7: [0]})
+    @example(table={2 ** 31: []})
+    @example(table={10 ** 18: [9, 10, 2 ** 63 - 1]})
+    @settings(max_examples=300, deadline=None)
+    def test_one_table(self, table):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coupling, "_SMALL_TABLE", 0)
+            text = coupling._keyed_json(table)
+        assert text == json.dumps(_keyed_lists(table), separators=(",", ":"))
+
+    @given(tables=st.lists(st.one_of(st.just({}), _keyed_tables()),
+                           max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_list_of_tables(self, tables):
+        table, keys, lengths, values = [], [], [], []
+        for t, rows in enumerate(tables):
+            for u, row in sorted(rows.items()):
+                table.append(t)
+                keys.append(u)
+                lengths.append(len(row))
+                values += row
+        text = coupling._keyed_text(
+            *(np.array(a, dtype=np.int64) for a in (table, keys, lengths,
+                                                     values)), len(tables))
+        assert text == json.dumps([_keyed_lists(rows) for rows in tables],
+                                  separators=(",", ":"))
 
 
 def _corpus_json(trial: int):

@@ -205,6 +205,46 @@ class TestBuildGraph:
         assert build_graph("cycle-stars-cliques", 4, None, 0).n == 84
         assert build_graph("complete", 5, None, 0).m == 10
 
+    # each family's size and own generator, at degree 3 and seed 1
+    GENERATORS = {
+        "star": (8, rw.generate_star),
+        "double-star": (8, rw.generate_double_star),
+        "heavy-tree": (7, rw.generate_heavy_binary_tree),
+        "siamese": (7, rw.generate_siamese_trees),
+        "cycle-stars-cliques": (3, rw.generate_cycle_stars_cliques),
+        "regular": (16, lambda size: rw.generate_random_regular(size, 3, 1)),
+        "clique-path": (3, lambda size: rw.generate_clique_path(size, 3)),
+        "complete": (5, rw.generate_complete),
+        "cycle": (6, rw.generate_cycle),
+    }
+
+    @pytest.mark.parametrize("family", experiments.FAMILIES)
+    def test_each_family_is_its_generator(self, family):
+        assert sorted(self.GENERATORS) == sorted(experiments.FAMILIES)
+        size, generate = self.GENERATORS[family]
+        got, want = build_graph(family, size, "3", 1), generate(size)
+        assert got == want
+        assert got.family_tag == want.family_tag
+
+    def test_unknown_family(self):
+        with pytest.raises(rw.InvalidParameterError,
+                           match="^unknown family 'x'$"):
+            build_graph("x", 8, "3", 1)
+
+    def test_regular_through_module_global(self, monkeypatch):
+        # a wrapper bound over experiments.generate_random_regular (as a
+        # tracer binds one) sees every regular graph build_graph makes
+        calls = []
+        real = experiments.generate_random_regular
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "generate_random_regular", counting)
+        build_graph("regular", 16, "4", 2)
+        assert calls == [(16, 4, 2)]
+
     def test_regular_d_rules(self):
         g = build_graph("regular", 64, "log2ceil", seed=5)
         assert all(int(d) == 6 for d in g.degrees)

@@ -670,7 +670,7 @@ class TestBipartite:
         assert g.is_bipartite() is reference_is_bipartite(g)
 
     # around and beyond the search's last level: a graph deeper than it is
-    # answered by the double cover, seeded with the levels found
+    # answered by the double cover
     DEEP = graphs._SEARCH_LEVELS + 8
 
     @pytest.mark.parametrize("edges,bipartite", [
