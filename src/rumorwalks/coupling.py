@@ -32,11 +32,10 @@ member pairs.  Verification builds one flat table of the recorded choices
 for both the push replay and the oracle check, and checks every chain walk
 in one pass over the cumulative occupancy table.  The JSON text is one
 :func:`json.dumps` of the document, into which one byte writer,
-:func:`_int_text`, splices each large integer table (edges, visits,
-choices, S-sets, C-table) written straight from arrays, with no Python
-list per row or (round, vertex) cell.  One keyed-table writer,
-:func:`_keyed_text`, lays out every ``[[key,[values]],...]`` table for it:
-choices, S-sets and each round of visits.
+:func:`_int_text`, splices the visits and each large integer table (edges,
+choices, S-sets, C-table), written from arrays with no Python list per row
+or cell; :func:`_keyed_text` lays out every ``[[key,[values]],...]`` table
+for it: choices, S-sets and each round of visits.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ import itertools
 import numpy as np
 
 from .errors import InvalidParameterError, TranscriptCorruptError
-from .graphs import Graph, _known
+from .graphs import Graph
 from .protocols import (AgentConfig, _floor_level, _occupancy_floor,
                         _recorder, _start, _Visit, _walk)
 from .rng import ChoiceOracle, SimRng
@@ -127,6 +126,8 @@ def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     """The coupled run in either mode, and the one place that checks its
     settings; :func:`run_coupled_even` and :func:`run_coupled_odd` fix
     ``mode`` for it."""
+    if mode not in ("even", "odd"):
+        raise InvalidParameterError(f"unknown coupling mode {mode!r}")
     if config.lazy:
         raise InvalidParameterError(
             "coupled runs require non-lazy walks: a stayed step is not a "
@@ -140,7 +141,8 @@ def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         raise InvalidParameterError(
             "a floor level needs the occupancy floor (enable_r_floor, --r-floor)")
     n = graph.n
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
+                                    min_rounds)
     oracle = ChoiceOracle(graph, rng.child_seed("oracle"))
     visit = _Visit(n, source, pos)
     v_inf = visit.v_inf
@@ -265,13 +267,6 @@ def _steps(pos: np.ndarray):
     return r + 1, g, pos[r, g], pos[r + 1, g]
 
 
-def _edge_keys(graph: Graph) -> np.ndarray:
-    """The sorted keys ``u * n + v`` of the directed edges (CSR rows and
-    their neighbors are sorted), then the sentinel that ``_known`` needs."""
-    keys = np.repeat(np.arange(graph.n), graph.degrees) * graph.n
-    return np.append(keys + graph.indices, graph.n ** 2)
-
-
 def compute_s_sets(tr: CouplingTranscript) -> dict:
     """For each vertex u informed after round 0, the neighbors v informed
     strictly earlier from which an informing agent arrived: some agent stood
@@ -281,7 +276,7 @@ def compute_s_sets(tr: CouplingTranscript) -> dict:
     t, _, a, b = _steps(tr.positions)
     hit = (tv[b] == t) & (tv[a] >= 0) & (tv[a] < t)
     a, b = a[hit], b[hit]
-    near = _known(_edge_keys(tr.graph), a * n + b)
+    near = tr.graph.has_edges(a, b)
     pairs = np.unique(b[near] * n + a[near])
     bounds = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n)
     lonely = np.flatnonzero((tv > 0) & (bounds[1:] == bounds[:-1]))
@@ -573,10 +568,10 @@ def transcript_to_json(tr: CouplingTranscript) -> dict:
 def transcript_dumps(tr: CouplingTranscript) -> str:
     """The transcript's JSON text, as ``json.dumps`` with separators
     ``(",", ":")`` writes :func:`transcript_to_json`'s object.  One
-    :func:`json.dumps` call writes the document with every large integer
-    table (edges, visits, choices, S-sets, C-table) held by a placeholder
-    ``0``; each table's text, written by :func:`_int_text`, then replaces
-    its ``"key":0``.  That text cannot occur inside a JSON
+    :func:`json.dumps` call writes the document with the visits and every
+    large integer table (edges, choices, S-sets, C-table) held by a
+    placeholder ``0``; each table's text, written by :func:`_int_text`,
+    then replaces its ``"key":0``.  That text cannot occur inside a JSON
     string, where every quote is escaped."""
     g = tr.graph
     spliced: dict = {}
@@ -600,7 +595,7 @@ def transcript_dumps(tr: CouplingTranscript) -> str:
                    "agent_informed_at": tr.agent_informed_at.tolist()},
         "push": {"rounds": tr.push_rounds, "complete": tr.push_complete,
                  "tau": tr.tau_push.tolist()},
-        "visits": table("visits", _visits_json(tr.positions, g.n)),
+        "visits": table("visits", _visits_text(tr.positions, g.n)),
         "choices": table("choices", _keyed_json(tr.choices)),
         "walk_consumed": [list(e) for e in sorted(tr.walk_consumed.items())],
         "additions": [list(a) for a in tr.additions],
@@ -621,10 +616,7 @@ def transcript_dumps(tr: CouplingTranscript) -> str:
     return "".join(parts)
 
 
-# below these sizes json.dumps of a table's lists is the faster writer: a
-# table of 1,200 integers, or a position matrix of 256 cells
-_SMALL_TABLE = 1200
-_SMALL_VISITS = 256
+_SMALL_TABLE = 1200  # below this size json.dumps of the lists is faster
 _TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least of widths 2..19
 
 
@@ -650,10 +642,6 @@ def _int_text(values: np.ndarray, marks: list, tail: str) -> str:
     first = end - width
     for text, items in marks:
         at = first[items] - len(text)
-        if at.shape[0] == 1:  # an opener that spans empty rounds, say
-            buf[at[0]:at[0] + len(text)] = np.frombuffer(text.encode(),
-                                                         dtype=np.uint8)
-            continue
         for j, char in enumerate(text.encode()):
             if char != ord(","):
                 buf[at + j] = char
@@ -668,19 +656,14 @@ def _int_text(values: np.ndarray, marks: list, tail: str) -> str:
     return buf.tobytes().decode("ascii")
 
 
-def _rows_text(values: np.ndarray, width: int) -> str:
-    """The JSON of ``values`` (int64, >= 0, at least one) in rows of
-    ``width`` >= 1: ``[[a,b],[c,d]]`` for width 2."""
-    return _int_text(values, [("[[", [0]), ("],[", np.arange(
-        width, values.shape[0], width))], "]]")
-
-
 def _table_json(table: np.ndarray):
     """``table.tolist()`` for an integer array of any shape, or, for a
-    large 2-d table of values >= 0, its JSON text."""
+    large 2-d table of values >= 0, its JSON text, ``[[a,b],[c,d]]``."""
     if table.ndim == 2 and table.size and table.size >= _SMALL_TABLE \
             and table.min() >= 0:
-        return _rows_text(table.ravel(), table.shape[1])
+        width = table.shape[1]
+        return _int_text(table.ravel(), [("[[", [0]), ("],[", np.arange(
+            width, table.size, width))], "]]")
     return table.tolist()
 
 
@@ -739,22 +722,6 @@ def _keyed_text(table: np.ndarray, keys: np.ndarray, lengths: np.ndarray,
         marks.setdefault(text + "[[", []).append(at)
     return _int_text(items, list(marks.items()),
                      texts[-1].removesuffix(",") + "]")
-
-
-def _visits_json(pos: np.ndarray, n: int):
-    """The visits of a position matrix: per round, ``[u, agents]`` for each
-    occupied vertex u in ascending order, agents ascending.  A small matrix
-    gives these lists; a large one its JSON text, by :func:`_visits_text`."""
-    if pos.size >= _SMALL_VISITS:
-        return _visits_text(pos, n)
-    visits = []
-    for row in pos.tolist():
-        cells: dict = {}
-        for g, u in enumerate(row):
-            if u != -1:
-                cells.setdefault(u, []).append(g)
-        visits.append([[u, cells[u]] for u in sorted(cells)])
-    return visits
 
 
 def _visits_text(pos: np.ndarray, n: int) -> str:
@@ -990,9 +957,9 @@ def _replay_push(tr: CouplingTranscript, table):
     neighbor.  Returns ``(tau, rounds, complete)``."""
     n = tr.graph.n
     flat, length, offset = table
-    # every recorded entry that is no neighbor of its vertex reads -1
-    keys = np.repeat(np.arange(n), length) * n + flat[:-1]
-    near = _known(_edge_keys(tr.graph), keys) & (flat[:-1] >= 0)
+    # every recorded entry that is no neighbor of its vertex reads -1 (one
+    # out of range already does, whatever has_edges says of it)
+    near = tr.graph.has_edges(np.repeat(np.arange(n), length), flat[:-1])
     entry = _entries(np.append(np.where(near, flat[:-1], -1), -1), length,
                      offset)
 

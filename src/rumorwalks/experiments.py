@@ -31,7 +31,7 @@ from .graphs import (Graph, generate_clique_path, generate_complete,
                      generate_double_star, generate_heavy_binary_tree,
                      generate_random_regular, generate_siamese_trees,
                      generate_star)
-from .protocols import (PLACEMENTS, AgentConfig, run_meet_exchange,
+from .protocols import (AgentConfig, run_meet_exchange,
                         run_push, run_push_pull, run_r_visit_exchange,
                         run_shared_visit_meet, run_t_visit_exchange,
                         run_visit_exchange)
@@ -65,8 +65,14 @@ __all__ = [
     "format_config",
 ]
 
-PROTOCOLS = ("push", "push-pull", "visit-exchange", "meet-exchange",
-             "t-visit-exchange", "r-visit-exchange")
+# the settings each protocol reads, besides round_cap
+_AGENT = ("alpha", "agents", "placement", "lazy")
+_SETTINGS = _AGENT + ("gamma", "floor")
+_READS = {"push": (), "push-pull": (), "visit-exchange": _AGENT,
+          "meet-exchange": _AGENT, "t-visit-exchange": _AGENT + ("gamma",),
+          "r-visit-exchange": _AGENT + ("floor",)}
+
+PROTOCOLS = tuple(_READS)
 
 FAMILIES = ("star", "double-star", "heavy-tree", "siamese",
             "cycle-stars-cliques", "regular", "clique-path",
@@ -114,14 +120,12 @@ class ExperimentConfig:
             raise ConfigError("sweep must list at least one size", "sweep")
         if any(int(s) < 1 for s in self.sweep):
             raise ConfigError("sweep sizes must be positive", "sweep")
-        for key, check in (("seed", check_seed), ("source", _check_source)):
+        for key, check in (("seed", check_seed), ("source", _check_source),
+                           ("placement", lambda p: AgentConfig(0, p))):
             try:
                 check(getattr(self, key))
             except InvalidParameterError as exc:
                 raise ConfigError(str(exc), key) from None
-        if self.placement not in PLACEMENTS:
-            raise ConfigError(f"placement must be one of {PLACEMENTS}, "
-                              f"got {self.placement!r}", "placement")
         for key in ("alpha", "gamma", "floor"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
@@ -218,14 +222,6 @@ def agent_config(graph: Graph, alpha: float = 1.0, agents: int | None = None,
                                         f"got alpha={alpha} times n={graph.n}")
         agents = round(alpha * graph.n)
     return AgentConfig(count=agents, placement=placement, lazy=lazy)
-
-
-# the settings each protocol reads, besides round_cap
-_AGENT = ("alpha", "agents", "placement", "lazy")
-_SETTINGS = _AGENT + ("gamma", "floor")
-_READS = {"push": (), "push-pull": (), "visit-exchange": _AGENT,
-          "meet-exchange": _AGENT, "t-visit-exchange": _AGENT + ("gamma",),
-          "r-visit-exchange": _AGENT + ("floor",)}
 
 
 def _unread(protocols) -> set:

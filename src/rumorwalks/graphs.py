@@ -146,6 +146,13 @@ class Graph:
         mask = rows < self.indices
         return np.column_stack([rows[mask], self.indices[mask]])
 
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Whether each (us[i], vs[i]) is an edge, ids in [0, n): a search of
+        ``u * n + v`` among the sorted directed-edge keys and a sentinel."""
+        n = self.n
+        keys = np.repeat(np.arange(n), self.degrees) * n + self.indices
+        return _known(np.append(keys, n * n), us * n + vs)
+
     @property
     def slot_owners(self) -> np.ndarray:
         """``np.repeat(arange(n), degrees)``, built on first use."""

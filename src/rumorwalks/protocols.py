@@ -120,8 +120,9 @@ def default_round_cap(n: int) -> int:
     return max(64, int(64 * n * math.ceil(math.log2(max(n, 2)))))
 
 
-def _check_run(graph: Graph, source: int, round_cap: int | None):
-    """The checked source and the round cap of one run."""
+def _check_run(graph: Graph, source: int, round_cap: int | None,
+               min_rounds: int = 0):
+    """The checked source and round cap of one run (min_rounds >= 0)."""
     source = int(source)
     if not (0 <= source < graph.n):
         raise InvalidParameterError(
@@ -129,6 +130,9 @@ def _check_run(graph: Graph, source: int, round_cap: int | None):
     cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
     if cap < 1:
         raise InvalidParameterError(f"round_cap must be >= 1, got {cap}")
+    if min_rounds < 0:
+        raise InvalidParameterError(
+            f"min_rounds must be >= 0, got {min_rounds}")
     return source, cap
 
 
@@ -336,10 +340,10 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
 # rounds (a crowding cap, an occupancy floor, or nothing).
 
 def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
-           round_cap: int | None):
+           round_cap: int | None, min_rounds: int = 0):
     """Checked source, round cap, initial positions and the free (lazy)
     walk step ``step(pos, t)`` of one agent run."""
-    source, cap = _check_run(graph, source, round_cap)
+    source, cap = _check_run(graph, source, round_cap, min_rounds)
     pos = place_agents(graph, config, rng)
     walk_gen = _neighbor_stream(graph, rng, "walks")
     lazy_gen = rng.stream("lazy")
@@ -498,7 +502,8 @@ def run_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     previous round, while vertex-to-agent informing applies immediately, so
     an agent landing on an informed vertex is informed that same round.
     """
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
+                                    min_rounds)
     visit = _Visit(graph.n, source, pos)
     positions, after = _recorder(pos) if record_positions else (None, None)
     t = _walk(pos, step, [visit], cap, min_rounds, after)
@@ -555,7 +560,8 @@ def run_t_visit_exchange(graph: Graph, source: int, config: AgentConfig,
         raise InvalidParameterError(
             f"gamma must be >= 2e*|A|/n = {2 * math.e * config.count / n:.4f}, "
             f"got {gamma}")
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
+                                    min_rounds)
     alive = np.ones(config.count, dtype=bool)
     visit = _Visit(n, source, pos, alive)
     removals: list = []
@@ -642,7 +648,8 @@ def run_r_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     initial population); see :func:`_occupancy_floor`.
     """
     floor = _floor_level(graph, config.count, floor, "r-visit-exchange")
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
+                                    min_rounds)
     visit = _Visit(graph.n, source, pos)
     additions: list = []
     t = _walk(pos, step, [visit], cap, min_rounds,

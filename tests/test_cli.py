@@ -553,6 +553,16 @@ class TestCoupleVerify:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_min_rounds_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "tr.json"
+        code, payload, err = run_cli(capsys, "couple", "--family", "cycle",
+                                     "--size", "8", "--seed", "3",
+                                     "--min-rounds", "-4", "--out", str(out))
+        assert code == 1 and payload is None
+        assert len(err.strip().splitlines()) == 1
+        assert "min_rounds must be >= 0, got -4" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("graph,mode,extra,digest", COUPLE_DIGESTS,
                              ids=[f"{g}-{m}{''.join(e)}"
                                   for g, m, e, _ in COUPLE_DIGESTS])

@@ -128,6 +128,40 @@ class TestEvenCouplingFamilies:
                                 SimRng(0))
 
 
+class TestRunSettings:
+    """``run_coupled`` checks its mode before any other setting, and every
+    coupled runner refuses a negative ``min_rounds``."""
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(InvalidParameterError,
+                           match="unknown coupling mode 'banana'"):
+            rw.run_coupled(rw.generate_cycle(8), 0, AgentConfig(8), SimRng(1),
+                           None, 0, "banana", False, None)
+
+    def test_mode_is_checked_first(self):
+        # lazy walks, a bad source, a bad round cap, a negative min_rounds
+        # and the occupancy floor outside odd mode are all refused after it
+        with pytest.raises(InvalidParameterError,
+                           match="unknown coupling mode 'EVEN'"):
+            rw.run_coupled(rw.generate_cycle(8), 99,
+                           AgentConfig(8, lazy=True), SimRng(1), 0, -1,
+                           "EVEN", True, None)
+
+    @pytest.mark.parametrize("mode", ["even", "odd"])
+    def test_rejects_negative_min_rounds(self, mode):
+        g = rw.generate_cycle(8)
+        wrapper = {"even": rw.run_coupled_even, "odd": rw.run_coupled_odd}
+        for run in (lambda: rw.run_coupled(g, 0, AgentConfig(8), SimRng(1),
+                                           None, -4, mode, False, None),
+                    lambda: wrapper[mode](g, 0, AgentConfig(8), SimRng(1),
+                                          min_rounds=-4)):
+            with pytest.raises(InvalidParameterError,
+                               match="min_rounds must be >= 0, got -4"):
+                run()
+        assert rw.run_coupled(g, 0, AgentConfig(8), SimRng(1), None, 0, mode,
+                              False, None).min_rounds == 0
+
+
 class TestChainWalks:
     def test_source_at_zero(self):
         tr = k2_transcript()
@@ -754,7 +788,6 @@ class TestIntegerWriter:
         texts = []
         for small in (0, 10 ** 9):
             monkeypatch.setattr(coupling, "_SMALL_TABLE", small)
-            monkeypatch.setattr(coupling, "_SMALL_VISITS", small)
             texts.append(rw.transcript_dumps(tr))
         return texts
 

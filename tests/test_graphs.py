@@ -809,6 +809,57 @@ class TestFamiliesAgainstReference:
             (tmp_path / "want.el").read_bytes()
 
 
+def _edge_queries(n, edges, gen):
+    """Pairs to ask about: every edge in both orders, every (u, u), each
+    vertex against 0 and n - 1 both ways, and random pairs (mostly
+    non-edges)."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ids, ends = np.arange(n), np.repeat([0, n - 1], n)
+    rand = gen.integers(0, n, size=(2, 4 * n + 16))
+    us = [e[:, 0], e[:, 1], ids, np.tile(ids, 2), ends, rand[0]]
+    vs = [e[:, 1], e[:, 0], ids, ends, np.tile(ids, 2), rand[1]]
+    return np.concatenate(us), np.concatenate(vs)
+
+
+def _check_has_edges(g, edges, seed=0):
+    """``g.has_edges`` against membership in the set of ``edges``."""
+    known = {(min(u, v), max(u, v)) for u, v in edges}
+    us, vs = _edge_queries(g.n, edges, np.random.default_rng(seed))
+    want = [(min(u, v), max(u, v)) in known
+            for u, v in zip(us.tolist(), vs.tolist())]
+    assert g.has_edges(us, vs).tolist() == want
+
+
+class TestHasEdges:
+    """``Graph.has_edges`` against the set of the graph's edges."""
+
+    @pytest.mark.parametrize("family,args", FAMILY_CASES,
+                             ids=[f"{f}({','.join(map(str, a))})"
+                                  for f, a in FAMILY_CASES])
+    def test_families(self, family, args):
+        g = getattr(rw, "generate_" + family)(*args)
+        _check_has_edges(g, g.edges().tolist())
+
+    @pytest.mark.parametrize("n,d", [(4, 3), (64, 8), (512, 9)])
+    def test_regular(self, n, d):
+        g = rw.generate_random_regular(n, d, seed=5)
+        _check_has_edges(g, g.edges().tolist())
+
+    def test_single_vertex_and_no_queries(self):
+        g = Graph.from_edges(1, [])
+        assert g.has_edges(np.zeros(1, np.int64), np.zeros(1, np.int64)) \
+            .tolist() == [False]
+        empty = np.zeros(0, np.int64)
+        assert rw.generate_cycle(5).has_edges(empty, empty).shape == (0,)
+
+    @given(shape=_shaped_graphs(), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=200, deadline=None)
+    def test_shaped_graphs(self, shape, seed):
+        n, edges = shape
+        g, _ = _undirected(n, edges)
+        _check_has_edges(g, edges, seed)
+
+
 def _traced_peak(build):
     """``(build(), peak bytes that tracemalloc saw while it ran)``."""
     tracemalloc.start()

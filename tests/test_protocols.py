@@ -521,6 +521,19 @@ class TestVisitExchange:
         assert res.rounds >= 9
         assert res.broadcast_time == 1
 
+    @pytest.mark.parametrize("run", [
+        lambda **kw: rw.run_visit_exchange(**kw),
+        lambda **kw: rw.run_t_visit_exchange(gamma=10.0, **kw),
+        lambda **kw: rw.run_r_visit_exchange(**kw),
+    ], ids=["visit-exchange", "t-visit-exchange", "r-visit-exchange"])
+    def test_rejects_negative_min_rounds(self, run):
+        args = dict(graph=rw.generate_cycle(8), source=0,
+                    config=AgentConfig(count=8), rng=SimRng(1))
+        with pytest.raises(InvalidParameterError,
+                           match="min_rounds must be >= 0, got -4"):
+            run(min_rounds=-4, **args)
+        assert run(min_rounds=0, **args).rounds >= 1
+
     def test_stationarity_preserved_on_regular(self):
         # position of agent 0 after 3 rounds stays uniform on K_4
         g = rw.generate_complete(4)
