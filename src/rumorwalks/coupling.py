@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import collections
 import json
+import operator
 from dataclasses import dataclass, field
 import itertools
 
@@ -313,10 +314,7 @@ def _member_pairs(tr: CouplingTranscript):
     tv = tr.t_visit
     fresh = np.flatnonzero(tv > 0)
     fresh = fresh[np.argsort(tv[fresh], kind="stable")]
-    rows = [tr.s_sets.get(u) or () for u in fresh.tolist()]
-    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
-    vs = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
-                     int(sizes.sum()))
+    vs, sizes = _rows(tr.s_sets, fresh.tolist())
     count = np.zeros(tv.shape[0], dtype=np.int64)
     count[fresh] = sizes
     return fresh, np.repeat(fresh, sizes), vs, count
@@ -667,31 +665,32 @@ def _table_json(table: np.ndarray):
     return table.tolist()
 
 
-def _natural(values, count: int) -> np.ndarray | None:
-    """The ``count`` integers of ``values`` as an int64 array when all lie
-    in [0, 2**63), else None (a loaded table may hold any JSON integer)."""
+def _rows(table: dict, keys) -> tuple:
+    """``(values, lengths)``: the integer rows of ``table`` at ``keys``,
+    one after another, as an int64 array, and each row's length; a missing
+    or None row is empty.  ``values`` is None when some value lies outside
+    int64 (a loaded table may hold any JSON integer)."""
+    rows = [table.get(u) or () for u in keys]
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     try:
-        arr = np.fromiter(values, np.int64, count)
+        return np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                           int(lengths.sum())), lengths
     except OverflowError:
-        return None
-    return arr if not arr.size or arr.min() >= 0 else None
+        return None, lengths
 
 
 def _keyed_json(table: dict):
     """``[[key, [values]], ...]`` of a dict of integer lists, keys
-    ascending, or, for a large table of values >= 0, its JSON text; a row
-    may be empty."""
+    ascending, or, for a large table of keys and values in [0, 2**63), its
+    JSON text; a row may be empty."""
     keys = sorted(table)
-    rows = [table[u] for u in keys]
-    total = sum(map(len, rows))
-    if rows and total + len(rows) >= _SMALL_TABLE:
-        values = _natural(itertools.chain.from_iterable(rows), total)
-        flat_keys = _natural(keys, len(keys))
-        if values is not None and flat_keys is not None:
-            lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-            return _keyed_text(np.zeros_like(lengths), flat_keys, lengths,
-                               values, 1)[1:-1]  # the one table, unlisted
-    return [[u, list(vs)] for u, vs in zip(keys, rows)]
+    if keys and sum(map(len, table.values())) + len(keys) >= _SMALL_TABLE \
+            and 0 <= keys[0] and keys[-1] < 2 ** 63:
+        values, lengths = _rows(table, keys)
+        if values is not None and values.min(initial=0) >= 0:
+            return _keyed_text(np.zeros_like(lengths), np.array(keys, np.int64),
+                               lengths, values, 1)[1:-1]  # the one table, unlisted
+    return [[u, list(table[u])] for u in keys]
 
 
 def _keyed_text(table: np.ndarray, keys: np.ndarray, lengths: np.ndarray,
@@ -928,16 +927,11 @@ def _recorded(tr: CouplingTranscript):
     (numpy would wrap a negative id), as does the trailing entry, the one
     :func:`_entries` reads for a missing choice."""
     n = tr.graph.n
-    rows = [tr.choices.get(u, []) for u in range(n)]
-    length = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    flat, length = _rows(tr.choices, range(n))
     offset = np.cumsum(length) - length
-    total = int(length.sum())
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(rows), np.int64,
-                           total)
-    except OverflowError:  # some entry is beyond int64, so out of range
-        flat = np.fromiter((w if 0 <= w < n else -1 for ws in rows
-                            for w in ws), np.int64, total)
+    if flat is None:  # some entry is beyond int64, so out of range
+        flat = _rows({u: [w if 0 <= w < n else -1 for w in ws]
+                      for u, ws in tr.choices.items()}, range(n))[0]
     flat = np.append(np.where((flat >= 0) & (flat < n), flat, -1), -1)
     return flat, length, offset
 
@@ -1089,23 +1083,17 @@ def verify_transcript(tr: CouplingTranscript) -> VerifyReport:
               lambda: _check_oracle_consistency(tr, table))
 
     incomplete = not tr.complete
-    if tr.visitx_complete:
-        def s_sets():
-            fresh = compute_s_sets(tr)
-            if tr.s_sets is not None and fresh != tr.s_sets:
-                raise TranscriptCorruptError("stored S-sets differ from recomputation")
-            tr.s_sets = fresh
+    if tr.visitx_complete:  # each stored table against its recomputation
+        def recheck(field, compute, same, what):
+            stored, fresh = getattr(tr, field), compute(tr)
+            if stored is not None and not same(stored, fresh):
+                raise TranscriptCorruptError(f"stored {what} from recomputation")
+            setattr(tr, field, fresh)
 
-        def c_table():
-            stored = tr.c_table
-            tr.c_table = None
-            fresh = compute_c_counters(tr)
-            if stored is not None and not np.array_equal(stored, fresh):
-                raise TranscriptCorruptError("stored C-table differs from recomputation")
-            tr.c_table = fresh
-
-        run_check("s-sets", s_sets)
-        run_check("c-table", c_table)
+        run_check("s-sets", lambda: recheck("s_sets", compute_s_sets,
+                                            operator.eq, "S-sets differ"))
+        run_check("c-table", lambda: recheck("c_table", compute_c_counters,
+                                             np.array_equal, "C-table differs"))
 
     if tr.mode == "even" and tr.complete and checks.get("s-sets") \
             and checks.get("c-table"):

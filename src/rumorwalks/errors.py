@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer rule that raises one."""
+import operator
 
 __all__ = [
     "RumorWalksError",
@@ -42,3 +43,14 @@ class FitError(RumorWalksError, ValueError):
 
 class TranscriptCorruptError(RumorWalksError, RuntimeError):
     """A coupling transcript is internally inconsistent."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, by ``operator.index`` (a bool is no integer
+    here); else InvalidParameterError naming the setting ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{what} must be an integer, got {value!r}")

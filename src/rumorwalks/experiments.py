@@ -15,7 +15,6 @@ same loop and pool.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -25,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FitError, GenerationFailureError, InvalidParameterError
+from .errors import (ConfigError, FitError, GenerationFailureError,
+                     InvalidParameterError, _integer)
 from .graphs import (Graph, generate_clique_path, generate_complete,
                      generate_cycle, generate_cycle_stars_cliques,
                      generate_double_star, generate_heavy_binary_tree,
@@ -146,12 +146,13 @@ class ExperimentConfig:
 
 
 def _is_int(s) -> bool:
-    """Whether ``s`` is an int but not a bool, or a decimal integer string."""
+    """Whether ``s`` is an integer by :func:`errors._integer`, or a decimal
+    integer string."""
     try:
-        int(s) if isinstance(s, str) else operator.index(s)
-    except (TypeError, ValueError):
+        int(s) if isinstance(s, str) else _integer(s, "value")
+    except ValueError:  # InvalidParameterError is one
         return False
-    return not isinstance(s, bool)
+    return True
 
 
 def _check_source(rule: str) -> str:

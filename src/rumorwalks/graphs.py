@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GenerationFailureError, InvalidParameterError, LoadError
+from .errors import (GenerationFailureError, InvalidParameterError, LoadError,
+                     _integer)
 
 __all__ = [
     "Graph",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 
-_SEARCH_LEVELS = 32  # breadth-first levels before is_connected turns to hooking
+_SEARCH_LEVELS = 32  # breadth-first levels before _reached turns to hooking
 
 
 def _row_entries(indptr, degrees, rows):
@@ -167,28 +168,37 @@ class Graph:
         return self.distinct_degrees.shape[0] == 1
 
     def is_connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 0.
+        """Whether every vertex is reachable from vertex 0."""
+        return bool((self.n == 1 or self.degrees.all())  # no vertex isolated
+                    and self._reached().all())
+
+    def is_bipartite(self) -> bool:
+        """Whether the component of vertex 0 has no odd cycle: whether 0 and
+        n lie apart in the bipartite double cover, where each edge {u, v}
+        joins u to v + n and u + n to v."""
+        n, indptr, indices = self.n, self.indptr, self.indices
+        cover = Graph(2 * n, np.concatenate([indptr, indptr[1:] + indptr[-1]]),
+                      np.concatenate([indices + n, indices]))
+        return not cover._reached()[n]
+
+    def _reached(self) -> np.ndarray:
+        """Which vertices vertex 0 reaches, as a boolean mask.
 
         Up to ``_SEARCH_LEVELS`` levels of a direction-optimizing search from
         vertex 0 (Beamer, Asanovic and Patterson, SC 2012), then, on long
-        paths, :func:`_min_labels` hooking: connected iff every label ends
-        at 0.
+        paths, :func:`_min_labels` hooking: reached iff the label ends at 0.
         """
         n, indptr, indices, degrees = self.n, self.indptr, self.indices, self.degrees
-        if n == 1 or not degrees.all():
-            return n == 1  # else a vertex is isolated
         seen = np.zeros(n, dtype=bool)
         frontier = np.zeros(1, dtype=np.int64)
-        left, unreached = n, indices.shape[0]  # vertices; their degree sum
+        left, unreached = n, indices.shape[0]  # unseen vertices; their degree sum
         for _ in range(_SEARCH_LEVELS):
-            if frontier.shape[0] == 0:
-                return False
             seen[frontier] = True
             left -= frontier.shape[0]
-            if left == 0:
-                return True
             spent = int(degrees[frontier].sum())
             unreached -= spent
+            if frontier.shape[0] == 0 or unreached == 0:
+                return seen  # nothing more to reach
             if spent <= unreached:  # top-down: mark the frontier's neighbors
                 reached = np.zeros(n, dtype=bool)
                 if frontier.shape[0] == 1:  # one row: its slice, uncopied
@@ -199,38 +209,15 @@ class Graph:
                                                  frontier)[0]]] = True
                 reached &= ~seen
                 if np.count_nonzero(reached) == left:
-                    return True  # the last level, not listed
+                    return reached | seen  # the last level, not listed
                 frontier = np.flatnonzero(reached)
             else:  # bottom-up: an unreached vertex with a seen neighbor joins
-                rest = np.flatnonzero(~seen)
+                rest = np.flatnonzero(~seen & (degrees > 0))
                 at, starts = _row_entries(indptr, degrees, rest)
                 frontier = rest[np.logical_or.reduceat(seen[indices[at]], starts)]
         # the unseen vertices and the seen ones (label 0) hooked together
         src, dst = self.edges().T
-        return not _min_labels(np.where(seen, 0, np.arange(n)), src, dst).any()
-
-    def is_bipartite(self) -> bool:
-        """Whether the component of vertex 0 has no odd cycle: no edge inside
-        a breadth-first level, over up to ``_SEARCH_LEVELS`` levels; deeper,
-        whether 0 and n lie apart in the bipartite double cover, where each
-        edge {u, v} joins u to v + n and u + n to v."""
-        n, indptr, indices, degrees = self.n, self.indptr, self.indices, self.degrees
-        level = np.full(n, -1, dtype=np.int64)
-        level[0] = 0
-        frontier = np.zeros(1, dtype=np.int64)
-        for depth in range(_SEARCH_LEVELS):
-            if frontier.shape[0] == 0:
-                return True
-            reached = indices[_row_entries(indptr, degrees, frontier)[0]]
-            seen = level[reached]
-            if (seen == depth).any():
-                return False
-            level[reached[seen == -1]] = depth + 1
-            frontier = np.flatnonzero(level == depth + 1)
-        src, dst = self.edges().T
-        cover = _min_labels(np.arange(2 * n), np.concatenate([src, src + n]),
-                            np.concatenate([dst + n, dst]))
-        return bool(cover[0] != cover[n])
+        return _min_labels(np.where(seen, 0, np.arange(n)), src, dst) == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -461,6 +448,7 @@ def generate_random_regular(n: int, d: int, seed: int,
     GenerationFailureError after ``max_restarts`` restarts, saying how many
     passes hit a pairing dead end and how many gave a disconnected graph.
     """
+    n, d = _integer(n, "n"), _integer(d, "d")
     if n < 2:
         raise InvalidParameterError(f"regular graph needs n >= 2, got {n}")
     if d < 1 or d >= n:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _integer
 from .graphs import Graph
 from .rng import SimRng, bounded_ahead, place_stationary
 
@@ -63,7 +63,7 @@ class AgentConfig:
     lazy: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.count < 2 ** 63:
+        if not 0 <= _integer(self.count, "agent count") < 2 ** 63:
             raise InvalidParameterError(
                 f"agent count must be in [0, 2**63), got {self.count}")
         if self.placement not in PLACEMENTS:
@@ -123,14 +123,15 @@ def default_round_cap(n: int) -> int:
 def _check_run(graph: Graph, source: int, round_cap: int | None,
                min_rounds: int = 0):
     """The checked source and round cap of one run (min_rounds >= 0)."""
-    source = int(source)
+    source = _integer(source, "source")
     if not (0 <= source < graph.n):
         raise InvalidParameterError(
             f"source {source} out of range for n={graph.n}")
-    cap = default_round_cap(graph.n) if round_cap is None else int(round_cap)
+    cap = (default_round_cap(graph.n) if round_cap is None
+           else _integer(round_cap, "round_cap"))
     if cap < 1:
         raise InvalidParameterError(f"round_cap must be >= 1, got {cap}")
-    if min_rounds < 0:
+    if _integer(min_rounds, "min_rounds") < 0:
         raise InvalidParameterError(
             f"min_rounds must be >= 0, got {min_rounds}")
     return source, cap

@@ -161,6 +161,14 @@ class TestRunSettings:
         assert rw.run_coupled(g, 0, AgentConfig(8), SimRng(1), None, 0, mode,
                               False, None).min_rounds == 0
 
+    def test_rejects_non_integer_min_rounds(self):
+        # refused before a transcript with "min_rounds":2.5 is written, which
+        # transcript_from_json would refuse
+        with pytest.raises(InvalidParameterError,
+                           match="^min_rounds must be an integer, got 2.5$"):
+            rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                                SimRng(1), min_rounds=2.5)
+
 
 class TestChainWalks:
     def test_source_at_zero(self):
@@ -347,6 +355,20 @@ class TestVerification:
         report = rw.verify_transcript(bad)
         assert not report.ok
         assert not report.checks["c-table"]
+
+    def test_recheck_violation_texts(self):
+        # each stored table against its recomputation, in its own words
+        tr = rw.run_coupled_even(rw.generate_star(5), 0, AgentConfig(count=6),
+                                 SimRng(42))
+        bad = copy.deepcopy(tr)
+        bad.c_table[-1][1] += 3
+        assert rw.verify_transcript(bad).violations == [
+            "c-table: stored C-table differs from recomputation"]
+        bad = copy.deepcopy(tr)
+        u = next(u for u, vs in bad.s_sets.items() if vs)
+        bad.s_sets[u] = bad.s_sets[u] + [u]
+        assert ("s-sets: stored S-sets differ from recomputation"
+                in rw.verify_transcript(bad).violations)
 
     def test_corrupt_choices_detected(self):
         tr = rw.run_coupled_even(rw.generate_cycle(5), 0, AgentConfig(count=5),

@@ -279,6 +279,12 @@ class TestBuildGraph:
         assert (got.broadcast_time, got.rounds) == \
             (want.broadcast_time, want.rounds)
 
+    def test_run_protocol_refuses_non_integer_agents(self):
+        with pytest.raises(rw.InvalidParameterError,
+                           match="^agent count must be an integer, got 2.5$"):
+            rw.run_protocol("visit-exchange", rw.generate_cycle(8), 0,
+                            rw.SimRng(1), agents=2.5)
+
     def test_resolve_source(self):
         g = rw.generate_star(5)
         gen = np.random.Generator(np.random.PCG64(1))

@@ -231,6 +231,12 @@ class TestRandomRegular:
         with pytest.raises(InvalidParameterError, match="needs n >= 2"):
             rw.generate_random_regular(1, 1, seed=0)
 
+    def test_non_integer_degree(self):
+        # refused with the setting's name, not an IndexError from the pairing
+        with pytest.raises(InvalidParameterError,
+                           match="^d must be an integer, got 3.5$"):
+            rw.generate_random_regular(8, 3.5, 1)
+
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_invariants_random_seeds(self, seed):
@@ -659,9 +665,10 @@ def _ring(n):
 
 
 class TestBipartite:
-    """``Graph.is_bipartite`` (a level-bounded breadth-first search, then
-    vertex 0's copies apart in the bipartite double cover) against a
-    breadth-first two-colouring in plain Python."""
+    """``Graph.is_bipartite`` (whether vertex 0's copies lie apart in the
+    bipartite double cover, by the search and hooking that also decide
+    ``is_connected``) against a breadth-first two-colouring in plain
+    Python."""
 
     @given(shape=_shaped_graphs())
     @settings(max_examples=300, deadline=None)
@@ -669,8 +676,17 @@ class TestBipartite:
         g, _ = _undirected(*shape)
         assert g.is_bipartite() is reference_is_bipartite(g)
 
-    # around and beyond the search's last level: a graph deeper than it is
-    # answered by the double cover
+    @given(shape=_shaped_graphs(),
+           levels=st.sampled_from([graphs._SEARCH_LEVELS, 0, 1, 10 ** 9]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bfs_at_any_level_budget(self, shape, levels):
+        # each phase alone, as TestConnectivity.test_matches_dfs runs them
+        g, _ = _undirected(*shape)
+        with mock.patch.object(graphs, "_SEARCH_LEVELS", levels):
+            assert g.is_bipartite() is reference_is_bipartite(g)
+
+    # around and beyond the search's last level: the double cover of a
+    # graph deeper than it goes on to hooking
     DEEP = graphs._SEARCH_LEVELS + 8
 
     @pytest.mark.parametrize("edges,bipartite", [
@@ -700,9 +716,10 @@ class TestBipartite:
         (lambda: rw.generate_double_star(1000), True),
     ], ids=["star", "even-cycle", "odd-cycle", "heavy-tree", "double-star"])
     def test_large_graphs_are_fast(self, build, bipartite):
-        # under 25 ms each on a 2-core Xeon (the cycles reach the double
-        # cover; the others end within the search's levels), where a plain
-        # breadth-first search took about 0.3 s on each 100,000-vertex graph
+        # under 45 ms each on a 2-core Xeon, the double cover's build
+        # included (the cycles' covers go on to hooking; the others' end
+        # within the search's levels), where a plain breadth-first search
+        # took about 0.3 s on each 100,000-vertex graph
         g = build()
         t0 = time.perf_counter()
         assert g.is_bipartite() is bipartite

@@ -84,6 +84,13 @@ class TestAgentConfigAndPlacement:
         with pytest.raises(InvalidParameterError):
             AgentConfig(count=3, placement="everywhere")
 
+    def test_non_integer_count(self):
+        # refused with the setting's name, not at placement by numpy
+        with pytest.raises(InvalidParameterError,
+                           match="^agent count must be an integer, got 2.5$"):
+            AgentConfig(2.5)
+        assert AgentConfig(np.int64(3)).count == 3
+
     def test_stationary_star_center(self):
         g = rw.generate_star(4)
         rng = SimRng(10)
@@ -125,6 +132,22 @@ class TestPush:
                  for i in range(300)]
         expected = n * sum(1 / k for k in range(1, n + 1))
         assert abs(np.mean(times) / expected - 1) < 0.05
+
+    def test_non_integer_source_and_round_cap(self):
+        # refused, not truncated to vertex 1 and 2 rounds
+        g = rw.generate_cycle(8)
+        with pytest.raises(InvalidParameterError,
+                           match="^source must be an integer, got 1.5$"):
+            rw.run_push(g, 1.5, SimRng(1), round_cap=2.7)
+        with pytest.raises(InvalidParameterError,
+                           match="^round_cap must be an integer, got 2.7$"):
+            rw.run_push(g, 1, SimRng(1), round_cap=2.7)
+
+    def test_bool_source(self):
+        # True is not vertex 1
+        with pytest.raises(InvalidParameterError,
+                           match="^source must be an integer, got True$"):
+            rw.run_push(rw.generate_cycle(8), True, SimRng(1))
 
     def test_incomplete_on_tiny_cap(self):
         res = rw.run_push(rw.generate_cycle(64), 0, SimRng(1), round_cap=3)
