@@ -142,8 +142,8 @@ def run_coupled(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
         raise InvalidParameterError(
             "a floor level needs the occupancy floor (enable_r_floor, --r-floor)")
     n = graph.n
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
-                                    min_rounds)
+    source, cap, min_rounds, pos, step = _start(graph, source, config, rng,
+                                                round_cap, min_rounds)
     oracle = ChoiceOracle(graph, rng.child_seed("oracle"))
     visit = _Visit(n, source, pos)
     v_inf = visit.v_inf
@@ -750,18 +750,28 @@ def _json(what: str, value, kind: type = int):
 
 
 def _ints(what: str, values, low: int | None = None,
-          high: int | None = None) -> list:
-    """``values`` as a list, which must hold JSON integers only, each in
-    [low, high) when ``low`` is given (no upper end if ``high`` is None).
-    The first value of the wrong type, else the first out of range, is
-    named."""
+          high: int | None = None):
+    """``values``, JSON integers only: as a list when no range is asked,
+    else as an int64 array, each in [low, high) (no upper end if ``high``
+    is None), or None when a value past int64 is in range.  Only a fault
+    runs the Python scan that names the first value of the wrong type,
+    else the first out of range, in list order."""
     values = list(values)
     if not {*map(type, values)} <= {int}:
         _json(what, next(v for v in values if type(v) is not int))
-    if low is None or not values or (
-            min(values) >= low and (high is None or max(values) < high)):
+    if low is None:
         return values
-    bad = next(v for v in values if v < low or high is not None and v >= high)
+    try:
+        arr = np.fromiter(values, np.int64, len(values))
+        if not arr.size or low <= int(arr.min()) and (
+                high is None or int(arr.max()) < high):
+            return arr
+    except OverflowError:  # past int64
+        pass
+    bad = next((v for v in values
+                if v < low or high is not None and v >= high), None)
+    if bad is None:
+        return None
     span = f"[{low}, {high})" if high is not None else f">= {low}"
     raise TranscriptCorruptError(f"{what} {bad} is not {span}")
 
@@ -772,20 +782,6 @@ def _vector(what: str, values, length: int) -> np.ndarray:
     if arr.shape != (length,):
         raise TranscriptCorruptError(
             f"{what} has shape {arr.shape}, expected ({length},)")
-    return arr
-
-
-def _id_array(what: str, values: list, high: int) -> np.ndarray:
-    """``values``, JSON integers in [0, high), as an int64 array.  The range
-    is checked on the array; only a fault runs the Python scan of
-    :func:`_ints`, which names the first value out of range."""
-    values = _ints(what, values)
-    try:
-        arr = np.fromiter(values, np.int64, len(values))
-    except OverflowError:  # beyond int64, so out of range
-        arr = None
-    if arr is None or arr.size and (arr.min() < 0 or arr.max() >= high):
-        _ints(what, values, 0, high)
     return arr
 
 
@@ -805,8 +801,8 @@ def _positions(visits: list, n: int, population: int):
         raise TranscriptCorruptError(
             f"{len(ids)} listed agent ids cannot fill {len(visits)} rounds "
             f"of {population} agents")
-    us = _id_array("visited vertex", us, n)
-    ids = _id_array("agent id", ids, population)
+    us = _ints("visited vertex", us, 0, n)
+    ids = _ints("agent id", ids, 0, population)
     counts = np.fromiter(map(len, lists), np.int64, len(lists))
     keys = np.repeat(np.arange(len(visits)) * n, list(map(len, visits))) + us
     if (np.diff(keys) <= 0).any():  # out of JSON order: drop repeated keys

@@ -121,7 +121,8 @@ class ExperimentConfig:
         if any(int(s) < 1 for s in self.sweep):
             raise ConfigError("sweep sizes must be positive", "sweep")
         for key, check in (("seed", check_seed), ("source", _check_source),
-                           ("placement", lambda p: AgentConfig(0, p))):
+                           ("placement", lambda p: AgentConfig(0, p)),
+                           ("d", lambda d: d is None or _resolve_d(d, 1))):
             try:
                 check(getattr(self, key))
             except InvalidParameterError as exc:
@@ -140,9 +141,6 @@ class ExperimentConfig:
             raise ConfigError("t-visit-exchange requires gamma")
         if self.family in ("regular", "clique-path") and self.d is None:
             raise ConfigError(f"family {self.family!r} requires d")
-        if self.d is not None and not _is_degree_spec(self.d):
-            raise ConfigError(f"d must be an integer >= 1 or 'log2ceil', "
-                              f"got {self.d!r}", "d")
 
 
 def _is_int(s) -> bool:
@@ -163,17 +161,14 @@ def _check_source(rule: str) -> str:
         f"source must be an id or one of {SOURCE_RULES}, got {rule!r}")
 
 
-def _is_degree_spec(d_spec) -> bool:
-    return d_spec == "log2ceil" or (_is_int(d_spec) and int(d_spec) >= 1)
-
-
 def _resolve_d(d_spec: str | None, size: int) -> int:
-    if not _is_degree_spec(d_spec):
-        raise InvalidParameterError(
-            f"d must be an integer >= 1 or 'log2ceil', got {d_spec!r}")
+    """The degree of ``d_spec``, an integer >= 1 or 'log2ceil', at ``size``."""
     if d_spec == "log2ceil":
         return max(1, math.ceil(math.log2(max(size, 2))))
-    return int(d_spec)
+    if _is_int(d_spec) and int(d_spec) >= 1:
+        return int(d_spec)
+    raise InvalidParameterError(
+        f"d must be an integer >= 1 or 'log2ceil', got {d_spec!r}")
 
 
 _SIZED_FAMILIES = {  # the families built from the size alone

@@ -68,8 +68,8 @@ class Graph:
     Use :meth:`from_edges` for validated construction.
 
     :attr:`slot_owners`, the vertex of each of the 2m directed-edge slots
-    in row order, is built (read-only) by the first stationary placement
-    on a non-regular graph, not at construction.
+    in row order, is built (read-only) on first use, by :meth:`edges`,
+    :meth:`has_edges` or placement on a non-regular graph.
     """
 
     __slots__ = ("n", "m", "family_tag", "indptr", "indices", "degrees",
@@ -96,7 +96,7 @@ class Graph:
         """Build a graph from an iterable of (u, v) pairs, enforcing all
         invariants: valid ids, no self-loops, no duplicate edges, connected.
         """
-        n = int(n)
+        n = _integer(n, "vertex count")
         if n < 1:
             raise InvalidParameterError(f"vertex count must be >= 1, got {n}")
         e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
@@ -115,22 +115,28 @@ class Graph:
         if n > m + 1:  # checked before any array of size n exists
             raise InvalidParameterError(
                 f"graph is not connected: {m} edges cannot connect {n} vertices")
-        # one buffer of the directed keys src * n + dst, sorted in place, orders
-        # every row; a duplicate edge repeats a key, and key % n is a neighbor
-        keys = np.empty(2 * m, dtype=np.int64)
-        np.multiply(e[:, 0], n, out=keys[:m])
-        keys[:m] += e[:, 1]
-        np.multiply(e[:, 1], n, out=keys[m:])
-        keys[m:] += e[:, 0]
-        keys.sort()
-        if (keys[1:] == keys[:-1]).any():
-            raise InvalidParameterError("duplicate edges are not allowed")
-
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        g = cls(n, indptr, np.remainder(keys, n, out=keys), family_tag)
+        g = cls._of_pairs(n, e[:, 0], e[:, 1], family_tag)
         if not g.is_connected():
             raise InvalidParameterError("graph is not connected")
         return g
+
+    @classmethod
+    def _of_pairs(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                  family_tag: str | None) -> "Graph":
+        """The graph of the edges (src[i], dst[i]), checked for duplicates
+        only: one buffer of the directed keys u * n + v, sorted in place,
+        orders every row, and key % n is a neighbor."""
+        m = src.shape[0]
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(src, n, out=keys[:m])
+        keys[:m] += dst
+        np.multiply(dst, n, out=keys[m:])
+        keys[m:] += src
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise InvalidParameterError("duplicate edges are not allowed")
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        return cls(n, indptr, np.remainder(keys, n, out=keys), family_tag)
 
     # -- accessors ---------------------------------------------------------
 
@@ -143,20 +149,20 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """Canonical (m, 2) edge array with u < v, sorted lexicographically."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        mask = rows < self.indices
-        return np.column_stack([rows[mask], self.indices[mask]])
+        mask = self.slot_owners < self.indices
+        return np.column_stack([self.slot_owners[mask], self.indices[mask]])
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each (us[i], vs[i]) is an edge, ids in [0, n): a search of
         ``u * n + v`` among the sorted directed-edge keys and a sentinel."""
         n = self.n
-        keys = np.repeat(np.arange(n), self.degrees) * n + self.indices
+        keys = self.slot_owners * n + self.indices
         return _known(np.append(keys, n * n), us * n + vs)
 
     @property
     def slot_owners(self) -> np.ndarray:
-        """``np.repeat(arange(n), degrees)``, built on first use."""
+        """``np.repeat(arange(n), degrees)``, built on first use by
+        placement, :meth:`edges` or :meth:`has_edges`."""
         if self._slot_owners is None:
             self._slot_owners = np.repeat(np.arange(self.n, dtype=np.int64),
                                           self.degrees)
@@ -257,7 +263,7 @@ def _ring(n: int) -> np.ndarray:
 
 def generate_star(leaves: int) -> Graph:
     """Star: center is vertex 0, leaves are 1..leaves."""
-    if leaves < 1:
+    if _integer(leaves, "leaves") < 1:
         raise InvalidParameterError(f"star needs >= 1 leaf, got {leaves}")
     edges = np.column_stack([np.zeros(leaves, np.int64), np.arange(1, leaves + 1)])
     return Graph.from_edges(leaves + 1, edges, f"star(leaves={leaves})")
@@ -268,7 +274,7 @@ def generate_double_star(n: int) -> Graph:
 
     n must be even and >= 4; the graph has exactly n vertices.
     """
-    if n < 4 or n % 2 != 0:
+    if _integer(n, "n") < 4 or n % 2 != 0:
         raise InvalidParameterError(
             f"double star needs even vertex count >= 4, got {n}")
     v = np.arange(1, n, dtype=np.int64)
@@ -279,7 +285,7 @@ def generate_double_star(n: int) -> Graph:
 def _heavy_tree(n: int, what: str) -> np.ndarray:
     """Complete binary tree in heap order (root 0) plus a clique on its
     leaves; ``what`` names the family if n is not 2^h - 1 with h >= 2."""
-    if n < 3 or (n + 1) & n != 0:
+    if _integer(n, "n") < 3 or (n + 1) & n != 0:
         raise InvalidParameterError(
             f"{what} needs n = 2^h - 1 with h >= 2, got {n}")
     child = np.arange(1, n, dtype=np.int64)
@@ -316,7 +322,7 @@ def generate_cycle_stars_cliques(m: int) -> Graph:
     to its ring vertex and to its own m clique vertices, and {l} plus those
     m vertices form a complete graph.  Total vertex count: m + m^2 + m^3.
     """
-    if m < 3:
+    if _integer(m, "m") < 3:
         raise InvalidParameterError(f"ring length must be >= 3, got {m}")
     nverts = m + m * m + m ** 3
     leaves = np.arange(m, m + m * m, dtype=np.int64)  # m + i*m + j hangs from c_i
@@ -327,13 +333,13 @@ def generate_cycle_stars_cliques(m: int) -> Graph:
 
 
 def generate_complete(n: int) -> Graph:
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise InvalidParameterError(f"complete graph needs n >= 2, got {n}")
     return Graph.from_edges(n, _cliques(np.arange(n)[None, :]), f"complete(n={n})")
 
 
 def generate_cycle(n: int) -> Graph:
-    if n < 3:
+    if _integer(n, "n") < 3:
         raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
     return Graph.from_edges(n, _ring(n), f"cycle(n={n})")
 
@@ -343,7 +349,7 @@ def generate_clique_path(k: int, d: int) -> Graph:
     by a single bridge edge from the last vertex of one to the first vertex
     of the next.
     """
-    if k < 1 or d < 2:
+    if _integer(k, "k") < 1 or _integer(d, "d") < 2:
         raise InvalidParameterError(
             f"clique path needs k >= 1 cliques of d >= 2 vertices, got k={k} d={d}")
     blocks = np.arange(k * d, dtype=np.int64).reshape(k, d)
@@ -465,17 +471,8 @@ def generate_random_regular(n: int, d: int, seed: int,
         if keys is None:
             dead_ends += 1
             continue
-        # simple by construction, so only connectivity is left to check; the
-        # sorted directed keys hold row u at [u * d, (u + 1) * d)
-        m = keys.shape[0]
-        both = np.empty(2 * m, dtype=np.int64)
-        both[:m] = keys
-        lo, hi = np.divmod(keys, n)
-        np.multiply(hi, n, out=both[m:])
-        both[m:] += lo
-        both.sort()
-        both -= np.repeat(np.arange(n, dtype=np.int64) * n, d)
-        g = Graph(n, np.arange(n + 1, dtype=np.int64) * d, both, tag)
+        # simple by construction, so only connectivity is left to check
+        g = Graph._of_pairs(n, *np.divmod(keys, n), tag)
         if g.is_connected():
             return g
         # disconnected: restart from scratch

@@ -63,7 +63,8 @@ class AgentConfig:
     lazy: bool = False
 
     def __post_init__(self):
-        if not 0 <= _integer(self.count, "agent count") < 2 ** 63:
+        object.__setattr__(self, "count", _integer(self.count, "agent count"))
+        if not 0 <= self.count < 2 ** 63:
             raise InvalidParameterError(
                 f"agent count must be in [0, 2**63), got {self.count}")
         if self.placement not in PLACEMENTS:
@@ -122,7 +123,7 @@ def default_round_cap(n: int) -> int:
 
 def _check_run(graph: Graph, source: int, round_cap: int | None,
                min_rounds: int = 0):
-    """The checked source and round cap of one run (min_rounds >= 0)."""
+    """The checked source, round cap and min_rounds (>= 0) of one run."""
     source = _integer(source, "source")
     if not (0 <= source < graph.n):
         raise InvalidParameterError(
@@ -131,10 +132,10 @@ def _check_run(graph: Graph, source: int, round_cap: int | None,
            else _integer(round_cap, "round_cap"))
     if cap < 1:
         raise InvalidParameterError(f"round_cap must be >= 1, got {cap}")
-    if _integer(min_rounds, "min_rounds") < 0:
+    if (min_rounds := _integer(min_rounds, "min_rounds")) < 0:
         raise InvalidParameterError(
             f"min_rounds must be >= 0, got {min_rounds}")
-    return source, cap
+    return source, cap, min_rounds
 
 
 def place_agents(graph: Graph, config: AgentConfig, rng: SimRng) -> np.ndarray:
@@ -244,7 +245,7 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     rounds run one by one would leave it.  Only a numpy generator takes
     blocks; a :class:`~rumorwalks.rng.Draws` reader runs every round.
     """
-    source, cap = _check_run(graph, source, round_cap)
+    source, cap, _ = _check_run(graph, source, round_cap)
     n = graph.n
     gen = _neighbor_stream(graph, rng, "push")
     indptr, degrees = graph.indptr, graph.degrees
@@ -309,7 +310,7 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
     transfers the rumor when exactly one endpoint was informed before the
     round (no within-round chaining).
     """
-    source, cap = _check_run(graph, source, round_cap)
+    source, cap, _ = _check_run(graph, source, round_cap)
     n = graph.n
     gen = _neighbor_stream(graph, rng, "pushpull")
     starts = graph.indptr[:-1]
@@ -342,9 +343,9 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
 
 def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
            round_cap: int | None, min_rounds: int = 0):
-    """Checked source, round cap, initial positions and the free (lazy)
-    walk step ``step(pos, t)`` of one agent run."""
-    source, cap = _check_run(graph, source, round_cap, min_rounds)
+    """Checked source, round cap and min_rounds, initial positions and the
+    free (lazy) walk step ``step(pos, t)`` of one agent run."""
+    source, cap, min_rounds = _check_run(graph, source, round_cap, min_rounds)
     pos = place_agents(graph, config, rng)
     walk_gen = _neighbor_stream(graph, rng, "walks")
     lazy_gen = rng.stream("lazy")
@@ -352,7 +353,7 @@ def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     def step(pos: np.ndarray, _t: int) -> np.ndarray:
         return _move(graph, pos, walk_gen, config.lazy, lazy_gen)
 
-    return source, cap, pos, step
+    return source, cap, min_rounds, pos, step
 
 
 def _walk(pos: np.ndarray, step, layers: list, cap: int, min_rounds: int = 0,
@@ -503,8 +504,8 @@ def run_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     previous round, while vertex-to-agent informing applies immediately, so
     an agent landing on an informed vertex is informed that same round.
     """
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
-                                    min_rounds)
+    source, cap, min_rounds, pos, step = _start(graph, source, config, rng,
+                                                round_cap, min_rounds)
     visit = _Visit(graph.n, source, pos)
     positions, after = _recorder(pos) if record_positions else (None, None)
     t = _walk(pos, step, [visit], cap, min_rounds, after)
@@ -520,7 +521,7 @@ def run_meet_exchange(graph: Graph, source: int, config: AgentConfig,
     The source vertex informs only its first visitors (round 0 occupants, or
     else the first nonempty visiting round) and is disarmed afterwards.
     """
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    source, cap, _, pos, step = _start(graph, source, config, rng, round_cap)
     meet = _Meet(graph.n, source, pos)
     positions, after = _recorder(pos) if record_positions else (None, None)
     t = _walk(pos, step, [meet], cap, 0, after)
@@ -561,8 +562,8 @@ def run_t_visit_exchange(graph: Graph, source: int, config: AgentConfig,
         raise InvalidParameterError(
             f"gamma must be >= 2e*|A|/n = {2 * math.e * config.count / n:.4f}, "
             f"got {gamma}")
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
-                                    min_rounds)
+    source, cap, min_rounds, pos, step = _start(graph, source, config, rng,
+                                                round_cap, min_rounds)
     alive = np.ones(config.count, dtype=bool)
     visit = _Visit(n, source, pos, alive)
     removals: list = []
@@ -649,8 +650,8 @@ def run_r_visit_exchange(graph: Graph, source: int, config: AgentConfig,
     initial population); see :func:`_occupancy_floor`.
     """
     floor = _floor_level(graph, config.count, floor, "r-visit-exchange")
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap,
-                                    min_rounds)
+    source, cap, min_rounds, pos, step = _start(graph, source, config, rng,
+                                                round_cap, min_rounds)
     visit = _Visit(graph.n, source, pos)
     additions: list = []
     t = _walk(pos, step, [visit], cap, min_rounds,
@@ -671,7 +672,7 @@ def run_shared_visit_meet(graph: Graph, source: int, config: AgentConfig,
     visit-exchange has informed all agents never exceeds the meet-exchange
     broadcast time.
     """
-    source, cap, pos, step = _start(graph, source, config, rng, round_cap)
+    source, cap, _, pos, step = _start(graph, source, config, rng, round_cap)
     visit = _Visit(graph.n, source, pos)
     meet = _Meet(graph.n, source, pos)
     t = _walk(pos, step, [visit, meet], cap)

@@ -169,6 +169,16 @@ class TestRunSettings:
             rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
                                 SimRng(1), min_rounds=2.5)
 
+    @pytest.mark.parametrize("count,min_rounds", [(np.int64(8), 0),
+                                                  (8, np.int64(3))])
+    def test_numpy_integer_settings_write_plain_ints(self, count, min_rounds):
+        # the run keeps the checked Python ints, so the writer takes them
+        def dumps(count, min_rounds):
+            return rw.transcript_dumps(rw.run_coupled_even(
+                rw.generate_cycle(8), 0, AgentConfig(count), SimRng(1),
+                min_rounds=min_rounds))
+        assert dumps(count, min_rounds) == dumps(int(count), int(min_rounds))
+
 
 class TestChainWalks:
     def test_source_at_zero(self):
@@ -469,6 +479,8 @@ OUT_OF_RANGE = {
     "visits too short": lambda o: o["visits"].pop(),
     "huge walk rounds": lambda o: o["visitx"].__setitem__("rounds", 10 ** 18),
     "huge agent count": lambda o: o.__setitem__("agent_count", 10 ** 18),
+    "agent count 2**63": lambda o: o.__setitem__("agent_count", 2 ** 63),
+    "walk rounds 2**63": lambda o: o["visitx"].__setitem__("rounds", 2 ** 63),
     "huge n": lambda o: o["graph"].__setitem__("n", 10 ** 12),
     "huge c-table cell": lambda o: o["c_table"][1].__setitem__(0, 2 ** 70),
     "short addition": lambda o: o.__setitem__("additions", [[1, 2]]),
@@ -577,6 +589,20 @@ class TestTranscriptRanges:
         obj["visits"][2][0][1][0] = -1  # only the vertex is named
         with pytest.raises(TranscriptCorruptError,
                            match=rf"^visited vertex {value} is not \[0, 64\)$"):
+            rw.transcript_from_json(obj)
+
+    @pytest.mark.parametrize("what", ["visited vertex", "agent id"])
+    def test_first_out_of_range_in_list_order_is_named(self, what):
+        # 70 comes first in list order; -1 is the least value, 99 the most
+        obj = _regular64_json()
+        for k, value in ((1, 70), (2, -1), (3, 99)):
+            entry = obj["visits"][k][0]
+            if what == "visited vertex":
+                entry[0] = value
+            else:
+                entry[1][0] = value
+        with pytest.raises(TranscriptCorruptError,
+                           match=rf"^{what} 70 is not \[0, 64\)$"):
             rw.transcript_from_json(obj)
 
     @pytest.mark.parametrize("value", ["3", -0.5, None, [3]])

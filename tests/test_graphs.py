@@ -332,8 +332,8 @@ class TestPairingDifferential:
     @pytest.mark.parametrize("n,d,seed", [(1024, 10, 21), (4096, 12, 22),
                                           (16384, 14, 23)])
     def test_matches_reference_at_regular_sweep_sizes(self, n, d, seed):
-        # the CSR is built straight from the pairing's keys: indptr is
-        # arange(n + 1) * d, with no search
+        # the CSR is built from the pairing's keys by the same builder as
+        # from_edges, whose search gives indptr = arange(n + 1) * d here
         g = rw.generate_random_regular(n, d, seed)
         ref = reference_random_regular(n, d, seed)
         assert g == ref
@@ -391,6 +391,20 @@ class TestPairingDifferential:
         keys = np.r_[n * n - 1, gen.integers(n * n - 4, n * n, size=size - 1)]
         calls = self.order_with_spy(monkeypatch, keys.astype(np.int64), n)
         assert calls == []
+
+
+@pytest.mark.parametrize("build", [
+    rw.generate_star, rw.generate_double_star, rw.generate_heavy_binary_tree,
+    rw.generate_siamese_trees, rw.generate_cycle_stars_cliques,
+    rw.generate_complete, rw.generate_cycle,
+    lambda k: rw.generate_clique_path(k, 3),
+    lambda d: rw.generate_clique_path(3, d),
+    lambda n: Graph.from_edges(n, [(0, 1), (1, 2)])])
+@pytest.mark.parametrize("size", [4.5, 8.0, True])
+def test_sizes_must_be_integers(build, size):
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^\w+( count)? must be an integer, got {size}$"):
+        build(size)
 
 
 class TestGraphType:
