@@ -32,10 +32,11 @@ member pairs.  Verification builds one flat table of the recorded choices
 for both the push replay and the oracle check, and checks every chain walk
 in one pass over the cumulative occupancy table.  The JSON text is one
 :func:`json.dumps` of the document, into which one byte writer,
-:func:`_int_text`, splices the visits and each large integer table (edges,
-choices, S-sets, C-table), written from arrays with no Python list per row
-or cell; :func:`_keyed_text` lays out every ``[[key,[values]],...]`` table
-for it: choices, S-sets and each round of visits.
+:func:`~rumorwalks.graphs._int_text` (which also writes edge lists),
+splices the visits and each large integer table (edges, choices, S-sets,
+C-table), written from arrays with no Python list per row or cell;
+:func:`_keyed_text` lays out every ``[[key,[values]],...]`` table for it:
+choices, S-sets and each round of visits.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import itertools
 import numpy as np
 
 from .errors import InvalidParameterError, TranscriptCorruptError
-from .graphs import Graph
+from .graphs import Graph, _distinct, _int_text
 from .protocols import (AgentConfig, _floor_level, _occupancy_floor,
                         _recorder, _start, _Visit, _walk)
 from .rng import ChoiceOracle, SimRng
@@ -278,7 +279,7 @@ def compute_s_sets(tr: CouplingTranscript) -> dict:
     hit = (tv[b] == t) & (tv[a] >= 0) & (tv[a] < t)
     a, b = a[hit], b[hit]
     near = tr.graph.has_edges(a, b)
-    pairs = np.unique(b[near] * n + a[near])
+    pairs = _distinct(b[near] * n + a[near])
     bounds = np.searchsorted(pairs, np.arange(n + 1, dtype=np.int64) * n)
     lonely = np.flatnonzero((tv > 0) & (bounds[1:] == bounds[:-1]))
     if lonely.size:
@@ -615,45 +616,6 @@ def transcript_dumps(tr: CouplingTranscript) -> str:
 
 
 _SMALL_TABLE = 1200  # below this size json.dumps of the lists is faster
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least of widths 2..19
-
-
-def _int_text(values: np.ndarray, marks: list, tail: str) -> str:
-    """The text of a run of items, then ``tail``: item i is its punctuation,
-    then the decimal digits of ``values[i]`` (int64, >= 0).  The
-    punctuation is ``text`` for the items of each ``(text, items)`` pair of
-    ``marks`` (no item in two), and ``","`` for the rest.  Each item is
-    written into one byte buffer, filled with commas, at an offset summed
-    from the widths of the items before it: each text, then the digits,
-    the last first."""
-    top = int(values.max()) if values.shape[0] else 0
-    width = np.ones_like(values)
-    for tens in _TENS[:len(str(top)) - 1]:
-        width += values >= tens
-    lead = width + 1
-    for text, items in marks:
-        lead[items] += len(text) - 1
-    end = np.cumsum(lead)
-    size = int(end[-1]) if end.shape[0] else 0
-    buf = np.full(size + len(tail), ord(","), dtype=np.uint8)
-    buf[size:] = np.frombuffer(tail.encode(), dtype=np.uint8)
-    first = end - width
-    for text, items in marks:
-        at = first[items] - len(text)
-        for j, char in enumerate(text.encode()):
-            if char != ord(","):
-                buf[at + j] = char
-    if top < 2 ** 31:  # 32-bit division is the faster
-        values = values.astype(np.int32)
-    at = end - 1
-    while values.shape[0]:
-        values, digit = np.divmod(values, 10)
-        buf[at] = digit + 48
-        more = values > 0
-        values, at = values[more], at[more] - 1
-    return buf.tobytes().decode("ascii")
-
-
 def _table_json(table: np.ndarray):
     """``table.tolist()`` for an integer array of any shape, or, for a
     large 2-d table of values >= 0, its JSON text, ``[[a,b],[c,d]]``."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import repeat
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import (ConfigError, FitError, GenerationFailureError,
                      InvalidParameterError, _integer)
-from .graphs import (Graph, generate_clique_path, generate_complete,
+from .graphs import (Graph, _distinct, generate_clique_path, generate_complete,
                      generate_cycle, generate_cycle_stars_cliques,
                      generate_double_star, generate_heavy_binary_tree,
                      generate_random_regular, generate_siamese_trees,
@@ -368,9 +367,10 @@ def _sweep_outcomes(config: ExperimentConfig, labels: tuple):
     workers = min(config.jobs, total, os.cpu_count() or 1)
     try:
         if workers > 1:
-            # trials use numpy's lazily loaded random and ma (np.unique)
-            # submodules: load them once here, not in every forked worker
-            import numpy.ma, numpy.random  # noqa: E401, F401
+            # trials use numpy's lazily loaded random submodule: load it
+            # once here, not in every forked worker
+            from concurrent.futures import ProcessPoolExecutor
+            import numpy.random  # noqa: F401
             chunks = _chunk_plan(len(config.sweep), config.trials, workers)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_chunk, repeat(config),
@@ -619,7 +619,7 @@ def fit_growth_points(points, models=None) -> GrowthFit:
         raise FitError(f"need at least 3 sweep points, got {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=np.float64)
     ys = np.array([p[1] for p in pts], dtype=np.float64)
-    if np.unique(ns).shape[0] < 3:
+    if _distinct(ns).shape[0] < 3:
         raise FitError("need at least 3 distinct sizes")
     tss = float(((ys - ys.mean()) ** 2).sum())
     if tss == 0.0:

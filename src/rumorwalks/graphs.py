@@ -8,6 +8,8 @@ vertices in construction order.
 """
 from __future__ import annotations
 
+import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,18 @@ def _row_entries(indptr, degrees, rows):
     return np.repeat(indptr[rows] - starts, deg) + np.arange(ends[-1]), starts
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)`` from one sort and a neighbour mask, with no hash
+    pass, so its cost follows ``x.size``."""
+    x = np.sort(x)
+    if x.shape[0] < 2:
+        return x
+    keep = np.empty(x.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def _min_labels(label: np.ndarray, src: np.ndarray,
                 dst: np.ndarray) -> np.ndarray:
     """Component labels by min-label hooking with full pointer jumping
@@ -68,8 +82,9 @@ class Graph:
     Use :meth:`from_edges` for validated construction.
 
     :attr:`slot_owners`, the vertex of each of the 2m directed-edge slots
-    in row order, is built (read-only) on first use, by :meth:`edges`,
-    :meth:`has_edges` or placement on a non-regular graph.
+    in row order, is cached (read-only) by the first placement on a
+    non-regular graph; :meth:`edges` and :meth:`has_edges` read that table
+    if it is there, and otherwise build one for the call only.
     """
 
     __slots__ = ("n", "m", "family_tag", "indptr", "indices", "degrees",
@@ -81,7 +96,7 @@ class Graph:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.degrees = np.diff(self.indptr)
-        self.distinct_degrees = np.unique(self.degrees)  # ascending
+        self.distinct_degrees = _distinct(self.degrees)  # ascending
         self.m = int(self.indices.shape[0] // 2)
         self.family_tag = family_tag
         self._slot_owners = None
@@ -149,23 +164,28 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """Canonical (m, 2) edge array with u < v, sorted lexicographically."""
-        mask = self.slot_owners < self.indices
-        return np.column_stack([self.slot_owners[mask], self.indices[mask]])
+        owners = self._owners()
+        mask = owners < self.indices
+        return np.column_stack([owners[mask], self.indices[mask]])
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether each (us[i], vs[i]) is an edge, ids in [0, n): a search of
         ``u * n + v`` among the sorted directed-edge keys and a sentinel."""
         n = self.n
-        keys = self.slot_owners * n + self.indices
+        keys = self._owners() * n + self.indices
         return _known(np.append(keys, n * n), us * n + vs)
+
+    def _owners(self) -> np.ndarray:
+        """``np.repeat(arange(n), degrees)``: the cached table, if any."""
+        if self._slot_owners is not None:
+            return self._slot_owners
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     @property
     def slot_owners(self) -> np.ndarray:
-        """``np.repeat(arange(n), degrees)``, built on first use by
-        placement, :meth:`edges` or :meth:`has_edges`."""
+        """:meth:`_owners`, cached read-only on first use (by placement)."""
         if self._slot_owners is None:
-            self._slot_owners = np.repeat(np.arange(self.n, dtype=np.int64),
-                                          self.degrees)
+            self._slot_owners = self._owners()
             self._slot_owners.setflags(write=False)
         return self._slot_owners
 
@@ -392,7 +412,7 @@ def _suitable(stubs: np.ndarray, taken, n: int) -> bool:
     non-loop edges; ``taken(keys)`` flags the edge keys already used.
     Mirrors the standard stub-matching feasibility test.
     """
-    vals = np.unique(stubs)
+    vals = _distinct(stubs)
     a, b = np.triu_indices(vals.shape[0], k=1)
     return not taken(vals[a] * n + vals[b]).all()
 
@@ -454,7 +474,7 @@ def generate_random_regular(n: int, d: int, seed: int,
     GenerationFailureError after ``max_restarts`` restarts, saying how many
     passes hit a pairing dead end and how many gave a disconnected graph.
     """
-    n, d = _integer(n, "n"), _integer(d, "d")
+    n, d, seed = _integer(n, "n"), _integer(d, "d"), _integer(seed, "seed")
     if n < 2:
         raise InvalidParameterError(f"regular graph needs n >= 2, got {n}")
     if d < 1 or d >= n:
@@ -484,23 +504,91 @@ def generate_random_regular(n: int, d: int, seed: int,
 
 # -- edge-list file I/O -------------------------------------------------------
 
+_PLAIN = re.compile(r"[0-9 \n]*")  # the bytes save_edge_list writes
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # the least of widths 2..19
+
+
+def _int_text(values: np.ndarray, marks: list, tail: str) -> str:
+    """The text of a run of items, then ``tail``: item i is its punctuation,
+    then the decimal digits of ``values[i]`` (int64, >= 0).  The
+    punctuation is ``text`` for the items of each ``(text, items)`` pair of
+    ``marks`` (no item in two), and ``","`` for the rest.  Each item is
+    written into one byte buffer, filled with commas, at an offset summed
+    from the widths of the items before it: each text, then the digits,
+    the last first."""
+    top = int(values.max()) if values.shape[0] else 0
+    width = np.ones_like(values)
+    for tens in _TENS[:len(str(top)) - 1]:
+        width += values >= tens
+    lead = width + 1
+    for text, items in marks:
+        lead[items] += len(text) - 1
+    end = np.cumsum(lead)
+    size = int(end[-1]) if end.shape[0] else 0
+    buf = np.full(size + len(tail), ord(","), dtype=np.uint8)
+    buf[size:] = np.frombuffer(tail.encode(), dtype=np.uint8)
+    first = end - width
+    for text, items in marks:
+        at = first[items] - len(text)
+        for j, char in enumerate(text.encode()):
+            if char != ord(","):
+                buf[at + j] = char
+    if top < 2 ** 31:  # 32-bit division is the faster
+        values = values.astype(np.int32)
+    at = end - 1
+    while values.shape[0]:
+        values, digit = np.divmod(values, 10)
+        buf[at] = digit + 48
+        more = values > 0
+        values, at = values[more], at[more] - 1
+    return buf.tobytes().decode("ascii")
+
+
 def save_edge_list(graph: Graph, path) -> None:
-    """Write ``n m`` header then one ``u v`` line per edge (u < v, sorted)."""
-    lines = [f"{graph.n} {graph.m}"]
-    lines += [f"{u} {v}" for u, v in graph.edges().tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write ``n m`` header then one ``u v`` line per edge (u < v, sorted),
+    as one :func:`_int_text` run."""
+    ids = np.concatenate([[graph.n, graph.m], graph.edges().ravel()])
+    count = ids.shape[0]
+    text = _int_text(ids, [("", [0]), (" ", np.arange(1, count, 2)),
+                           ("\n", np.arange(2, count, 2))], "\n")
+    Path(path).write_text(text, encoding="ascii")
+
+
+def _plain_edges(text: str):
+    """``(n, edges)`` of a file of digits, spaces and newlines, its body
+    parsed by one ``np.loadtxt`` call, if it passes every check of
+    :func:`load_edge_list`'s line loop; else None.  A body of blank lines
+    only, on which loadtxt warns, is left to the loop."""
+    head, _, body = text.partition("\n")
+    fields = head.split()
+    if (not _PLAIN.fullmatch(text) or len(fields) != 2 or not body
+            or body.isspace()):
+        return None
+    n, m = map(int, fields)
+    try:
+        e = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None,
+                       ndmin=2)
+    except ValueError:  # a line of other than two fields, or an overflow
+        return None
+    if e.shape != (m, 2) or e.max() >= n or not (e[:, 0] < e[:, 1]).all():
+        return None
+    return n, e
 
 
 def load_edge_list(path) -> Graph:
     """Parse and validate an edge-list file written by :func:`save_edge_list`.
 
     Raises LoadError with a line reference on any malformed content or
-    graph-invariant violation.
+    graph-invariant violation.  A file that passes every check is parsed
+    as arrays (:func:`_plain_edges`); the line loop runs only on the rest,
+    and finds the first fault.
     """
     try:
         text = Path(path).read_text(encoding="ascii")
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    if (plain := _plain_edges(text)) is not None:
+        return _loaded(path, *plain)
     lines = text.splitlines()
     if not lines:
         raise LoadError(f"{path}: empty file")
@@ -529,6 +617,10 @@ def load_edge_list(path) -> Graph:
         if u >= v:
             raise LoadError(f"{path}:{i}: edges must satisfy u < v")
         edges.append((u, v))
+    return _loaded(path, n, edges)
+
+
+def _loaded(path, n: int, edges) -> Graph:
     try:
         return Graph.from_edges(n, edges)
     except InvalidParameterError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, _integer
-from .graphs import Graph
+from .graphs import Graph, _distinct
 from .rng import SimRng, bounded_ahead, place_stationary
 
 __all__ = [
@@ -151,18 +151,6 @@ def place_agents(graph: Graph, config: AgentConfig, rng: SimRng) -> np.ndarray:
                 f"({config.count} != {graph.n})")
         return np.arange(graph.n, dtype=np.int64)
     return place_stationary(graph, rng.stream("placement"), config.count)
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """``np.unique(x)`` from one sort and a neighbour mask, with no hash
-    pass, so its cost follows ``x.size``."""
-    x = np.sort(x)
-    if x.shape[0] < 2:
-        return x
-    keep = np.empty(x.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
 
 
 def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
@@ -344,11 +332,12 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
 def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
            round_cap: int | None, min_rounds: int = 0):
     """Checked source, round cap and min_rounds, initial positions and the
-    free (lazy) walk step ``step(pos, t)`` of one agent run."""
+    free (lazy) walk step ``step(pos, t)`` of one agent run; only a lazy
+    run opens the ``lazy`` stream."""
     source, cap, min_rounds = _check_run(graph, source, round_cap, min_rounds)
     pos = place_agents(graph, config, rng)
     walk_gen = _neighbor_stream(graph, rng, "walks")
-    lazy_gen = rng.stream("lazy")
+    lazy_gen = rng.stream("lazy") if config.lazy else None
 
     def step(pos: np.ndarray, _t: int) -> np.ndarray:
         return _move(graph, pos, walk_gen, config.lazy, lazy_gen)

@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _integer
 from .graphs import Graph
 
 __all__ = [
@@ -76,7 +76,7 @@ class SimRng:
     reads its words ahead, so a generator could not read on after it."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = check_seed(_integer(seed, "seed"))
         self._streams: dict = {}
 
     def _cached(self, labels: tuple, kind: type, make):

@@ -1,5 +1,6 @@
 """Config round-tripping, trial aggregation, CSV stability, ratios, fits,
 and the parallel path."""
+import concurrent.futures
 import hashlib
 import math
 from dataclasses import astuple, replace
@@ -390,7 +391,8 @@ class TestRunTrials:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         cfg = small_config(sweep=(8, 16), trials=3, jobs=jobs)
         csv = rw.result_to_csv(rw.run_trials(cfg))

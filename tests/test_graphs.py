@@ -237,6 +237,13 @@ class TestRandomRegular:
                            match="^d must be an integer, got 3.5$"):
             rw.generate_random_regular(8, 3.5, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_non_integer_seed(self, seed):
+        # refused, not a TypeError from the comparison or PCG64, nor seed 1
+        with pytest.raises(InvalidParameterError,
+                           match=f"^seed must be an integer, got {seed!r}$"):
+            rw.generate_random_regular(16, 3, seed)
+
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_invariants_random_seeds(self, seed):
@@ -803,6 +810,52 @@ class TestEdgeListIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             rw.load_edge_list(tmp_path / "nope.el")
+
+    def test_writer_matches_f_strings(self, tmp_path):
+        # ids of one to six digits, each power of ten among them
+        g = rw.generate_cycle(100_001)
+        path = tmp_path / "c.el"
+        rw.save_edge_list(g, path)
+        want = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges().tolist()]
+        assert path.read_text().split("\n") == want + [""]
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n0 1\n1 2\n",
+        "\n",  # a blank header
+        "3 2\n\n  0   1  \n \n001 2\n\n",  # blank lines, spaces, zeros
+        "3 2\n\n\n",  # no edge lines
+        "1 0\n", "1 0\n\n",
+        "3 2 0\n0 1\n1 2\n",
+        "3 2\n0 1 2\n1 2 0\n",  # three fields on every line
+        "3 2\n0 1\n1 2\n1 2\n",  # more lines than declared
+        "3 1\n0 1\n",  # fewer: not connected
+        "3 2\n0 1\n0 1\n",  # duplicate
+        "2 1\n0 99999999999999999999\n",  # past int64
+        "3 2\n0 1\n2 1\n", "3 2\n0 1\n1 3\n", "0 1\n0 1\n",
+        "3 2\r\n0 1\r\n1 2\r\n", "3 2\n+0 1\n1 0_2\n",  # the loop's own
+        "3 2\n0\t1\n1 2\n", "3 2\n0 1 # c\n1 2\n",
+    ])
+    def test_arrays_and_line_loop_agree(self, monkeypatch, tmp_path, text):
+        # the same graph or the same LoadError, whether or not the file is
+        # parsed as arrays
+        path = tmp_path / "g.el"
+        path.write_bytes(text.encode())
+
+        def load():
+            try:
+                return rw.load_edge_list(path)
+            except LoadError as exc:
+                return str(exc)
+
+        got = load()
+        monkeypatch.setattr(graphs, "_plain_edges", lambda text: None)
+        assert got == load()
+
+    def test_saved_files_are_parsed_as_arrays(self, tmp_path):
+        g, path = rw.generate_heavy_binary_tree(255), tmp_path / "h.el"
+        rw.save_edge_list(g, path)
+        n, edges = graphs._plain_edges(path.read_text())
+        assert n == g.n and np.array_equal(edges, g.edges())
 
 
 # each family at its smallest legal size and at the sizes the sweeps use

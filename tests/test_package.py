@@ -106,3 +106,43 @@ def test_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+
+
+# what a run loads and never reads: numpy.ma (plain np.unique imports it
+# lazily) and multiprocessing (a sweep's process pool)
+UNREAD = ("numpy.ma", "multiprocessing")
+
+COUPLED = textwrap.dedent("""
+    import json, sys
+    import rumorwalks as rw
+    from rumorwalks import coupling as cp
+
+    g = rw.generate_random_regular(64, 8, 1)
+    tr = cp.run_coupled_even(g, 0, rw.AgentConfig(64), rw.SimRng(3))
+    loaded = cp.transcript_from_json(json.loads(cp.transcript_dumps(tr)))
+    assert cp.verify_transcript(loaded).ok
+    print(sorted(m for m in {unread!r} if m in sys.modules))
+""")
+
+TRIALS = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    from rumorwalks import experiments as ex
+
+    for path in sorted(Path({cfgs!r}).glob("*.cfg")):
+        cfg = ex.parse_config_file(path)
+        ex._run_trial(cfg, min(cfg.sweep), 0, cfg.protocols)
+    print(sorted(m for m in {unread!r} if m in sys.modules))
+""")
+
+
+@pytest.mark.parametrize("script", [
+    COUPLED.format(unread=UNREAD),
+    TRIALS.format(unread=UNREAD, cfgs=str(ROOT / "experiments"))],
+    ids=["coupled", "trials"])
+def test_runs_load_nothing_unread(script):
+    # a fresh interpreter, so that no other test's imports are inherited
+    proc = subprocess.run([sys.executable, "-c", script], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,7 +8,8 @@ import pytest
 from scipy import stats
 
 import rumorwalks as rw
-from rumorwalks import AgentConfig, Graph, InvalidParameterError, protocols
+from rumorwalks import (AgentConfig, Graph, InvalidParameterError, graphs,
+                        protocols)
 from rumorwalks.protocols import default_round_cap, place_agents
 from rumorwalks.rng import Draws, SimRng
 
@@ -270,8 +271,23 @@ class TestNeighborStreams:
         assert all(isinstance(gen, Draws) for gen in gens)
 
 
+class TestLazyStream:
+    """Only a lazy walk reads the ``lazy`` stream, and only it opens one."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_opened_by_lazy_runs_only(self, lazy):
+        g, rng = rw.generate_cycle(8), SimRng(1)
+        rw.run_visit_exchange(g, 0, AgentConfig(8, lazy=lazy), rng)
+        assert (("lazy",) in rng._streams) == lazy
+
+    def test_coupled_run_opens_none(self):
+        rng = SimRng(1)
+        rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8), rng)
+        assert ("lazy",) not in rng._streams
+
+
 class TestDistinct:
-    """``protocols._distinct`` gives what ``np.unique`` gives."""
+    """``graphs._distinct`` gives what ``np.unique`` gives."""
 
     I64 = np.iinfo(np.int64)
 
@@ -280,7 +296,7 @@ class TestDistinct:
     ], ids=["empty", "single", "all-equal", "extremes"])
     def test_edge_cases(self, values):
         x = np.array(values, dtype=np.int64)
-        got, want = protocols._distinct(x), np.unique(x)
+        got, want = graphs._distinct(x), np.unique(x)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -289,7 +305,7 @@ class TestDistinct:
         gen = np.random.default_rng(seed)
         x = gen.integers(0, 1 + gen.integers(1, 2 ** 16),
                          size=gen.integers(0, 2 ** 15 + 1))
-        assert np.array_equal(protocols._distinct(x), np.unique(x))
+        assert np.array_equal(graphs._distinct(x), np.unique(x))
 
 
 class TestRegularPlacement:
@@ -347,6 +363,20 @@ class TestStationaryPlacement:
         with pytest.raises(ValueError):
             table[0] = 1
         rw.place_stationary(g, np.random.default_rng(1), 10)
+        assert g._slot_owners is table
+
+    def test_edge_queries_cache_no_table(self):
+        # edges() and has_edges() build the table for the call only; the
+        # first placement caches it, and they read it from then on
+        g = rw.generate_heavy_binary_tree(63)
+        want = g.edges()
+        assert g.has_edges(want[:, 0], want[:, 1]).all()
+        assert g._slot_owners is None
+        rw.place_stationary(g, np.random.default_rng(0), 10)
+        table = g._slot_owners
+        assert table is not None
+        assert np.array_equal(g.edges(), want)
+        assert g.has_edges(want[:, 1], want[:, 0]).all()
         assert g._slot_owners is table
 
     def test_single_vertex(self):

@@ -78,6 +78,23 @@ class TestSimRng:
         rng = SimRng(13)
         assert rng.child_seed("oracle") == derive_seed(13, "oracle")
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed(self, seed):
+        # refused, not truncated to seed 1
+        with pytest.raises(rw.InvalidParameterError,
+                           match=f"^seed must be an integer, got {seed!r}$"):
+            SimRng(seed)
+
+    @pytest.mark.parametrize("seed", [2 ** 127, -2 ** 127 - 1])
+    def test_oversized_seed(self, seed):
+        # refused when made, not when the first stream is derived
+        with pytest.raises(rw.InvalidParameterError, match="outside"):
+            SimRng(seed)
+
+    def test_numpy_integer_seed(self):
+        assert SimRng(np.uint64(7)).seed == 7
+        assert type(SimRng(np.int64(7)).seed) is int
+
 
 class TestChoiceOracle:
     def test_idempotent(self):
