@@ -27,9 +27,9 @@ from .coupling import (run_coupled, transcript_dumps, transcript_from_json,
 from .errors import (ConfigError, GenerationFailureError,
                      InvalidParameterError, RumorWalksError,
                      TranscriptCorruptError)
-from .experiments import (FAMILIES, PROTOCOLS, agent_config, build_graph,
-                          parse_config_file, resolve_source, result_to_csv,
-                          run_protocol, run_trials)
+from .experiments import (FAMILIES, PROTOCOLS, RANDOM_FAMILIES, agent_config,
+                          build_graph, parse_config_file, resolve_source,
+                          result_to_csv, run_protocol, run_trials)
 from .graphs import load_edge_list, save_edge_list
 from .protocols import PLACEMENTS, trace_events
 from .rng import SimRng, check_seed
@@ -120,7 +120,8 @@ def _write_trace(path: str, trace) -> None:
 
 
 def _cmd_generate(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = (_resolve_seed(args.seed) if args.family in RANDOM_FAMILIES
+            else args.seed)  # a deterministic family reads none
     graph = build_graph(args.family, args.size, args.d, seed)
     save_edge_list(graph, args.out)
     _emit({"family": args.family, "n": graph.n, "m": graph.m,

@@ -15,6 +15,7 @@ same loop and pool.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
@@ -34,7 +35,7 @@ from .protocols import (AgentConfig, run_meet_exchange,
                         run_push, run_push_pull, run_r_visit_exchange,
                         run_shared_visit_meet, run_t_visit_exchange,
                         run_visit_exchange)
-from .rng import SimRng, check_seed, derive_seed
+from .rng import SimRng, derive_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -117,24 +118,35 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown protocol {p!r}", "protocols")
         if not self.sweep:
             raise ConfigError("sweep must list at least one size", "sweep")
-        if any(int(s) < 1 for s in self.sweep):
-            raise ConfigError("sweep sizes must be positive", "sweep")
-        for key, check in (("seed", check_seed), ("source", _check_source),
-                           ("placement", lambda p: AgentConfig(0, p)),
-                           ("d", lambda d: d is None or _resolve_d(d, 1))):
+        for key, check in (
+                ("sweep", lambda v, _: [_integer(s, "sweep size") for s in v]),
+                ("seed", lambda v, _: SimRng(v)),
+                *((key, _integer) for key in ("trials", "jobs", "bootstrap")),
+                *((key, lambda v, key: v is None or _integer(v, key))
+                  for key in ("round_cap", "agents")),
+                ("source", lambda v, _: _check_source(v)),
+                ("placement", lambda v, _: AgentConfig(0, v)),
+                ("d", lambda v, _: v is None or _resolve_d(v, 1))):
             try:
-                check(getattr(self, key))
+                check(getattr(self, key), key)
             except InvalidParameterError as exc:
                 raise ConfigError(str(exc), key) from None
+        if any(s < 1 for s in self.sweep):
+            raise ConfigError("sweep sizes must be positive", "sweep")
+        if not isinstance(self.lazy, bool):
+            raise ConfigError(f"lazy must be a bool, got {self.lazy!r}", "lazy")
         for key in ("alpha", "gamma", "floor"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if (value := getattr(self, key)) is None and key != "alpha":
+                continue  # gamma and floor are optional
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key} must be a real number, got {value!r}",
+                                  key)
+            if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}", key)
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}", "alpha")
         for key in ("trials", "jobs", "round_cap", "bootstrap"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
+            if (value := getattr(self, key)) is not None and value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}", key)
         if "t-visit-exchange" in self.protocols and self.gamma is None:
             raise ConfigError("t-visit-exchange requires gamma")
@@ -721,8 +733,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if exc.key not in raw:
             raise
         raise ConfigError(f"line {raw[exc.key][1]}: {exc}", exc.key) from exc
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
     # only the file tells a setting from a default, such as alpha's 1.0
     unread = [key for key in raw if key in _unread(cfg.protocols)]
     if unread:

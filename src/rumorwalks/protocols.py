@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, _integer
 from .graphs import Graph, _distinct
-from .rng import SimRng, bounded_ahead, place_stationary
+from .rng import SimRng, place_stationary
 
 __all__ = [
     "AgentConfig",
@@ -156,19 +156,15 @@ def place_agents(graph: Graph, config: AgentConfig, rng: SimRng) -> np.ndarray:
 def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
                     degs: np.ndarray | None) -> np.ndarray:
     """One uniform neighbor of each row: ``graph.indices[starts +
-    gen.integers(0, degs)]``, drawing exactly what that call draws.
+    integers(0, degs)]``, drawn by ``gen``, the stream's
+    :class:`~rumorwalks.rng.Draws` reader, exactly as numpy draws it.
 
     ``starts`` are row starts in ``graph.indptr`` and ``degs`` the rows'
     degrees, which may be None on a regular graph.  numpy draws a bounded
     integer by Lemire's method, which consumes nothing for a range of zero,
-    so degree-1 rows take their lone neighbor and draw nothing.  Where the
-    drawing rows share one degree, numpy fills that scalar bound, a Python
-    int, with ``size=k`` or as one scalar, from the same draws as k equal
-    array bounds, at a fraction of the per-call cost.  Where they have more
-    than one, ``gen`` is the stream's :class:`~rumorwalks.rng.Draws` reader
-    (:func:`_neighbor_stream`), and ``gen.integers(degs, top)`` draws what
-    numpy's ``integers(0, degs)`` would, value for value, from raw words
-    read ahead, ``top`` being the graph's largest degree.
+    so degree-1 rows take their lone neighbor and draw nothing.  Rows that
+    share one degree d draw ``gen.bounded(d, k)``; rows of several degrees
+    draw ``gen.integers(degs, top)``, ``top`` being the largest degree.
     """
     indices = graph.indices
     values = graph.distinct_degrees  # the degrees a drawing row can have
@@ -183,26 +179,13 @@ def _draw_neighbors(graph: Graph, gen, starts: np.ndarray,
             return indices[starts]
         if multi.shape[0] < k:
             drawing, k, degs = multi, multi.shape[0], degs[multi]
-    if values.shape[0] == 1:
-        draws = gen.integers(0, int(values[0]), size=None if k == 1 else k)
-    else:
-        draws = gen.integers(degs, values[-1])
+    draws = (gen.bounded(int(values[0]), k)[0] if values.shape[0] == 1
+             else gen.integers(degs, values[-1]))
     if drawing is None:
         return indices[starts + draws]
     at = starts.copy()
     at[drawing] += draws
     return indices[at]
-
-
-def _neighbor_stream(graph: Graph, rng: SimRng, label: str):
-    """What :func:`_draw_neighbors` reads for stream ``label``: the stream's
-    :class:`~rumorwalks.rng.Draws` reader where the drawing rows (degree
-    above 1) have more than one degree, else the numpy generator, whose
-    scalar-bound fill is faster than the reader."""
-    values = graph.distinct_degrees
-    if np.count_nonzero(values > 1) > 1:
-        return rng.draws(label)
-    return rng.stream(label)
 
 
 def _move(graph: Graph, pos: np.ndarray, walk_gen, lazy: bool, lazy_gen) -> np.ndarray:
@@ -228,14 +211,13 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     """Push rumor spreading from ``source``.
 
     A vertex informed at round t starts sampling at round t + 1.  Rounds
-    that add no sampling vertex, as on a star, run in blocks from draws read
-    ahead (:func:`bounded_ahead`), which leave the ``push`` stream where
-    rounds run one by one would leave it.  Only a numpy generator takes
-    blocks; a :class:`~rumorwalks.rng.Draws` reader runs every round.
+    that add no sampling vertex, while the sampling vertices share one
+    degree (a star), run in blocks that :meth:`~rumorwalks.rng.Draws.bounded`
+    reads ahead and leaves where rounds run one by one would.
     """
     source, cap, _ = _check_run(graph, source, round_cap)
     n = graph.n
-    gen = _neighbor_stream(graph, rng, "push")
+    gen = rng.draws("push")
     indptr, degrees = graph.indptr, graph.degrees
     informed_at = np.full(n, -1, dtype=np.int64)
     informed_at[source] = 0
@@ -247,7 +229,6 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     if degs[0] == 1:
         starts, degs, forced = forced, forced, graph.indices[starts]
     leafy = graph.distinct_degrees[0] == 1
-    blocky = isinstance(gen, np.random.Generator)
     count, t = 1, 0
     # calm counts rounds in a row that added no drawing row; from 4 on, a
     # block takes that many rounds again (so blocks double), at most 2**16
@@ -256,8 +237,8 @@ def run_push(graph: Graph, source: int, rng: SimRng,
     while count < n and t < cap:
         k = starts.shape[0]
         rounds = min(calm, 2 ** 16 // k, cap - t) if calm >= 4 else 0
-        if rounds > 1 and blocky and (degs == degs[0]).all():
-            draws, leave = bounded_ahead(gen, int(degs[0]), rounds * k)
+        if rounds > 1 and (degs == degs[0]).all():
+            draws, leave = gen.bounded(int(degs[0]), rounds * k)
             targets = graph.indices[np.tile(starts, rounds) + draws]
             new = np.flatnonzero(informed_at[targets] == -1)
             fresh, first = np.unique(targets[new], return_index=True)
@@ -300,7 +281,7 @@ def run_push_pull(graph: Graph, source: int, rng: SimRng,
     """
     source, cap, _ = _check_run(graph, source, round_cap)
     n = graph.n
-    gen = _neighbor_stream(graph, rng, "pushpull")
+    gen = rng.draws("pushpull")
     starts = graph.indptr[:-1]
     informed_at = np.full(n, -1, dtype=np.int64)
     informed_at[source] = 0
@@ -336,7 +317,7 @@ def _start(graph: Graph, source: int, config: AgentConfig, rng: SimRng,
     run opens the ``lazy`` stream."""
     source, cap, min_rounds = _check_run(graph, source, round_cap, min_rounds)
     pos = place_agents(graph, config, rng)
-    walk_gen = _neighbor_stream(graph, rng, "walks")
+    walk_gen = rng.draws("walks")
     lazy_gen = rng.stream("lazy") if config.lazy else None
 
     def step(pos: np.ndarray, _t: int) -> np.ndarray:

@@ -355,18 +355,18 @@ class ChoiceOracle:
 
 
 class Draws:
-    """numpy's ``Generator(PCG64(seed)).integers(0, bounds)`` for arrays of
-    bounds, value for value, from raw PCG64 words read ahead.
+    """numpy's ``Generator(PCG64(seed)).integers(0, bounds)``, value for
+    value, for arrays of bounds or one bound, from raw PCG64 words read ahead.
 
     numpy draws a bound d in [2, 2**32] from 32-bit halves, each raw word's
     low half before its high half.  Lemire's multiply-shift keeps half h as
     ``h * d >> 32`` unless ``h * d mod 2**32 < (2**32 - d) % d``; then the
     same bound takes the next half.  The reader does this over arrays, on
-    words read ahead in blocks that double up to 2**16 words.  It owns its
-    ``PCG64``, which nothing else reads.
+    words read ahead in blocks that double up to 2**14 words (at least two
+    calls' worth).  It owns its ``PCG64``, which nothing else reads.
     """
 
-    _FIRST, _LAST = 256, 2 ** 16  # words in the first and the largest block
+    _FIRST, _LAST = 256, 2 ** 14  # words in the first and the largest block
 
     def __init__(self, seed: int):
         self._bitgen = np.random.PCG64(seed)
@@ -376,14 +376,40 @@ class Draws:
 
     def _ahead(self, need: int) -> np.ndarray:
         """The next ``need`` unused halves, reading words when fewer are left."""
-        if self._halves.shape[0] - self._pos < need:
-            words = max(self._block, need // 2 + 1)
+        left = self._halves.shape[0] - self._pos
+        if left < need:
+            raw = self._bitgen.random_raw(max(self._block, need))
             self._block = min(2 * self._block, self._LAST)
-            raw = self._bitgen.random_raw(words)  # each word: low half first
-            fresh = raw.astype("<u8", copy=False).view("<u4")
-            self._halves = np.concatenate([self._halves[self._pos:], fresh])
+            fresh = raw.astype("<u8", copy=False).view("<u4")  # low half first
+            self._halves = np.concatenate([self._halves[self._pos:], fresh]) \
+                if left else fresh
             self._pos = 0
         return self._halves[self._pos:self._pos + need]
+
+    def bounded(self, bound: int, count: int):
+        """``(draws, leave)``: the next ``count`` values of ``integers(0,
+        bound)``, bound an int in [2, 2**32], and ``leave(used)``, which puts
+        the reader after the first ``used`` of them.  A half rejected for one
+        draw is rejected for any, so one pass finds the kept ones."""
+        reject, d = (2 ** 32 - bound) % bound, np.uint64(bound)
+        m = self._ahead(count) * d
+        before = None  # the kept halves before each rejected one, if any
+        if reject and count and np.minimum.reduce(m, dtype=np.uint32) < reject:
+            bad = np.flatnonzero((m & _M32) < reject)
+            while count + bad.shape[0] > m.shape[0]:  # widen past each one
+                m = self._ahead(count + bad.shape[0]) * d
+                bad = np.flatnonzero((m & _M32) < reject)
+            m = np.delete(m, bad)
+            before = bad - np.arange(bad.shape[0])
+        start = self._pos
+
+        def leave(used: int) -> None:
+            self._pos = start + used + (0 if before is None else int(
+                np.searchsorted(before, used)))
+
+        leave(count)
+        m >>= _S32
+        return m.view(np.int64), leave
 
     def integers(self, bounds, top: int = 2 ** 32) -> np.ndarray:
         """``integers(0, bounds)`` for int bounds in [2, ``top``], ``top`` at
@@ -409,25 +435,6 @@ class Draws:
             done += kept
             self._pos += kept + (done < d.shape[0])  # skip the rejected half
         return out
-
-
-def bounded_ahead(gen: np.random.Generator, bound: int, count: int):
-    """``(draws, leave)``: the next ``count`` values of ``gen.integers(0,
-    bound)``, read ahead as one ``gen.integers(0, bound, size=count)`` call,
-    which draws exactly what ``count`` scalar calls would, and
-    ``leave(used)``, which puts ``gen`` where ``used`` scalar draws would: it
-    rewinds to the state before the block and redraws ``used`` values.
-    """
-    bitgen = gen.bit_generator
-    start = bitgen.state
-    draws = gen.integers(0, bound, size=count)
-
-    def leave(used: int) -> None:
-        if used < count:
-            bitgen.state = start
-            gen.integers(0, bound, size=used)
-
-    return draws, leave
 
 
 def place_stationary(graph: Graph, gen: np.random.Generator,

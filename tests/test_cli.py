@@ -44,6 +44,24 @@ class TestGenerate:
         assert code == 0
         assert out.read_text() == "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
+    @pytest.mark.parametrize("family,flags", [
+        ("heavy-tree", ("--size", "15")), ("star", ("--size", "4")),
+        ("regular", ("--size", "4", "--d", "3"))])
+    def test_seed_drawn_only_where_read(self, tmp_path, capsys, family,
+                                        flags):
+        # a seed is drawn and logged only for a random family; a
+        # deterministic one reports the seed it was given, or none
+        argv = ("generate", "--family", family, *flags,
+                "--out", str(tmp_path / "g.el"))
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == 0
+        if family in rw.experiments.RANDOM_FAMILIES:
+            assert err == f"INFO seed not given; using {payload['seed']}\n"
+        else:
+            assert payload["seed"] is None and err == ""
+        code, payload, err = run_cli(capsys, *argv, "--seed", "9")
+        assert code == 0 and payload["seed"] == 9 and err == ""
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "generate", "--family", "star",
                              "--size", "4", "--frobnicate")

@@ -205,6 +205,26 @@ class TestChainWalks:
                 assert walk.vertices[0] == tr.source
                 assert walk.vertices[-1] == u
 
+    def test_round_out_of_range(self):
+        tr = rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                                 SimRng(44))
+        assert (int(tr.t_visit[3]), tr.visitx_rounds) == (8, 10)
+        for t in (7, 11):
+            with pytest.raises(InvalidParameterError, match="^need informing "
+                               f"round 8 <= t <= 10, got {t}$"):
+                rw.reconstruct_min_chain_walk(tr, 3, t)
+
+    def test_hop_no_agent_made(self):
+        # vertex 3 of cycle(8), informed at round 8, names the source as
+        # its only S-set member; no agent steps 0 -> 3
+        tr = rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                                 SimRng(44))
+        tr.s_sets = {**coupling.compute_s_sets(tr), 3: [0]}
+        tr.c_table = None
+        with pytest.raises(TranscriptCorruptError,
+                           match="^no agent moved 0 -> 3 at round 8$"):
+            rw.reconstruct_min_chain_walk(tr, 3, 8)
+
     def test_stored_s_set_cycle_is_corrupt(self):
         # vertices 0 and 1 name each other as informing neighbor, both at
         # round 1: the walk back from 0 must stop with a fault, not loop
@@ -230,6 +250,15 @@ class TestChainWalks:
 
 
 class TestCongestionDP:
+    @pytest.mark.parametrize("k", [-1, 11])
+    def test_k_out_of_range(self, k):
+        tr = rw.run_coupled_even(rw.generate_cycle(8), 0, AgentConfig(8),
+                                 SimRng(44))
+        assert tr.visitx_rounds == 10
+        with pytest.raises(InvalidParameterError, match="^need 0 <= k <= "
+                           f"recorded rounds 10, got {k}$"):
+            rw.max_congestion_dp(tr, k)
+
     def test_round_zero(self):
         tr = k2_transcript()
         dp = rw.max_congestion_dp(tr, 0)
@@ -399,6 +428,18 @@ class TestVerification:
         report = rw.verify_transcript(bad)
         assert not report.ok
         assert not report.checks["conservation"]
+
+    def test_incomplete_run_refused(self):
+        tr = rw.run_coupled_even(rw.generate_cycle(12), 0, AgentConfig(count=1),
+                                 SimRng(2), round_cap=3)
+        assert not tr.visitx_complete
+        for check, message in (
+                (rw.compute_c_counters, "C-counters need a complete walk phase"),
+                (rw.verify_tau_leq_c, "both processes must have finished"),
+                (lambda tr: rw.reconstruct_min_chain_walk(tr, 0, 0),
+                 "walk phase incomplete")):
+            with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+                check(tr)
 
     def test_incomplete_report(self):
         tr = rw.run_coupled_even(rw.generate_cycle(12), 0, AgentConfig(count=1),

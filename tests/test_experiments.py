@@ -192,6 +192,56 @@ source = center
             rw.parse_config("\n".join(lines) + "\n")
         assert f"line 3: {fragment}" in str(err.value)
 
+    def test_lazy_not_a_bool(self):
+        with pytest.raises(ConfigError, match="^line 6: bad value for 'lazy'"
+                           ": expected true/false, got 'maybe'$"):
+            rw.parse_config("family = star\nprotocols = visit-exchange\n"
+                            "sweep = 8\ntrials = 2\nseed = 1\nlazy = maybe\n")
+
+    def test_fault_without_a_line(self):
+        # a fault of no one key carries no line number
+        with pytest.raises(ConfigError,
+                           match="^t-visit-exchange requires gamma$") as err:
+            rw.parse_config("family = star\nprotocols = t-visit-exchange\n"
+                            "sweep = 8\ntrials = 2\nseed = 1\n")
+        assert err.value.key is None
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("trials", True, "trials must be an integer, got True"),
+        ("jobs", 1.5, "jobs must be an integer, got 1.5"),
+        ("round_cap", 9.0, "round_cap must be an integer, got 9.0"),
+        ("bootstrap", "50", "bootstrap must be an integer, got '50'"),
+        ("agents", 2.5, "agents must be an integer, got 2.5"),
+        ("sweep", (16, 2.5), "sweep size must be an integer, got 2.5"),
+        ("sweep", (True,), "sweep size must be an integer, got True"),
+        ("lazy", "no", "lazy must be a bool, got 'no'"),
+        ("lazy", 1, "lazy must be a bool, got 1"),
+        ("alpha", "x", "alpha must be a real number, got 'x'"),
+        ("alpha", True, "alpha must be a real number, got True"),
+        ("gamma", "2", "gamma must be a real number, got '2'"),
+        ("floor", None, None),  # an optional key may stay unset
+        ("floor", [1.0], "floor must be a real number, got [1.0]"),
+    ])
+    def test_library_values_of_the_wrong_type(self, key, value, message):
+        # the config parser reads the right types; a library caller's value
+        # of the wrong one is refused with its key, not run or left to numpy
+        if message is None:
+            assert getattr(small_config(**{key: value}), key) == value
+            return
+        with pytest.raises(ConfigError) as err:
+            small_config(**{key: value})
+        assert (str(err.value), err.value.key) == (message, key)
+
+    def test_library_numpy_values(self):
+        cfg = small_config(seed=np.int64(7), trials=np.int32(2),
+                           alpha=np.float32(0.5), sweep=(np.int64(8),))
+        assert cfg.trials == 2 and cfg.sweep == (8,)
+        with pytest.raises(ConfigError, match="^lazy must be a bool"):
+            small_config(lazy=np.True_)
+
     def test_parse_config_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(self.GOOD)
@@ -285,6 +335,11 @@ class TestBuildGraph:
                            match="^agent count must be an integer, got 2.5$"):
             rw.run_protocol("visit-exchange", rw.generate_cycle(8), 0,
                             rw.SimRng(1), agents=2.5)
+
+    def test_run_protocol_unknown(self):
+        with pytest.raises(rw.InvalidParameterError,
+                           match="^unknown protocol 'nope'$"):
+            rw.run_protocol("nope", rw.generate_cycle(8), 0, rw.SimRng(1))
 
     def test_resolve_source(self):
         g = rw.generate_star(5)
@@ -565,6 +620,15 @@ class TestSweepRatio:
         for p in pts:
             assert p.ci_low <= p.ratio <= p.ci_high
 
+    def test_no_completed_trials(self):
+        # a round cap of 1 completes no push or push-pull run on cycle(64)
+        res = rw.run_trials(small_config(family="cycle", sweep=(64,),
+                                         protocols=("push", "push-pull"),
+                                         trials=2, round_cap=1))
+        with pytest.raises(rw.InvalidParameterError, match="^no completed "
+                           "trials to compare at size 64$"):
+            rw.sweep_ratio(res, "push", "push-pull")
+
     def test_ci_reproducible(self):
         cfg = small_config(protocols=("push", "push-pull"), trials=15)
         res = rw.run_trials(cfg)
@@ -613,6 +677,13 @@ class TestBootstrap:
 
 
 class TestFitGrowth:
+    def test_too_few_points(self):
+        res = rw.run_trials(small_config(family="cycle", sweep=(8, 16),
+                                         trials=2))
+        with pytest.raises(FitError, match="^protocol 'push' has 2 usable "
+                           "sweep points; need at least 3$"):
+            rw.fit_growth(res, "push")
+
     def test_synthetic_log(self):
         pts = [(n, 3.5 * math.log2(n)) for n in (64, 128, 256, 512, 1024)]
         fit = rw.fit_growth_points(pts)

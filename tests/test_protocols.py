@@ -2,6 +2,7 @@
 variants, checked against hand traces, closed forms, and re-simulation."""
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -39,17 +40,11 @@ NEXT_BOUNDS = [2, 3, 7, 1000, 2 ** 31 - 1, 2 ** 31 + 1, 2 ** 32 - 1,
                2 ** 32] * 8
 
 
-def assert_same_place(graph, got_rng, want_rng, label):
-    """``got_rng``'s neighbor stream ``label`` stands where ``want_rng``'s
-    numpy generator does: in the same generator state or, where a ``Draws``
-    reader reads it, with the same next draws."""
-    got = protocols._neighbor_stream(graph, got_rng, label)
-    want = want_rng.stream(label)
-    if isinstance(got, Draws):
-        assert got.integers(NEXT_BOUNDS).tolist() == \
-            want.integers(0, NEXT_BOUNDS).tolist(), label
-    else:
-        assert got.bit_generator.state == want.bit_generator.state, label
+def assert_same_place(got_rng, want_rng, label):
+    """``got_rng``'s ``Draws`` reader of stream ``label`` stands where
+    ``want_rng``'s numpy generator does: it has the same next draws."""
+    assert got_rng.draws(label).integers(NEXT_BOUNDS).tolist() == \
+        want_rng.stream(label).integers(0, NEXT_BOUNDS).tolist(), label
 
 
 # placement seeds located by direct search (stationary draws are seeded,
@@ -150,6 +145,11 @@ class TestPush:
                            match="^source must be an integer, got True$"):
             rw.run_push(rw.generate_cycle(8), True, SimRng(1))
 
+    def test_source_out_of_range(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^source 8 out of range for n=8$"):
+            rw.run_push(rw.generate_cycle(8), 8, SimRng(1))
+
     def test_incomplete_on_tiny_cap(self):
         res = rw.run_push(rw.generate_cycle(64), 0, SimRng(1), round_cap=3)
         assert not res.complete
@@ -170,9 +170,10 @@ class TestPushBlocks:
         ("double-star-leaf", lambda: rw.generate_double_star(64), 63, True),
         ("path-end", lambda: _path(40), 0, True),
         ("path-middle", lambda: _path(40), 20, True),
-        ("heavy-tree", lambda: rw.generate_heavy_binary_tree(63), 0, False),
-        # drawing degrees 2 and 200: a reader reads the stream, so no block
-        ("star-tail", lambda: _star_tail(200), 0, False),
+        # mixed drawing degrees: a block may run while the sampling vertices
+        # share one (200 for the star's center, before its tail is reached)
+        ("heavy-tree", lambda: rw.generate_heavy_binary_tree(63), 0, None),
+        ("star-tail", lambda: _star_tail(200), 0, True),
         ("regular", lambda: rw.generate_random_regular(256, 8, seed=3), 0,
          None),
         ("regular-sparse", lambda: rw.generate_random_regular(64, 3, seed=4),
@@ -185,13 +186,14 @@ class TestPushBlocks:
                                     blocky):
         graph = build()
         blocks = []
-        real = protocols.bounded_ahead
+        real = Draws.bounded
 
-        def counting(gen, bound, count):
-            blocks.append(count)
-            return real(gen, bound, count)
+        def counting(reader, bound, count):  # the blocks run_push draws
+            if sys._getframe(1).f_code.co_name == "run_push":
+                blocks.append(count)
+            return real(reader, bound, count)
 
-        monkeypatch.setattr(protocols, "bounded_ahead", counting)
+        monkeypatch.setattr(Draws, "bounded", counting)
         trials = 3 if graph.n > 500 else 12
         for seed in range(trials):
             full = push_per_round(graph, source, SimRng(seed))[1]
@@ -207,19 +209,18 @@ class TestPushBlocks:
                 complete = bool((want >= 0).all())
                 assert got.broadcast_time == (int(want.max()) if complete
                                               else None)
-                assert_same_place(graph, got_rng, want_rng, "push")
-        # stars and paths do run blocks, graphs whose stream a reader reads
-        # never do; a regular graph adds drawing rows nearly every round, so
+                assert_same_place(got_rng, want_rng, "push")
+        # stars, paths and the star with a tail do run blocks; a regular
+        # graph or the heavy tree adds drawing rows nearly every round, so
         # it rarely does
         if blocky is not None:
             assert bool(blocks) == blocky
 
 
 class TestNeighborStreams:
-    """Where every drawing row (degree above 1) has one degree, the walks,
-    push and push-pull streams stay numpy generators and no reader is made;
-    where they have several, every neighbor draw goes through the
-    stream's ``Draws`` reader."""
+    """Every neighbor draw of the walks, push and push-pull streams goes
+    through the stream's ``Draws`` reader, whatever the graph's degrees,
+    and no numpy generator reads those streams."""
 
     RUNS = {
         "push": lambda g, rng: rw.run_push(g, 0, rng),
@@ -229,18 +230,34 @@ class TestNeighborStreams:
         "meet-exchange": lambda g, rng: rw.run_meet_exchange(
             g, 0, AgentConfig(g.n, lazy=True), rng, round_cap=200),
     }
+    LABELS = {"push": "push", "push-pull": "pushpull",
+              "visit-exchange": "walks", "meet-exchange": "walks"}
 
-    @staticmethod
-    def _gens(monkeypatch) -> list:
-        """The ``gen`` of every ``_draw_neighbors`` call from now on."""
-        gens, real = [], protocols._draw_neighbors
+    def _run(self, monkeypatch, graph, protocol, check=None) -> None:
+        """Run ``protocol`` on ``graph``, asserting that every
+        ``_draw_neighbors`` call reads the stream's reader and that no
+        numpy generator is made for it; ``check(graph, gen, starts, degs,
+        got)`` sees each call."""
+        label, real = self.LABELS[protocol], protocols._draw_neighbors
+        rng, calls = SimRng(1), []
+        stream = rng.stream
+
+        def refuse(*labels):
+            assert labels != (label,), f"a generator was made for {labels}"
+            return stream(*labels)
 
         def recording(graph, gen, starts, degs):
-            gens.append(gen)
-            return real(graph, gen, starts, degs)
+            assert gen is rng.draws(label)
+            got = real(graph, gen, starts, degs)
+            if check is not None:
+                check(graph, gen, starts, degs, got)
+            calls.append(gen)
+            return got
 
+        monkeypatch.setattr(rng, "stream", refuse)
         monkeypatch.setattr(protocols, "_draw_neighbors", recording)
-        return gens
+        self.RUNS[protocol](graph, rng)
+        assert calls
 
     @pytest.mark.parametrize("protocol", RUNS)
     @pytest.mark.parametrize("build", [
@@ -248,14 +265,23 @@ class TestNeighborStreams:
         lambda: rw.generate_star(300), lambda: rw.generate_double_star(128),
     ], ids=["regular", "star", "double-star"])
     def test_one_degree_calls_numpy(self, monkeypatch, build, protocol):
-        def refuse(_rng, *labels):
-            raise AssertionError(f"a reader was made for {labels}")
+        # where the drawing rows share one degree d, each call draws what
+        # numpy's scalar-bound call integers(0, d, size=k) draws on a
+        # generator of the same stream (push's blocks draw between its
+        # calls: TestPushBlocks checks push against numpy round by round)
+        twin = SimRng(1).stream(self.LABELS[protocol])
 
-        monkeypatch.setattr(SimRng, "draws", refuse)
-        gens = self._gens(monkeypatch)
-        self.RUNS[protocol](build(), SimRng(1))
-        assert gens
-        assert all(type(gen) is np.random.Generator for gen in gens)
+        def check(graph, gen, starts, degs, got):
+            d = int(graph.distinct_degrees[-1])
+            row = np.arange(starts.shape[0]) if degs is None \
+                else np.flatnonzero(degs > 1)
+            want = graph.indices[starts]
+            want[row] = graph.indices[starts[row] + twin.integers(
+                0, d, size=row.shape[0])]
+            assert np.array_equal(got, want)
+
+        self._run(monkeypatch, build(), protocol,
+                  None if protocol == "push" else check)
 
     @pytest.mark.parametrize("protocol", RUNS)
     @pytest.mark.parametrize("build", [
@@ -265,10 +291,7 @@ class TestNeighborStreams:
     ], ids=["heavy-tree", "siamese", "cycle-stars-cliques"])
     def test_mixed_degrees_use_the_reader(self, monkeypatch, build,
                                           protocol):
-        gens = self._gens(monkeypatch)
-        self.RUNS[protocol](build(), SimRng(1))
-        assert gens
-        assert all(isinstance(gen, Draws) for gen in gens)
+        self._run(monkeypatch, build(), protocol)
 
 
 class TestLazyStream:
@@ -422,7 +445,7 @@ class TestAgainstPerRoundReferences:
         got = rw.run_push_pull(g, 1, got_rng)
         assert got.rounds == rounds
         assert np.array_equal(got.trace.vertex_informed_at, want)
-        assert_same_place(g, got_rng, want_rng, "pushpull")
+        assert_same_place(got_rng, want_rng, "pushpull")
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -440,7 +463,7 @@ class TestAgainstPerRoundReferences:
         for label in ("placement", "lazy"):
             assert got_rng.stream(label).bit_generator.state == \
                 want_rng.stream(label).bit_generator.state, label
-        assert_same_place(g, got_rng, want_rng, "walks")
+        assert_same_place(got_rng, want_rng, "walks")
 
     @pytest.mark.parametrize("name", ["heavy-tree", "siamese",
                                       "cycle-stars-cliques"])

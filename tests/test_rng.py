@@ -13,8 +13,7 @@ import rumorwalks as rw
 import rumorwalks.rng as rng_mod
 from rumorwalks.protocols import AgentConfig, _move
 from rumorwalks.rng import (ChoiceOracle, Draws, SimRng, _first_blocks,
-                            _pcg64_seed, bounded_ahead, derive_seed,
-                            place_stationary)
+                            _pcg64_seed, derive_seed, place_stationary)
 
 from helpers import ReferenceOracle, coupling_corpus
 
@@ -272,6 +271,11 @@ class TestChoiceOracleContract:
 
 
 class TestStationarySampling:
+    def test_negative_count(self):
+        with pytest.raises(rw.InvalidParameterError,
+                           match="^agent count must be >= 0, got -1$"):
+            place_stationary(rw.generate_cycle(8), _pcg(1), -1)
+
     def test_k2_half(self):
         g = rw.generate_complete(2)
         gen = np.random.Generator(np.random.PCG64(3))
@@ -308,14 +312,14 @@ class TestStepWalk:
 
     def test_k2_forced(self):
         g = rw.generate_complete(2)
-        gen = np.random.Generator(np.random.PCG64(1))
+        gen = Draws(1)
         pos = _move(g, np.zeros(50, dtype=np.int64), gen, False, None)
         assert (pos == 1).all()
         assert (_move(g, pos, gen, False, None) == 0).all()
 
     def test_lazy_stay_rate(self):
         g = rw.generate_cycle(5)
-        walk_gen = np.random.Generator(np.random.PCG64(2))
+        walk_gen = Draws(2)
         lazy_gen = np.random.Generator(np.random.PCG64(3))
         n_steps = 100_000
         dest = _move(g, np.full(n_steps, 2, dtype=np.int64), walk_gen, True,
@@ -338,69 +342,92 @@ class TestStepWalk:
 
     def test_c4_two_neighbors(self):
         g = rw.generate_cycle(4)
-        gen = np.random.Generator(np.random.PCG64(9))
+        gen = Draws(9)
         dest = _move(g, np.zeros(40_000, dtype=np.int64), gen, False, None)
         frac1 = np.mean(dest == 1)
         assert set(dest.tolist()) == {1, 3}
         assert abs(frac1 - 0.5) < 3 * np.sqrt(0.25 / 40_000)
 
 
+def _pending(state: dict) -> dict:
+    """A numpy bit generator state, its left-over half zeroed when there is
+    none (numpy keeps a stale one)."""
+    return {**state, "uinteger": state["uinteger"] * state["has_uint32"]}
+
+
+def _numpy_state(reader: Draws) -> dict:
+    """The state a numpy generator of the reader's stream stands in after
+    the same draws: the reader's PCG64 stepped back over the whole words it
+    read ahead and has not used, and the high half of a word whose low half
+    was used left over, as numpy keeps it."""
+    left = reader._halves.shape[0] - reader._pos
+    bitgen = np.random.PCG64()
+    bitgen.state = reader._bitgen.state
+    bitgen.advance(-(left // 2) % 2 ** 128)
+    return _pending({**bitgen.state, "has_uint32": left % 2, "uinteger":
+                     int(reader._halves[reader._pos]) if left % 2 else 0})
+
+
 class TestBoundedAhead:
-    """The push block reader against numpy's own bounded draws."""
+    """``Draws.bounded``, one bound's draws read ahead, against numpy's own
+    scalar draws and the state they leave numpy's generator in."""
 
     BOUNDS = [2, 3, 7, 14, 1000, 1001, 2 ** 31 - 1, 2 ** 31 + 1,
               3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32]
 
     @staticmethod
-    def _gen(seed: int, pending: bool) -> np.random.Generator:
-        gen = np.random.Generator(np.random.PCG64(seed))
+    def _pair(seed: int, pending: bool):
+        """A reader and a numpy generator of one seed; with ``pending``,
+        both have drawn one 32-bit value, which leaves half a word over."""
+        reader, gen = Draws(seed), _pcg(seed)
         if pending:
-            gen.integers(0, 5)  # one 32-bit draw: half a word left over
+            assert reader.integers([5]).tolist() == [gen.integers(0, 5)]
             assert gen.bit_generator.state["has_uint32"] == 1
-        return gen
+        return reader, gen
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_equals_scalar_draws(self, bound, pending):
-        count = 301
         for seed in range(3):
-            draws, leave = bounded_ahead(self._gen(seed, pending), bound,
-                                         count)
-            ref = self._gen(seed, pending)
-            want = [int(ref.integers(0, bound)) for _ in range(count)]
-            assert draws.dtype == np.int64
-            assert draws.tolist() == want
+            for count in (1, 2, 64, 301):
+                reader, ref = self._pair(seed, pending)
+                draws, _ = reader.bounded(bound, count)
+                want = [int(ref.integers(0, bound)) for _ in range(count)]
+                assert draws.dtype == np.int64
+                assert draws.tolist() == want
+                assert _numpy_state(reader) == _pending(ref.bit_generator.state)
 
     @pytest.mark.parametrize("pending", [False, True])
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_leave_matches_scalar_state(self, bound, pending):
         count = 64
-        for used in (0, 1, 2, 3, 17, 40, count):
-            gen = self._gen(used, pending)
-            _, leave = bounded_ahead(gen, bound, count)
+        for used in range(count + 1):
+            reader, ref = self._pair(used, pending)
+            _, leave = reader.bounded(bound, count)
             leave(used)
-            ref = self._gen(used, pending)
             for _ in range(used):
                 ref.integers(0, bound)
-            assert gen.bit_generator.state == ref.bit_generator.state
-            # every later reader of the stream sees the same draws
-            assert gen.integers(0, 2 ** 40, size=3).tolist() == \
-                ref.integers(0, 2 ** 40, size=3).tolist()
-            assert gen.integers(0, 9) == ref.integers(0, 9)
+            assert _numpy_state(reader) == _pending(ref.bit_generator.state)
+            # every later draw of the stream is the same
+            assert reader.integers([3, 2 ** 32, 9]).tolist() == \
+                ref.integers(0, [3, 2 ** 32, 9]).tolist()
 
     def test_leave_twice(self):
         # a block leaves the stream once; reading a second block from there
         # continues the same scalar stream
-        gen, ref = self._gen(5, False), self._gen(5, False)
+        reader, ref = self._pair(5, False)
         got = []
-        for bound, count, used in ((6, 50, 33), (6, 9, 9), (1000, 20, 1)):
-            draws, leave = bounded_ahead(gen, bound, count)
+        for bound, count, used in ((6, 50, 33), (6, 9, 9), (1000, 20, 1),
+                                   (2 ** 31 + 1, 40, 17), (7, 3, 0),
+                                   (2 ** 31 + 1, 30, 30)):
+            draws, leave = reader.bounded(bound, count)
             leave(used)
             got += draws[:used].tolist()
         want = [int(ref.integers(0, 6)) for _ in range(42)] + \
-            [int(ref.integers(0, 1000))]
+            [int(ref.integers(0, 1000))] + \
+            [int(ref.integers(0, 2 ** 31 + 1)) for _ in range(47)]
         assert got == want
-        assert gen.bit_generator.state == ref.bit_generator.state
+        assert _numpy_state(reader) == _pending(ref.bit_generator.state)
 
 
 # bounds of every size, and many just above 2**31, where (2**32 - d) % d is
