@@ -139,10 +139,10 @@ class Graph:
     def _of_pairs(cls, n: int, src: np.ndarray, dst: np.ndarray,
                   family_tag: str | None) -> "Graph":
         """The graph of the edges (src[i], dst[i]), checked for duplicates
-        only: one buffer of the directed keys u * n + v, sorted in place,
-        orders every row, and key % n is a neighbor."""
+        only: one buffer of the directed keys u * n + v (in src's dtype),
+        sorted in place, orders every row, and key % n is a neighbor."""
         m = src.shape[0]
-        keys = np.empty(2 * m, dtype=np.int64)
+        keys = np.empty(2 * m, dtype=src.dtype)
         np.multiply(src, n, out=keys[:m])
         keys[:m] += dst
         np.multiply(dst, n, out=keys[m:])
@@ -150,7 +150,7 @@ class Graph:
         keys.sort()
         if (keys[1:] == keys[:-1]).any():
             raise InvalidParameterError("duplicate edges are not allowed")
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
         return cls(n, indptr, np.remainder(keys, n, out=keys), family_tag)
 
     # -- accessors ---------------------------------------------------------
@@ -386,35 +386,47 @@ def _known(edge_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return edge_keys[np.searchsorted(edge_keys, keys)] == keys
 
 
-def _stable_order(keys: np.ndarray, n: int):
-    """``(order, keys[order])`` for the stable sort order of ``keys``, each
-    key below ``n * n``.
-
-    The pairs (key, index) are distinct, so one unstable sort of
-    ``keys << s | index``, with ``s`` bits for the index, breaks ties by
-    index just as a stable sort does: the low ``s`` bits are the order and
-    the high bits the sorted keys.  Packed values must stay below 2**63;
-    past that bound the stable argsort is used.
-    """
-    m = keys.shape[0]
-    s = m.bit_length()
-    if (n * n) << s >= 1 << 63:
-        order = np.argsort(keys, kind="stable")
-        return order, keys[order]
-    packed = keys << s
-    packed |= np.arange(m, dtype=np.int64)
-    packed.sort()
-    return packed & ((1 << s) - 1), packed >> s
+def _key_dtype(n: int):
+    """The dtype of the edge keys ``lo * n + hi`` on n vertices: int32 while
+    every key and the sentinel ``n * n`` fit, else int64."""
+    return np.int32 if n * n < 2 ** 31 else np.int64
 
 
 def _suitable(stubs: np.ndarray, taken, n: int) -> bool:
     """True if the leftover stub multiset can still be paired into new,
-    non-loop edges; ``taken(keys)`` flags the edge keys already used.
-    Mirrors the standard stub-matching feasibility test.
-    """
+    non-loop edges; ``taken(keys)`` flags the edge keys already used."""
     vals = _distinct(stubs)
     a, b = np.triu_indices(vals.shape[0], k=1)
     return not taken(vals[a] * n + vals[b]).all()
+
+
+def _pairing_round(s: np.ndarray, n: int, taken):
+    """The sorted edge keys that one round of the shuffled stubs ``s``, in
+    :func:`_key_dtype` and paired as (s[0::2], s[1::2]), keeps, and the int64
+    stubs it re-queues: a key is kept once, unless a loop's or ``taken``
+    (None while no edge is), and only its first pair in stub order."""
+    a, b = s[0::2], s[1::2]
+    lo = np.minimum(a, b)
+    keys = lo * n
+    keys += np.maximum(a, b)
+    sk = np.sort(keys)
+    keep = np.empty(sk.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=keep[1:])
+    again = sk[~keep]  # the keys of the runs longer than one
+    back = a == b  # the pairs to re-queue: loops, taken, repeats
+    if taken is not None:
+        back |= taken(keys)
+    keep[np.searchsorted(sk, keys[back])] = False  # nor are their keys
+    new = sk[keep]
+    if new.shape[0] and again.shape[0]:  # the later pairs of repeated keys
+        near = np.zeros(n, dtype=bool)
+        near[again // n] = True
+        at = np.flatnonzero(near[lo])  # pairs with such a lower end
+        later = np.ones(at.shape[0], dtype=bool)
+        later[np.unique(keys[at], return_index=True)[1]] = False
+        back[at[later]] = True
+    return new, np.concatenate([a[back], b[back]], dtype=np.int64)
 
 
 def _pairing_attempt(n: int, d: int, gen: np.random.Generator):
@@ -423,13 +435,14 @@ def _pairing_attempt(n: int, d: int, gen: np.random.Generator):
     edge keys ``lo * n + hi`` (lo < hi), in no particular order, or None
     when no valid completion exists for this pass.
 
-    The first round that keeps any pairs keeps nearly all of them; those
-    edge keys form a sorted block, and the few of later rounds go to a
-    small sorted tail, so no round copies the block.  Both end in the
-    sentinel of :func:`_known`.
+    The stubs are int64, numpy's fast shuffle.  The first round that keeps
+    any pairs keeps nearly all of them; those edge keys form a sorted block,
+    and the few of later rounds go to a small sorted tail, so no round
+    copies the block.  Both end in the sentinel of :func:`_known`.
     """
+    kd = _key_dtype(n)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    sentinel = np.array([n * n], dtype=np.int64)
+    sentinel = np.array([n * n], dtype=kd)
     block = tail = sentinel
 
     def taken(keys):
@@ -437,29 +450,15 @@ def _pairing_attempt(n: int, d: int, gen: np.random.Generator):
 
     while stubs.size:
         gen.shuffle(stubs)
-        a = stubs[0::2]
-        b = stubs[1::2]
-        keys = np.minimum(a, b) * n + np.maximum(a, b)
-        # In key order, a pair is kept when it is no self-loop, is the first
-        # pair with its key in stub order (ties in sk are in stub order),
-        # and its edge is not yet taken; before any edge is kept, none is.
-        order, sk = _stable_order(keys, n)
-        keep = np.empty(sk.shape[0], dtype=bool)
-        keep[0] = True
-        np.not_equal(sk[1:], sk[:-1], out=keep[1:])
-        keep &= (a != b)[order]
-        if block.shape[0] > 1:
-            keep &= ~taken(sk)
-        if keep.any():
-            new = sk[keep]
+        s = stubs.astype(kd)
+        new, rest = _pairing_round(s, n, taken if block.shape[0] > 1 else None)
+        if new.shape[0]:
             if block.shape[0] == 1:
                 block = np.concatenate([new, sentinel])
             else:
-                tail = np.insert(tail, np.searchsorted(tail, new), new)
-            good = np.empty_like(keep)
-            good[order] = keep
-            stubs = np.concatenate([a[~good], b[~good]])
-        elif not _suitable(stubs, taken, n):
+                tail = np.sort(np.concatenate([new, tail]))
+            stubs = rest
+        elif not _suitable(s, taken, n):
             return None
     return np.concatenate([block[:-1], tail[:-1]])
 
@@ -495,7 +494,6 @@ def generate_random_regular(n: int, d: int, seed: int,
         g = Graph._of_pairs(n, *np.divmod(keys, n), tag)
         if g.is_connected():
             return g
-        # disconnected: restart from scratch
     raise GenerationFailureError(
         f"no connected {d}-regular graph on {n} vertices after "
         f"{max_restarts} restarts: {dead_ends} pairing dead ends, "

@@ -70,6 +70,8 @@ class AgentConfig:
         if self.placement not in PLACEMENTS:
             raise InvalidParameterError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
+        if not isinstance(self.lazy, (bool, np.bool_)):
+            raise InvalidParameterError(f"lazy must be a bool, got {self.lazy!r}")
 
 
 @dataclass
@@ -381,11 +383,10 @@ class _Visit:
             fresh_v = pos[carrying]
         else:
             fresh_v = pos[is_open[pos]]
-        if fresh_v.shape[0]:
-            fresh_v = _distinct(fresh_v)
+        if fresh_v.shape[0]:  # repeats write the same t
             self.v_inf[fresh_v] = t
             is_open[fresh_v] = False
-            self.uninformed -= fresh_v.shape[0]
+            self.uninformed = int(np.count_nonzero(is_open))
             if self.waiting:
                 on_open = is_open[pos]
         if self.waiting:

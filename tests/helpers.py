@@ -203,9 +203,10 @@ def _reference_suitable(stubs, edge_keys, n):
 
 
 def _reference_pairing_attempt(n, d, gen):
-    """One stub-matching pass as ``graphs._pairing_attempt`` did it before
-    the packed-key sort: a stable argsort of every round's keys, and each
-    round's new edges inserted into one sorted array."""
+    """One stub-matching pass in its plainest form, which
+    ``graphs._pairing_attempt`` reproduces pass by pass: a stable argsort
+    of every round's keys, and each round's new edges inserted into one
+    sorted array."""
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     edge_keys = np.array([n * n], dtype=np.int64)  # sentinel
     while stubs.size:

@@ -336,6 +336,12 @@ class TestBuildGraph:
             rw.run_protocol("visit-exchange", rw.generate_cycle(8), 0,
                             rw.SimRng(1), agents=2.5)
 
+    def test_run_protocol_refuses_non_bool_lazy(self):
+        with pytest.raises(rw.InvalidParameterError,
+                           match="^lazy must be a bool, got 'no'$"):
+            rw.run_protocol("visit-exchange", rw.generate_cycle(9), 0,
+                            rw.SimRng(1), lazy="no")
+
     def test_run_protocol_unknown(self):
         with pytest.raises(rw.InvalidParameterError,
                            match="^unknown protocol 'nope'$"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import rumorwalks as rw
 from rumorwalks import Graph, InvalidParameterError, LoadError
 from rumorwalks import graphs
-from rumorwalks.graphs import _pairing_attempt, _stable_order
+from rumorwalks.graphs import _key_dtype, _pairing_attempt, _pairing_round
 
 import helpers
 from helpers import (_reference_pairing_attempt, reference_is_bipartite,
@@ -308,10 +308,20 @@ def regular_params(draw):
     return n, d
 
 
+@st.composite
+def dense_params(draw):
+    """``regular_params``, with d within a few of n - 1 half the time."""
+    n = draw(st.integers(3, 120))
+    d = draw(st.one_of(st.integers(max(1, n - 6), n - 1), st.integers(1, n - 1)))
+    if (n * d) % 2:
+        d = d - 1 if d > 1 else d + 1
+    return n, d
+
+
 class TestPairingDifferential:
     """The generator against the stable-argsort pairing it replaced
-    (``helpers.reference_random_regular``), and its packed-key order
-    against ``np.argsort(kind="stable")``."""
+    (``helpers.reference_random_regular``), pass by pass and at either
+    width of its keys, and its CSR builder at either width."""
 
     @given(params=regular_params(), seed=st.integers(0, 2 ** 32))
     @example(params=(6, 3), seed=0)
@@ -346,58 +356,98 @@ class TestPairingDifferential:
         assert g == ref
         assert g.indptr.dtype == g.indices.dtype == np.int64
 
-    @given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 400),
-           distinct=st.integers(1, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_order_is_stable_argsort(self, seed, size, distinct):
+    @given(params=dense_params(), seed=st.integers(0, 2 ** 32))
+    @example(params=(12, 11), seed=3)
+    @example(params=(100, 97), seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_passes_match_reference(self, params, seed):
+        # pass by pass: the same edge keys, or None, and the same stream
+        # position, through the dead ends and loops that dense d makes common
+        n, d = params
         gen = np.random.Generator(np.random.PCG64(seed))
-        n = 50
-        keys = gen.choice(n * n, size=distinct, replace=False)
-        keys = keys[gen.integers(0, distinct, size=size)].astype(np.int64)
-        order, sk = _stable_order(keys, n)
-        expect = np.argsort(keys, kind="stable")
-        assert np.array_equal(order, expect)
-        assert np.array_equal(sk, keys[expect])
+        ref_gen = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(3):
+            keys = _pairing_attempt(n, d, gen)
+            want = _reference_pairing_attempt(n, d, ref_gen)
+            if want is None:
+                assert keys is None
+            else:
+                assert keys.dtype == _key_dtype(n)
+                assert np.array_equal(np.sort(keys), want)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @staticmethod
-    def order_with_spy(monkeypatch, keys, n):
-        """``_stable_order(keys, n)`` and how often it fell back to
-        ``np.argsort``; the result is checked against the stable argsort."""
-        calls = []
-        argsort = np.argsort
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("kind"))
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", spy)
-        order, sk = _stable_order(keys, n)
-        monkeypatch.undo()
-        expect = np.argsort(keys, kind="stable")
-        assert np.array_equal(order, expect)
-        assert np.array_equal(sk, keys[expect])
-        return calls
+    def round_matches_stable_argsort(n, size):
+        """``_pairing_round`` on ``size`` pairs among the four highest
+        vertices, whose keys are the largest on n, against the stable
+        argsort of ``helpers._reference_pairing_attempt``: the same kept
+        keys, in ``_key_dtype(n)``, and the same re-queued stubs in order,
+        with no edge taken and with the two top edges taken."""
+        kd = _key_dtype(n)
+        gen = np.random.Generator(np.random.PCG64(size))
+        s = gen.integers(n - 4, n, size=2 * size).astype(kd)
+        a, b = s[0::2].astype(np.int64), s[1::2].astype(np.int64)
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        top = np.array([(n - 4) * n + n - 3, (n - 2) * n + n - 1, n * n])
+        for taken in (None, lambda k: graphs._known(top.astype(kd), k)):
+            keep = np.empty(sk.shape[0], dtype=bool)
+            keep[0] = True
+            np.not_equal(sk[1:], sk[:-1], out=keep[1:])
+            keep &= (a != b)[order]
+            if taken is not None:
+                keep &= ~np.isin(sk, top[:-1])
+            good = np.empty_like(keep)
+            good[order] = keep
+            new, rest = _pairing_round(s, n, taken)
+            assert new.dtype == kd and rest.dtype == np.int64
+            assert np.array_equal(new, sk[keep])
+            assert np.array_equal(rest, np.r_[a[~good], b[~good]])
 
     @pytest.mark.parametrize("n,size", [(2 ** 31, 8), (2 ** 31, 1),
                                         (2 ** 30, 4), (2 ** 28, 300)])
-    def test_order_past_the_packing_bound(self, monkeypatch, n, size):
-        # (n*n) << s reaches 2**63, so the stable argsort runs: packing the
-        # largest key would overflow an int64
+    def test_order_past_the_packing_bound(self, n, size):
+        # (n*n) << s reaches 2**63, where a packed (key, index) sort would
+        # overflow int64 and the one this round replaced fell back to the
+        # stable argsort; the round's one plain sort orders them all
         assert (n * n) << size.bit_length() >= 2 ** 63
-        gen = np.random.Generator(np.random.PCG64(size))
-        keys = np.r_[n * n - 1, gen.integers(n * n - 4, n * n, size=size - 1)]
-        calls = self.order_with_spy(monkeypatch, keys.astype(np.int64), n)
-        assert calls == ["stable"]
+        self.round_matches_stable_argsort(n, size)
 
     @pytest.mark.parametrize("n,size", [(2 ** 30, 3), (2 ** 20, 5),
                                         (2 ** 14, 114688)])
-    def test_order_below_the_packing_bound(self, monkeypatch, n, size):
-        # the largest keys still pack: (n*n - 1) << s | index < 2**63
+    def test_order_below_the_packing_bound(self, n, size):
+        # the largest keys would still pack: (n*n - 1) << s | index < 2**63;
+        # 2**14 keeps its keys in int32, with a long run per key
         assert (n * n) << size.bit_length() < 2 ** 63
-        gen = np.random.Generator(np.random.PCG64(size))
-        keys = np.r_[n * n - 1, gen.integers(n * n - 4, n * n, size=size - 1)]
-        calls = self.order_with_spy(monkeypatch, keys.astype(np.int64), n)
-        assert calls == []
+        self.round_matches_stable_argsort(n, size)
+
+    @pytest.mark.parametrize("n,width", [(46_340, np.int32),
+                                         (46_342, np.int64)])
+    def test_matches_reference_across_the_key_width_bound(self, n, width):
+        # 46,340**2 < 2**31 <= 46,341**2: the last int32 n and the first
+        # even one past it
+        assert _key_dtype(n) is width
+        assert rw.generate_random_regular(n, 3, 5) == \
+            reference_random_regular(n, 3, 5)
+
+    @given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_csr_of_either_key_width(self, seed, n):
+        # the generator hands _of_pairs int32 halves, from_edges int64 ones
+        gen = np.random.Generator(np.random.PCG64(seed))
+        keys = np.unique(gen.integers(0, n * n, size=gen.integers(1, 4 * n)))
+        lo, hi = np.divmod(keys, n)
+        lo, hi = lo[lo < hi], hi[lo < hi]
+        wide = Graph._of_pairs(n, lo, hi, None)
+        narrow = Graph._of_pairs(n, lo.astype(np.int32), hi.astype(np.int32),
+                                 None)
+        assert narrow == wide
+        assert narrow.indptr.dtype == narrow.indices.dtype == np.int64
+        if lo.shape[0]:
+            for halves in ((lo, hi), (lo.astype(np.int32), hi.astype(np.int32))):
+                with pytest.raises(InvalidParameterError, match="duplicate"):
+                    Graph._of_pairs(n, *(np.r_[h, h[:1]] for h in halves), None)
 
 
 @pytest.mark.parametrize("build", [
@@ -959,7 +1009,9 @@ class TestBuildMemory:
     needs one buffer of 2m keys (16 B per edge) beyond its input, and a
     family adds its (m, 2) edge array (16 B per edge); a list of per-edge
     tuples (183 B per edge) or sorting a concatenated copy of the keys
-    (32 B per edge) breaks these bounds."""
+    (32 B per edge) breaks these bounds.  A random regular graph's pairing
+    keys are int32 below n = 46,341: 48 B per edge, where int64 keys take
+    59."""
 
     def test_from_edges_bytes_per_edge(self):
         edges = rw.generate_heavy_binary_tree(1023).edges()
@@ -978,6 +1030,11 @@ class TestBuildMemory:
         rw.generate_heavy_binary_tree(15)  # warm up any first-call state
         g, peak = _traced_peak(lambda: rw.generate_heavy_binary_tree(1023))
         assert peak <= 64 * g.m
+
+    def test_random_regular_bytes_per_edge(self):
+        rw.generate_random_regular(64, 8, 0)  # warm up any first-call state
+        g, peak = _traced_peak(lambda: rw.generate_random_regular(16384, 14, 1))
+        assert peak <= 52 * g.m
 
 
 class TestGenerationFailureMessage:

@@ -87,6 +87,21 @@ class TestAgentConfigAndPlacement:
             AgentConfig(2.5)
         assert AgentConfig(np.int64(3)).count == 3
 
+    @pytest.mark.parametrize("lazy", ["no", 1, 2.5, 0, None])
+    def test_lazy_not_a_bool(self, lazy):
+        # a truthy non-bool would run lazy walks, a falsy one simple walks
+        with pytest.raises(InvalidParameterError,
+                           match=f"^lazy must be a bool, got {lazy!r}$"):
+            rw.run_visit_exchange(rw.generate_cycle(9), 0,
+                                  AgentConfig(9, lazy=lazy), SimRng(1))
+
+    def test_lazy_numpy_bool(self):
+        g = rw.generate_cycle(9)
+        for lazy, time in ((np.bool_(True), 12), (np.bool_(False), 5)):
+            res = rw.run_visit_exchange(g, 0, AgentConfig(9, lazy=lazy),
+                                        SimRng(1))
+            assert res.broadcast_time == time
+
     def test_stationary_star_center(self):
         g = rw.generate_star(4)
         rng = SimRng(10)
